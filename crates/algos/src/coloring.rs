@@ -109,25 +109,18 @@ pub fn linial_final_palette(id_bound: u64, delta: u64) -> u64 {
 /// digits are zero, and skipping their divisions is the hot-path win of the Linial step.
 #[cfg(test)]
 fn push_poly_digits(color: u64, d: u32, q: u64, out: &mut Vec<u64>) {
-    let modq = (q < local_simd::EVAL_POLY_MAX_Q).then(|| local_simd::ModQ::new(q));
-    push_poly_digits_with(color, d, q, modq, out);
+    push_poly_digits_with(color, d, q, ModQ::for_modulus(q), out);
 }
 
 /// [`push_poly_digits`] with a caller-supplied reciprocal context, so per-neighbour digit
 /// splits inside one recolouring share a single `ModQ::new`. The reciprocal divisions are
 /// exact (same digits as `%`/`/`) within the `ModQ` operand bound; anything else falls back
 /// to hardware division.
-fn push_poly_digits_with(
-    color: u64,
-    d: u32,
-    q: u64,
-    modq: Option<local_simd::ModQ>,
-    out: &mut Vec<u64>,
-) {
+fn push_poly_digits_with(color: u64, d: u32, q: u64, modq: Option<ModQ>, out: &mut Vec<u64>) {
     let mut rest = color;
     let mut produced = 0u32;
     match modq {
-        Some(m) if color < local_simd::ModQ::MAX_OPERAND => {
+        Some(m) if color < ModQ::MAX_OPERAND => {
             while rest > 0 && produced <= d {
                 let (k, r) = m.div_rem(rest);
                 out.push(r);
@@ -156,40 +149,115 @@ fn color_to_poly(color: u64, d: u32, q: u64) -> Vec<u64> {
     coeffs
 }
 
-fn eval_poly(coeffs: &[u64], a: u64, q: u64) -> u64 {
-    // Leading zero coefficients leave a Horner accumulator at zero; skip their
-    // multiply-and-reduce steps outright (the digit layout above makes them the common
-    // case under generous guesses).
-    let mut coeffs = coeffs;
+/// The digits with their high-order zeros dropped. A leading zero coefficient leaves a
+/// Horner accumulator at zero, so skipping it is free and exact — and the digit layout
+/// above makes long zero tails the common case under generous guesses.
+fn trim_high_zeros(mut coeffs: &[u64]) -> &[u64] {
     while let Some((&0, rest)) = coeffs.split_last() {
         coeffs = rest;
     }
-    if q < (1 << 20) {
-        // Hot path: with q < 2^20 two unreduced Horner steps stay below q³ + q² + q < 2^62,
-        // so one division pays for two coefficients. This runs once per (evaluation point ×
-        // neighbour × node × Linial round) — the inner loop of the colouring attempts.
-        let mut acc: u64 = 0;
-        let mut chunks = coeffs.rchunks_exact(2);
-        for pair in &mut chunks {
-            acc = ((acc * a + pair[1]) * a + pair[0]) % q;
-        }
-        if let [c] = chunks.remainder() {
-            acc = (acc * a + *c) % q;
-        }
-        return acc;
-    }
-    if q < (1 << 32) {
-        let mut acc: u64 = 0;
-        for &c in coeffs.iter().rev() {
-            acc = (acc * a + c) % q;
-        }
-        return acc;
-    }
+    coeffs
+}
+
+/// Integer Horner evaluation of the digit polynomial at `a`, mod `q`, for any `q`: the
+/// reference the [`ModQ`] fast path must match, and the path for fields too large for it.
+fn eval_poly(coeffs: &[u64], a: u64, q: u64) -> u64 {
     let mut acc: u128 = 0;
-    for &c in coeffs.iter().rev() {
+    for &c in trim_high_zeros(coeffs).iter().rev() {
         acc = (acc * u128::from(a) + u128::from(c)) % u128::from(q);
     }
     acc as u64
+}
+
+/// Precomputed reciprocal for **exact** arithmetic mod a small `q`, replacing each hardware
+/// division (~20–40 cycles) with a multiply and one fix-up.
+///
+/// Exactness: for `q <` [`ModQ::MAX_Q`] and an operand `c <` [`ModQ::MAX_OPERAND`], the
+/// rounded `f64` product `c · (1/q)` is within ±1 of `⌊c / q⌋`, so the remainder computed
+/// from that estimate is off by at most one `q` and a single correction step lands on the
+/// exact `%`/`/` results. Every Horner step `acc·a + c` with `acc, c < q` and `a < q + 8`
+/// stays below `MAX_OPERAND`, which is what lets [`ModQ::eval_poly`] reduce after each
+/// step instead of dividing.
+#[derive(Debug, Clone, Copy)]
+pub struct ModQ {
+    q: u64,
+    inv: f64,
+}
+
+impl ModQ {
+    /// Modulus bound (exclusive) under which [`ModQ`] is exact.
+    pub const MAX_Q: u64 = 1 << 25;
+
+    /// Operand bound (exclusive) under which [`ModQ::div_rem`] is exact.
+    pub const MAX_OPERAND: u64 = 1 << 51;
+
+    /// Modulus bound (exclusive) under which two Horner steps can share one reduction:
+    /// `q·(q+8)² + (q+8)·q + q < 2^51` holds for every `q < 2^16`.
+    pub const PAIR_MAX_Q: u64 = 1 << 16;
+
+    /// Precomputes the reciprocal of `q` (`2 <= q <` [`ModQ::MAX_Q`]).
+    #[inline]
+    pub fn new(q: u64) -> ModQ {
+        debug_assert!((2..ModQ::MAX_Q).contains(&q));
+        ModQ { q, inv: 1.0 / q as f64 }
+    }
+
+    /// The reciprocal context for `q`, or `None` when `q` is too large for it to be exact.
+    #[inline]
+    pub fn for_modulus(q: u64) -> Option<ModQ> {
+        (q < ModQ::MAX_Q).then(|| ModQ::new(q))
+    }
+
+    /// The modulus this context reduces by.
+    #[inline]
+    pub fn q(self) -> u64 {
+        self.q
+    }
+
+    /// Exact `(c / q, c % q)` for `c <` [`ModQ::MAX_OPERAND`].
+    #[inline]
+    pub fn div_rem(self, c: u64) -> (u64, u64) {
+        debug_assert!(c < ModQ::MAX_OPERAND);
+        // A wrapped-negative remainder marks an overshooting estimate, a remainder >= q an
+        // undershooting one.
+        let mut k = (c as f64 * self.inv) as u64;
+        let mut r = c.wrapping_sub(k * self.q);
+        if (r as i64) < 0 {
+            k -= 1;
+            r = r.wrapping_add(self.q);
+        } else if r >= self.q {
+            k += 1;
+            r -= self.q;
+        }
+        (k, r)
+    }
+
+    /// Exact Horner evaluation of the digit polynomial at one point `a < q + 8`
+    /// (little-endian digits, all `< q`) — the same value as the integer reference.
+    ///
+    /// For `q <` [`ModQ::PAIR_MAX_Q`] two digits are folded per reduction: the unreduced
+    /// double step stays below [`ModQ::MAX_OPERAND`], so exactness is kept while the
+    /// reciprocal work is halved.
+    #[inline]
+    pub fn eval_poly(self, coeffs: &[u64], a: u64) -> u64 {
+        debug_assert!(a < self.q + 8);
+        let coeffs = trim_high_zeros(coeffs);
+        let mut acc = 0u64;
+        if self.q < ModQ::PAIR_MAX_Q {
+            let mut pairs = coeffs.rchunks_exact(2);
+            for pair in &mut pairs {
+                acc = self.div_rem((acc * a + pair[1]) * a + pair[0]).1;
+            }
+            if let [c] = pairs.remainder() {
+                acc = self.div_rem(acc * a + c).1;
+            }
+            return acc;
+        }
+        for &c in coeffs.iter().rev() {
+            acc = self.div_rem(acc * a + c).1;
+        }
+        acc
+    }
 }
 
 /// Reusable workspace of the Linial recolouring step: the node's own polynomial digits, the
@@ -223,11 +291,15 @@ impl RecolorScratch {
     /// the `a = 0` test is one reciprocal reduction per neighbour — no digit arrays are
     /// built at all unless `a = 0` clashes.
     fn recolor(&mut self, my_color: u64, d: u32, q: u64) -> u64 {
-        let stride = d as usize + 1;
         // Small-field fast path (the practical case): digit splits and Horner steps go
-        // through the exact reciprocal context, and my own digest is evaluated eight
-        // candidate points at a time by the dispatched block kernel.
-        let modq = (q + 7 < local_simd::EVAL_POLY_MAX_Q).then(|| local_simd::ModQ::new(q));
+        // through the exact reciprocal context.
+        self.recolor_with(my_color, d, q, ModQ::for_modulus(q))
+    }
+
+    /// [`RecolorScratch::recolor`] with the reciprocal context chosen by the caller; `None`
+    /// runs the plain integer loop, the reference the fast path must reproduce exactly.
+    fn recolor_with(&mut self, my_color: u64, d: u32, q: u64, modq: Option<ModQ>) -> u64 {
+        let stride = d as usize + 1;
         // The digit split truncates at d + 1 digits, so two colours share a polynomial iff
         // they agree mod q^(d+1) (`None` = the power overflows u64 and nothing truncates).
         let poly_space = q.checked_pow(d + 1);
@@ -236,7 +308,7 @@ impl RecolorScratch {
             None => c == my_color,
         };
         let mod_q = |c: u64| match modq {
-            Some(m) if c < local_simd::ModQ::MAX_OPERAND => m.div_rem(c).1,
+            Some(m) if c < ModQ::MAX_OPERAND => m.div_rem(c).1,
             _ => c % q,
         };
         // a = 0: the digest is the lowest digit. A neighbour whose *whole polynomial*
@@ -258,17 +330,8 @@ impl RecolorScratch {
             }
         }
         if let Some(m) = modq {
-            // Block-of-8 kernel evaluation for my digest (amortized one dispatch per 8
-            // candidate points), reciprocal Horner for the (early-exiting) neighbour checks.
-            let mut block = [0u64; 8];
-            let mut block_base = u64::MAX;
             for a in 1..q {
-                let base = a & !7;
-                if base != block_base {
-                    block = local_simd::eval_poly_block8(&self.mine, base, q);
-                    block_base = base;
-                }
-                let val = block[(a - base) as usize];
+                let val = m.eval_poly(&self.mine, a);
                 let clash = self.others.chunks_exact(stride).any(|p| m.eval_poly(p, a) == val);
                 if !clash {
                     return a * q + val;
@@ -710,6 +773,7 @@ mod tests {
     use crate::checkers::{check_coloring, check_coloring_with_palette, check_mis};
     use local_graphs::{cycle, gnp, grid, path, scramble_ids, GraphParams};
     use local_runtime::{GraphAlgorithm, RunConfig};
+    use proptest::prelude::*;
 
     #[test]
     fn primes() {
@@ -739,6 +803,80 @@ mod tests {
     fn eval_poly_matches_direct_computation() {
         // p(x) = 3 + 2x + x² over F_7 at x = 4: 3 + 8 + 16 = 27 ≡ 6 (mod 7).
         assert_eq!(eval_poly(&[3, 2, 1], 4, 7), 6);
+    }
+
+    #[test]
+    fn trim_drops_only_leading_zeros() {
+        assert_eq!(trim_high_zeros(&[1, 0, 2, 0, 0]), &[1, 0, 2]);
+        assert_eq!(trim_high_zeros(&[0, 0]), &[] as &[u64]);
+        assert_eq!(trim_high_zeros(&[]), &[] as &[u64]);
+    }
+
+    /// Straight from the definition: the smallest point where my digit polynomial differs
+    /// from every neighbour polynomial that is not identical to mine, in `u128` arithmetic.
+    fn naive_recolor(my_color: u64, neighbors: &[u64], d: u32, q: u64) -> u64 {
+        let digits = |mut c: u64| -> Vec<u64> {
+            (0..=d)
+                .map(|_| {
+                    let digit = c % q;
+                    c /= q;
+                    digit
+                })
+                .collect()
+        };
+        let eval = |p: &[u64], a: u64| -> u64 {
+            let mut acc = 0u128;
+            for &c in p.iter().rev() {
+                acc = (acc * u128::from(a) + u128::from(c)) % u128::from(q);
+            }
+            acc as u64
+        };
+        let mine = digits(my_color);
+        let others: Vec<Vec<u64>> =
+            neighbors.iter().map(|&c| digits(c)).filter(|p| *p != mine).collect();
+        for a in 0..q {
+            let val = eval(&mine, a);
+            if others.iter().all(|p| eval(p, a) != val) {
+                return a * q + val;
+            }
+        }
+        q * q - 1
+    }
+
+    proptest! {
+        /// Fields on both sides of the `ModQ` bound, colours on both sides of its operand
+        /// bound, and neighbours that share my lowest digit so the scan runs past `a = 0`.
+        #[test]
+        fn recolor_fast_path_matches_integer_reference(
+            (q, d, my_color, neighbors) in (
+                prop_oneof![2u64..64, 65_500u64..65_560, ModQ::MAX_Q - 40..ModQ::MAX_Q + 40],
+                1u32..5,
+                prop_oneof![
+                    0u64..1 << 20,
+                    ModQ::MAX_OPERAND - 64..ModQ::MAX_OPERAND + 64,
+                    any::<u64>(),
+                ],
+            ).prop_flat_map(|(q, d, my)| (
+                Just(q),
+                Just(d),
+                Just(my),
+                prop::collection::vec(
+                    prop_oneof![
+                        (0u64..4).prop_map(move |k| my.wrapping_add(k.wrapping_mul(q))),
+                        0u64..1 << 20,
+                        any::<u64>(),
+                    ],
+                    0..6,
+                ),
+            )),
+        ) {
+            let mut scratch = RecolorScratch::default();
+            scratch.stage(neighbors.iter().copied());
+            let fast = scratch.recolor(my_color, d, q);
+            let integer = scratch.recolor_with(my_color, d, q, None);
+            prop_assert_eq!(fast, integer);
+            prop_assert_eq!(integer, naive_recolor(my_color, &neighbors, d, q));
+        }
     }
 
     #[test]

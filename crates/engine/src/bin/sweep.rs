@@ -773,11 +773,10 @@ fn dry_run(grid: &ScenarioGrid, store: Option<&dyn ResultStore>) -> ExitCode {
     let order = model.order_slowest_first(&cells, missed);
     println!(
         "dry-run: {} cells, {} served from cache (they calibrate the cost model), {} to \
-         execute in LPT (slowest-first) order [{}]:",
+         execute in LPT (slowest-first) order:",
         cells.len(),
         cached,
-        order.len(),
-        local_simd::dispatch_report()
+        order.len()
     );
     println!("{:>5} {:>16}  cell", "rank", "predicted-us");
     let mut total = 0.0;
@@ -935,14 +934,13 @@ fn main() -> ExitCode {
         ),
     };
     eprintln!(
-        "sweep: {} cells ({} problems × {} families × {} sizes × {} seeds), {}, {}",
+        "sweep: {} cells ({} problems × {} families × {} sizes × {} seeds), {}",
         grid.cell_count(),
         grid.problems.len(),
         grid.families.len(),
         grid.sizes.len(),
         grid.replicates,
-        backend_label,
-        local_simd::dispatch_report()
+        backend_label
     );
 
     let meter = args.progress.then(ProgressMeter::new);

@@ -7,6 +7,7 @@
 //!   stand, the remainder is re-dispatched to the healthy peer;
 //! * refused connections retry through the capped backoff and recover;
 //! * an unreachable fleet degrades all the way to in-process rescue;
+//! * a hostile request (a 200 000-deep bracket bomb) gets an error line, not a crash;
 //! * every degradation increments the observable resilience counters.
 //!
 //! Counter assertions use before/after deltas under one test-local lock, because the obs
@@ -15,7 +16,8 @@
 use local_engine::backend::{FaultPlan, NetworkBackend};
 use local_engine::{run_grid, workload, Report, ScenarioGrid, Sweep, SweepConfig};
 use local_graphs::{family, Family};
-use std::io::{BufRead, BufReader};
+use std::io::{BufRead, BufReader, Write};
+use std::net::TcpStream;
 use std::process::{Child, Command, Stdio};
 use std::sync::Mutex;
 
@@ -269,6 +271,26 @@ fn an_unreachable_fleet_degrades_to_in_process_rescue() {
         grid.cell_count() as u64,
         "every cell must be rescued in-process"
     );
+}
+
+#[test]
+fn a_bracket_bomb_is_refused_and_the_daemon_keeps_serving() {
+    let _guard = SERIAL.lock().unwrap();
+    let grid = demo_grid();
+    let reference = run_grid(&grid, &SweepConfig::with_threads(1));
+    let mut daemon = Daemon::spawn(None);
+    // One request line of 200 000 `[`: a parser without a nesting limit overflows the
+    // connection thread's stack and takes the whole daemon down.
+    let mut bomb = TcpStream::connect(&daemon.addr).expect("daemon accepts");
+    bomb.write_all(&[b'['; 200_000]).and_then(|()| bomb.write_all(b"\n")).expect("bomb sent");
+    let mut reply = String::new();
+    BufReader::new(&bomb).read_line(&mut reply).expect("daemon answers the bomb");
+    assert!(reply.contains("\"error\""), "expected an error line, got {reply:?}");
+    assert!(reply.contains("recursion limit exceeded"), "unexpected error: {reply:?}");
+    assert!(daemon.child.try_wait().expect("daemon status").is_none(), "daemon died");
+    let candidate =
+        Sweep::over(&grid).backend(NetworkBackend::new(vec![daemon.addr.clone()])).run();
+    assert_reports_identical(&reference, &candidate, "after the bracket bomb");
 }
 
 #[test]

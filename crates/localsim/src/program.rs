@@ -109,9 +109,9 @@ pub struct Incoming<M> {
 ///
 /// The inbox is staged *lazily*: the runtime hands the context the node's raw dense-arc
 /// stamp/payload segments, and the first call to [`RoundCtx::inbox`] (or
-/// [`RoundCtx::received_on`]) scans the stamps — with the dispatched `local-simd` kernel —
-/// and clones out the matching payloads. Nodes that skip their inbox in a round (e.g. a
-/// colour class waiting its turn) pay nothing for the messages they ignore.
+/// [`RoundCtx::received_on`]) scans the stamps and clones out the matching payloads. Nodes
+/// that skip their inbox in a round (e.g. a colour class waiting its turn) pay nothing for
+/// the messages they ignore.
 pub struct RoundCtx<'a, M> {
     pub(crate) round: u64,
     pub(crate) degree: usize,
@@ -164,7 +164,7 @@ impl<'a, M: Clone> RoundCtx<'a, M> {
     }
 
     /// Iterates `(port, message)` over this round's arrivals, port-ascending, **without
-    /// staging**: the iterator walks the raw stamp segment (64-arc SIMD match masks) and
+    /// staging**: the iterator walks the raw stamp segment (64-arc match masks) and
     /// borrows payloads in place — no clone, no buffer. Same arrivals in the same order as
     /// [`RoundCtx::inbox`] (the staged buffer is just a materialization of the same
     /// segment, so mixing the two within a round agrees); prefer this in hot per-round
@@ -180,9 +180,9 @@ impl<'a, M: Clone> RoundCtx<'a, M> {
         }
     }
 
-    /// Number of messages received this round — one SIMD stamp-count pass, no staging.
+    /// Number of messages received this round — one stamp-count pass, no staging.
     pub fn received_count(&self) -> usize {
-        local_simd::stamp_match_count(self.stamps, self.read_tick)
+        self.stamps.iter().filter(|&&s| s == self.read_tick).count()
     }
 
     /// Convenience: the message received on `port` this round, if any.
@@ -192,7 +192,7 @@ impl<'a, M: Clone> RoundCtx<'a, M> {
     }
 
     /// Fills the staging buffer from the raw stamp/payload segments on first access: a
-    /// 64-arc-chunked stamp-match mask (SIMD-dispatched), then one clone per set bit.
+    /// 64-arc-chunked stamp-match mask, then one clone per set bit.
     fn stage(&mut self) {
         if *self.staged {
             return;
@@ -255,7 +255,7 @@ impl<'a, M: Clone> RoundCtx<'a, M> {
 
 /// Iterator over one round's arrivals, see [`RoundCtx::messages`].
 ///
-/// Walks the stamp segment one 64-arc chunk at a time, pulling a SIMD match mask per chunk
+/// Walks the stamp segment one 64-arc chunk at a time, building a match mask per chunk
 /// and peeling set bits. `fold` is overridden with the tight two-level loop, so
 /// internal-iteration consumers (`for_each` and adapters over it) skip the per-item state
 /// machine of [`Messages::next`].
@@ -268,6 +268,17 @@ pub struct Messages<'b, M> {
     /// Base port of the next chunk to scan.
     next_chunk: usize,
     mask: u64,
+}
+
+/// Bit `i` is set iff `stamps[i] == tick`; `stamps` holds at most 64 cells.
+#[inline]
+fn match_mask64(stamps: &[u64], tick: u64) -> u64 {
+    debug_assert!(stamps.len() <= 64);
+    let mut mask = 0u64;
+    for (i, &s) in stamps.iter().enumerate() {
+        mask |= u64::from(s == tick) << i;
+    }
+    mask
 }
 
 impl<'b, M> Iterator for Messages<'b, M> {
@@ -287,8 +298,7 @@ impl<'b, M> Iterator for Messages<'b, M> {
                 return None;
             }
             let end = (self.next_chunk + 64).min(self.stamps.len());
-            self.mask =
-                local_simd::stamp_match_mask64(&self.stamps[self.next_chunk..end], self.read_tick);
+            self.mask = match_mask64(&self.stamps[self.next_chunk..end], self.read_tick);
             self.chunk = self.next_chunk;
             self.next_chunk = end;
         }
@@ -312,8 +322,7 @@ impl<'b, M> Iterator for Messages<'b, M> {
                 return acc;
             }
             let end = (self.next_chunk + 64).min(self.stamps.len());
-            self.mask =
-                local_simd::stamp_match_mask64(&self.stamps[self.next_chunk..end], self.read_tick);
+            self.mask = match_mask64(&self.stamps[self.next_chunk..end], self.read_tick);
             self.chunk = self.next_chunk;
             self.next_chunk = end;
         }

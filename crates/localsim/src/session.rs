@@ -193,8 +193,8 @@ impl InitSlab {
 /// a payload plane: a message sent to slot `w`'s port `p` in round `r` writes `tick(r)` and
 /// the payload into cell `arc_base(w) + p` of the round's write arena; the receiver reads
 /// its contiguous cell segment in round `r + 1` and accepts exactly the cells stamped
-/// `tick(r)` (a dense `u64` scan served by the `local-simd` stamp kernels). Two arenas alternate by round parity so a
-/// same-round send can never overwrite a message the receiver has not read yet (each arc
+/// `tick(r)` (a dense `u64` scan). Two arenas alternate by round parity so a same-round
+/// send can never overwrite a message the receiver has not read yet (each arc
 /// has one sender, so a cell is rewritten at the earliest two rounds after it was written —
 /// strictly after its read round). Ticks grow monotonically across rounds *and runs* (with
 /// a gap between runs), so stale cells never match and nothing is ever cleared or swapped —
@@ -203,8 +203,7 @@ impl InitSlab {
 struct MsgBuffers<M> {
     /// Tick stamp per arc, one arena per round parity; `stamp == 0` marks a never-written
     /// cell (ticks start at 1). Kept separate from the payloads so the per-node inbox scan
-    /// is a dense `u64` pass the `local-simd` stamp kernels handle in 2–4 lanes per
-    /// instruction, instead of a strided walk over `(u64, Option<M>)` pairs.
+    /// is a dense `u64` pass instead of a strided walk over `(u64, Option<M>)` pairs.
     stamps: [Vec<u64>; 2],
     /// Message payload per arc, parallel to `stamps`.
     payloads: [Vec<Option<M>>; 2],
@@ -532,7 +531,8 @@ pub(crate) fn run_core<T: Topology, S: ProgramSpec>(
         }
         messages += delivered_this_round;
         if any_halt {
-            local_simd::compact_unmarked(&mut session.active, &session.halted);
+            let halted = &session.halted;
+            session.active.retain(|&v| !halted[v]);
         }
         round += 1;
         rounds_executed = round;

@@ -299,7 +299,7 @@ impl<'g> GraphView<'g> {
     /// Panics if `keep.len() != node_count()`.
     pub fn retain(&mut self, keep: &[bool]) {
         assert_eq!(keep.len(), self.node_count(), "keep mask must cover every live node");
-        if local_simd::mask_all_true(keep) {
+        if keep.iter().all(|&k| k) {
             return;
         }
         let removed: Vec<NodeIndex> = self
@@ -340,7 +340,8 @@ impl<'g> GraphView<'g> {
         for &w in &removed {
             self.live_len[w] = 0;
         }
-        local_simd::compact_marked(&mut self.live_nodes, &self.alive);
+        let alive = &self.alive;
+        self.live_nodes.retain(|&b| alive[b]);
         for (l, &b) in self.live_nodes.iter().enumerate() {
             self.live_index[b] = l as u32;
         }
