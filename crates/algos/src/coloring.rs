@@ -499,6 +499,11 @@ impl ColoringTarget {
 /// The full non-uniform colouring pipeline: Linial reduction followed by colour elimination
 /// down to a target palette. Non-uniform in `{Δ, m}`; running time
 /// `O(log* m̃ + (Δ̃² − target))` rounds.
+///
+/// In the elimination phase a node acts in two rounds only — when its own colour class is
+/// eliminated and in the final round — and sleeps ([`Action::Idle`]) in between with its
+/// colour broadcast standing, so simulating the phase costs work per recolouring, not per
+/// round and arc. Rounds and messages are those of the node re-broadcasting every round.
 #[derive(Debug, Clone)]
 pub struct ReducedColoring {
     /// Guess for the maximum degree `Δ`.
@@ -559,6 +564,21 @@ pub struct ReducedColoringProg {
     eliminate_start: u64,
 }
 
+impl ReducedColoringProg {
+    /// The next elimination round that concerns this node: the round its own colour class
+    /// is eliminated, or the final round (in which every node halts), whichever is first.
+    /// In between it neither reads its inbox nor changes its colour, so it sleeps there
+    /// with its colour broadcast standing.
+    fn wake_round(&self) -> u64 {
+        let halt = self.eliminate_start + (self.linial_palette - self.target);
+        if (self.target..self.linial_palette).contains(&self.color) {
+            halt.min(self.eliminate_start + (self.linial_palette - self.color))
+        } else {
+            halt
+        }
+    }
+}
+
 impl NodeProgram for ReducedColoringProg {
     type Msg = ColorMsg;
     type Output = u64;
@@ -584,6 +604,8 @@ impl NodeProgram for ReducedColoringProg {
                         self.phase = ReducePhase::Done;
                         return Action::Halt(self.color);
                     }
+                    ctx.broadcast(self.color);
+                    return Action::Idle(self.wake_round());
                 }
                 ctx.broadcast(self.color);
                 Action::Continue
@@ -624,7 +646,7 @@ impl NodeProgram for ReducedColoringProg {
                     }
                 }
                 ctx.broadcast(self.color);
-                Action::Continue
+                Action::Idle(self.wake_round())
             }
             ReducePhase::Done => Action::Halt(self.color),
         }

@@ -18,10 +18,15 @@
 //! counting global allocator asserts that repeated attempts (`execute_view` runs) on an
 //! unchanged configuration, with their executions recycled into the session, perform *zero*
 //! heap allocations — the init slab, program/output buffers, message arenas, and RNG tables
-//! are all served from the session's caches. The proof runs twice: with the observability
-//! layer off and with it armed. End-to-end throughput lives in `perfbench/`, not here.
+//! are all served from the session's caches. It covers two attempt shapes — a gossip spec
+//! that steps every node every round, and the (Δ+1)-colouring whose elimination phase
+//! sleeps nodes with `Action::Idle` (so the wake queue and the standing-broadcast list must
+//! be pooled too) — and runs twice: with the observability layer off and with it armed.
+//! End-to-end throughput lives in `perfbench/`, not here.
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use local_algos::coloring::ReducedColoring;
+use local_graphs::GraphParams;
 use local_runtime::{
     Action, GraphAlgorithm, GraphView, NodeInit, NodeProgram, ProgramSpec, RoundCtx, Session,
 };
@@ -117,21 +122,33 @@ impl ProgramSpec for MaxIdAttempt {
 }
 
 /// The allocation-free steady state: repeated attempts on an unchanged view, with the
-/// executions recycled back into the session, must not allocate at all. Returns the counted
+/// executions recycled back into the session, must not allocate at all — both for the
+/// gossip spec and for the idling (Δ+1)-colouring, run to completion. Returns the counted
 /// allocations (asserted zero) for the printed summary.
 fn assert_allocation_free_steady_state(view: &GraphView<'_>, inputs: &[()]) -> u64 {
-    let spec = MaxIdAttempt { radius: 8 };
+    let params = GraphParams::of(view.base());
+    let coloring = ReducedColoring::delta_plus_one(params.max_degree, params.max_id);
+    steady_state_allocations(&MaxIdAttempt { radius: 8 }, view, inputs, Some(16))
+        + steady_state_allocations(&coloring, view, inputs, None)
+}
+
+fn steady_state_allocations<S: ProgramSpec<Input = ()>>(
+    spec: &S,
+    view: &GraphView<'_>,
+    inputs: &[()],
+    budget: Option<u64>,
+) -> u64 {
     let mut session = Session::new();
     // Warm-up: the first attempt builds the init slab, the message arenas, and the pooled
     // program/output buffers; recycling hands the output vector back.
     for _ in 0..2 {
-        let run = spec.execute_view(view, inputs, Some(16), 7, &mut session);
+        let run = spec.execute_view(view, inputs, budget, 7, &mut session);
         session.recycle_outputs(run.outputs);
     }
     let (allocations, messages) = count_allocations(|| {
         let mut messages = 0;
         for attempt in 0..32u64 {
-            let run = spec.execute_view(view, inputs, Some(16), 7 ^ attempt, &mut session);
+            let run = spec.execute_view(view, inputs, budget, 7 ^ attempt, &mut session);
             messages += run.messages;
             session.recycle_outputs(run.outputs);
         }

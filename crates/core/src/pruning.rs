@@ -223,7 +223,8 @@ impl PruningAlgorithm<SlcProblem> for SlcPruning {
         let new_inputs: Vec<SlcInput> = (0..n)
             .map(|u| {
                 if pruned[u] {
-                    input[u].clone()
+                    // Meaningless for pruned nodes (see `Pruned::new_inputs`): no list copy.
+                    SlcInput { delta_hat: input[u].delta_hat, list: Default::default() }
                 } else {
                     let mut list = input[u].list.clone();
                     for v in view.neighbors(u) {

@@ -107,8 +107,9 @@ impl SlcFromColoring {
                 let base = (c + 1).min(self.palette.max(1));
                 input
                     .list
-                    .iter()
-                    .find(|&&(k, _)| k == base)
+                    .range((base, 0)..)
+                    .next()
+                    .filter(|&&(k, _)| k == base)
                     .copied()
                     // Empty base-colour bucket can only happen under bad guesses; emit an
                     // arbitrary (out-of-list) value, which the pruning will reject.

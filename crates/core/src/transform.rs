@@ -180,7 +180,7 @@ impl<'g, 's, P: Problem> AlternationState<'g, 's, P> {
         self.keep.extend(pruned.pruned.iter().map(|&p| !p));
         let keep = &self.keep;
         self.inputs =
-            (0..alive_before).filter(|&v| keep[v]).map(|v| pruned.new_inputs[v].clone()).collect();
+            pruned.new_inputs.into_iter().zip(keep).filter(|&(_, &k)| k).map(|(x, _)| x).collect();
         self.back = (0..alive_before).filter(|&v| keep[v]).map(|v| self.back[v]).collect();
         self.view.retain(keep);
         self.prune_micros += prune_started.elapsed().as_micros() as u64;

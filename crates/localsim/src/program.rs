@@ -8,7 +8,9 @@
 //!
 //! Nodes signal termination by returning [`Action::Halt`] with their final output; the
 //! paper's "restricted to `i` rounds" operation is realised by the runtime's round budget,
-//! which forces undecided nodes to the spec's [`ProgramSpec::default_output`].
+//! which forces undecided nodes to the spec's [`ProgramSpec::default_output`]. A node that
+//! knows it will neither read nor change its message for a while returns [`Action::Idle`]:
+//! the runtime keeps its broadcast standing and skips it until the declared wake-up round.
 
 use crate::graph::{NodeId, NodeIndex};
 use rand_chacha::ChaCha8Rng;
@@ -51,6 +53,15 @@ pub enum Action<O> {
     /// Terminate with the given final output. The node sends no further messages and its
     /// `round` method is never called again.
     Halt(O),
+    /// Keep running, but sleep until round `until`: the node reads nothing, its broadcast
+    /// of this round (if any) is repeated in every round before `until`, and its `round`
+    /// method is called again at round `until`. Point-to-point sends made in this round
+    /// are delivered once. Equivalent, message for message, to returning
+    /// [`Action::Continue`] and re-broadcasting the same value in each intervening round
+    /// without looking at the inbox — but the runtime charges the repeats without stepping
+    /// the node. `until <= round + 1` is plain `Continue`; a round budget that expires
+    /// before `until` cuts the sleeping node off like any other running node.
+    Idle(u64),
 }
 
 /// A single node's automaton.
@@ -124,7 +135,7 @@ pub struct RoundCtx<'a, M> {
     pub(crate) stamps: &'a [u64],
     /// Message payloads parallel to `stamps`.
     pub(crate) payloads: &'a [Option<M>],
-    /// Stamp value marking messages sent in the previous round.
+    /// Tick of the previous round: cells stamped at or after it hold this round's arrivals.
     pub(crate) read_tick: u64,
     pub(crate) outbox: &'a mut Vec<(usize, M)>,
     pub(crate) broadcast: &'a mut Option<M>,
@@ -182,7 +193,7 @@ impl<'a, M: Clone> RoundCtx<'a, M> {
 
     /// Number of messages received this round — one stamp-count pass, no staging.
     pub fn received_count(&self) -> usize {
-        self.stamps.iter().filter(|&&s| s == self.read_tick).count()
+        self.stamps.iter().filter(|&&s| s >= self.read_tick).count()
     }
 
     /// Convenience: the message received on `port` this round, if any.
@@ -238,6 +249,12 @@ impl<'a, M: Clone> RoundCtx<'a, M> {
         *self.broadcast = Some(msg);
     }
 
+    /// The message queued by [`RoundCtx::broadcast`] so far this round, if any — lets a
+    /// wrapping program see what the automaton it drives is about to broadcast.
+    pub fn queued_broadcast(&self) -> Option<&M> {
+        self.broadcast.as_ref()
+    }
+
     /// The node's private, reproducible random stream (independent across nodes).
     ///
     /// Derived on first use per run from the run's seed and the node identity — the stream
@@ -270,13 +287,14 @@ pub struct Messages<'b, M> {
     mask: u64,
 }
 
-/// Bit `i` is set iff `stamps[i] == tick`; `stamps` holds at most 64 cells.
+/// Bit `i` is set iff `stamps[i] >= tick` (the cell is valid through the read tick or
+/// later); `stamps` holds at most 64 cells.
 #[inline]
 fn match_mask64(stamps: &[u64], tick: u64) -> u64 {
     debug_assert!(stamps.len() <= 64);
     let mut mask = 0u64;
     for (i, &s) in stamps.iter().enumerate() {
-        mask |= u64::from(s == tick) << i;
+        mask |= u64::from(s >= tick) << i;
     }
     mask
 }

@@ -6,12 +6,15 @@
 //! and is reset — not reallocated — between attempts; callers (the transformers, the engine's
 //! worker threads) keep one session alive across a whole alternation run or grid shard.
 //!
-//! The round loop itself is frontier-driven: it iterates an *active worklist* of non-halted
-//! nodes (in the synchronous LOCAL model every non-halted node takes a step each round, so the
-//! frontier is exactly the non-halted set) and touches only the inboxes that actually received
-//! messages, instead of scanning all `n` nodes and `n` inboxes per round. Iteration order is
-//! ascending node index — identical to the dense scan — so executions are byte-identical to
-//! the classic [`crate::runner::run`] loop.
+//! The round loop itself is frontier-driven: it iterates an *active worklist* of the nodes
+//! that take a step this round — every non-halted node, except those sleeping through an
+//! [`Action::Idle`] — and touches only the inboxes that actually received messages, instead
+//! of scanning all `n` nodes and `n` inboxes per round. Sleeping nodes wait in a wake queue;
+//! their standing broadcasts stay valid in the message arenas and are charged per round
+//! without stepping anyone, so a phase in which only a few nodes act per round (colour
+//! elimination) costs time in proportion to those actions, not to rounds × arcs. Iteration
+//! order is ascending node index — identical to the dense scan — so executions are
+//! byte-identical to the classic [`crate::runner::run`] loop.
 
 use crate::graph::{Graph, NodeId};
 use crate::program::{Action, Incoming, NodeInit, NodeProgram, ProgramSpec, RoundCtx};
@@ -21,7 +24,8 @@ use crate::trace::{ExecutionTrace, RoundTrace};
 use crate::view::GraphView;
 use rand_chacha::ChaCha8Rng;
 use std::any::{Any, TypeId};
-use std::collections::HashMap;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashMap};
 
 /// Read access to a communication topology, as needed by the round loop.
 ///
@@ -192,18 +196,27 @@ impl InitSlab {
 /// One cell per *arc* of the (base) graph, split structure-of-arrays into a stamp plane and
 /// a payload plane: a message sent to slot `w`'s port `p` in round `r` writes `tick(r)` and
 /// the payload into cell `arc_base(w) + p` of the round's write arena; the receiver reads
-/// its contiguous cell segment in round `r + 1` and accepts exactly the cells stamped
-/// `tick(r)` (a dense `u64` scan). Two arenas alternate by round parity so a same-round
+/// its contiguous cell segment in round `r + 1` and accepts the cells stamped `>= tick(r)`
+/// (a dense `u64` scan). Two arenas alternate by round parity so a same-round
 /// send can never overwrite a message the receiver has not read yet (each arc
 /// has one sender, so a cell is rewritten at the earliest two rounds after it was written —
 /// strictly after its read round). Ticks grow monotonically across rounds *and runs* (with
 /// a gap between runs), so stale cells never match and nothing is ever cleared or swapped —
 /// the per-message cost drops to one indexed write, and the per-round bookkeeping of the
 /// previous inbox design (touched lists, buffer swaps, clears) disappears entirely.
+///
+/// A stamp means "valid through". A node that broadcasts and then sleeps until round `u`
+/// ([`Action::Idle`]) stamps its cells `tick(u - 1)`, so every read up to round `u` accepts
+/// them. The round's write arena gets the cells at once; the other arena is being read in
+/// that same round, so the copy into it waits in [`MsgBuffers::standing`] until the round
+/// ends. A point-to-point send made alongside overrides its port's cell for one round only,
+/// so such a broadcast is written into each arena once more at the end of the next round.
+/// Standing stamps never pass the run's last round, so the next run's ticks stay above them.
 struct MsgBuffers<M> {
     /// Tick stamp per arc, one arena per round parity; `stamp == 0` marks a never-written
-    /// cell (ticks start at 1). Kept separate from the payloads so the per-node inbox scan
-    /// is a dense `u64` pass instead of a strided walk over `(u64, Option<M>)` pairs.
+    /// cell (every read tick is at least 1). Kept separate from the payloads so the per-node
+    /// inbox scan is a dense `u64` pass instead of a strided walk over `(u64, Option<M>)`
+    /// pairs.
     stamps: [Vec<u64>; 2],
     /// Message payload per arc, parallel to `stamps`.
     payloads: [Vec<Option<M>>; 2],
@@ -211,6 +224,21 @@ struct MsgBuffers<M> {
     inbox: Vec<Incoming<M>>,
     /// The outbox staging buffer handed to the running node.
     outbox: Vec<(usize, M)>,
+    /// Standing broadcasts still to be copied into the arena read this round; see above.
+    standing: Vec<Standing<M>>,
+}
+
+/// A sleeping node's broadcast awaiting its end-of-round copy into the other parity arena.
+struct Standing<M> {
+    /// The sleeping node.
+    node: usize,
+    /// Its "valid through" stamp, `tick(until - 1)`.
+    stamp: u64,
+    /// The standing broadcast.
+    msg: M,
+    /// Whether a point-to-point send overrode some cell of the first write, so the copy
+    /// must be made at the end of the next round as well.
+    again: bool,
 }
 
 impl<M> MsgBuffers<M> {
@@ -220,6 +248,7 @@ impl<M> MsgBuffers<M> {
             payloads: [Vec::new(), Vec::new()],
             inbox: Vec::new(),
             outbox: Vec::new(),
+            standing: Vec::new(),
         }
     }
 
@@ -238,6 +267,7 @@ impl<M> MsgBuffers<M> {
         }
         self.inbox.clear();
         self.outbox.clear();
+        self.standing.clear();
     }
 }
 
@@ -259,7 +289,11 @@ pub struct Session {
     rngs: Vec<Option<(u64, ChaCha8Rng)>>,
     halted: Vec<bool>,
     termination: Vec<u64>,
+    /// The nodes stepped this round, in ascending index order.
     active: Vec<usize>,
+    /// Sleeping nodes as `(wake-up round, node, arcs its standing broadcast covers)`,
+    /// earliest first.
+    wake: BinaryHeap<Reverse<(u64, usize, u64)>>,
     /// Monotone round-tick source shared by every run of this session; the message arenas'
     /// stamps are drawn from it, which is what lets stale cells persist unswept.
     next_tick: u64,
@@ -440,9 +474,10 @@ pub(crate) fn run_core<T: Topology, S: ProgramSpec>(
     session.termination.resize(n, 0);
     session.active.clear();
     session.active.extend(0..n);
-    // Tick base of this run, with a gap of one so round 0 (which accepts `tick_base - 1`)
-    // can never match a stamp written by the previous run.
-    let tick_base = session.next_tick.wrapping_add(1);
+    // Tick base of this run. Round 0 accepts stamps `>= tick_base - 1 = next_tick + 1`: above
+    // every stamp of the previous runs (at most `next_tick - 1`) and above the never-written
+    // stamp 0, so a fresh session's round 0 counts no phantom arrivals either.
+    let tick_base = session.next_tick + 2;
     let mut msgs = session.take_msgs::<S::Msg>(slab.arc_count());
     let mut outbox: Vec<(usize, S::Msg)> = std::mem::take(&mut msgs.outbox);
     let mut inbox: Vec<Incoming<S::Msg>> = std::mem::take(&mut msgs.inbox);
@@ -463,22 +498,43 @@ pub(crate) fn run_core<T: Topology, S: ProgramSpec>(
     let mut rounds_executed = 0u64;
     let mut active_count = n;
 
+    // Sleeping nodes: the wake queue holds them off the worklist, and the arcs their
+    // standing broadcasts cover are re-sent, and charged, every round they sleep.
+    session.wake.clear();
+    let mut standing: Vec<Standing<S::Msg>> = std::mem::take(&mut msgs.standing);
+    let mut sticky_arcs = 0u64;
+
     let mut round: u64 = 0;
     while active_count > 0 && round < limit {
         let send_tick = tick_base + round;
         let read_tick = send_tick - 1;
+        // Wake the sleepers due this round. They pop in node order, so the worklist needs
+        // re-sorting only when it already held nodes.
+        let awake = session.active.len();
+        while let Some(&Reverse((at, v, arcs))) = session.wake.peek() {
+            if at > round {
+                break;
+            }
+            session.wake.pop();
+            session.active.push(v);
+            sticky_arcs -= arcs;
+        }
+        if awake > 0 && session.active.len() > awake {
+            session.active.sort_unstable();
+        }
         // Split the parity arenas into this round's read half (shared, scanned lazily by
         // the contexts) and write half (delivery target) — disjoint borrows, no swap.
+        let read_parity = (read_tick % 2) as usize;
         let [stamps_even, stamps_odd] = &mut msgs.stamps;
         let [payloads_even, payloads_odd] = &mut msgs.payloads;
-        let (read_stamps, read_payloads, send_stamps, send_payloads) =
-            if read_tick.is_multiple_of(2) {
-                (&*stamps_even, &*payloads_even, stamps_odd, payloads_odd)
-            } else {
-                (&*stamps_odd, &*payloads_odd, stamps_even, payloads_even)
-            };
-        let mut delivered_this_round = 0u64;
-        let mut any_halt = false;
+        let (read_stamps, read_payloads, send_stamps, send_payloads) = if read_parity == 0 {
+            (&*stamps_even, &*payloads_even, stamps_odd, payloads_odd)
+        } else {
+            (&*stamps_odd, &*payloads_odd, stamps_even, payloads_even)
+        };
+        let mut delivered_this_round = sticky_arcs;
+        // Nodes that keep running are compacted to the front of the worklist in place.
+        let mut kept = 0;
         for idx in 0..session.active.len() {
             let v = session.active[idx];
             let base = slab.offsets[v] as usize;
@@ -505,14 +561,27 @@ pub(crate) fn run_core<T: Topology, S: ProgramSpec>(
                 };
                 programs[v].round(&mut ctx)
             };
+            // A sleep that ends by the next round is plain `Continue`; one that outlasts the
+            // run ends with it, so no standing stamp passes the run's last round.
+            let until = match action {
+                Action::Idle(until) => until.min(limit),
+                _ => 0,
+            };
+            let sleeps = until > round + 1;
+            let stamp = if sleeps { tick_base + until - 1 } else { send_tick };
+            let mut standing_arcs = 0;
             // Deliver: `arrival_arc` holds the receiving cell of each port, so a message is
             // one contiguous read plus two indexed writes — no topology access.
             if let Some(msg) = bcast.take() {
                 for &arc in &slab.arrival_arc[base..base + degree] {
-                    send_stamps[arc as usize] = send_tick;
+                    send_stamps[arc as usize] = stamp;
                     send_payloads[arc as usize] = Some(msg.clone());
                 }
                 delivered_this_round += degree as u64;
+                if sleeps {
+                    standing_arcs = degree as u64;
+                    standing.push(Standing { node: v, stamp, msg, again: !outbox.is_empty() });
+                }
             }
             for (port, msg) in outbox.drain(..) {
                 let arc = slab.arrival_arc[base + port] as usize;
@@ -520,20 +589,38 @@ pub(crate) fn run_core<T: Topology, S: ProgramSpec>(
                 send_payloads[arc] = Some(msg);
                 delivered_this_round += 1;
             }
-            if let Action::Halt(out) = action {
-                outputs[v] = out;
-                // Halting during round r means the node used r communication rounds.
-                session.termination[v] = round;
-                session.halted[v] = true;
-                active_count -= 1;
-                any_halt = true;
+            match action {
+                Action::Halt(out) => {
+                    outputs[v] = out;
+                    // Halting during round r means the node used r communication rounds.
+                    session.termination[v] = round;
+                    session.halted[v] = true;
+                    active_count -= 1;
+                }
+                _ if sleeps => {
+                    session.wake.push(Reverse((until, v, standing_arcs)));
+                    sticky_arcs += standing_arcs;
+                }
+                _ => {
+                    session.active[kept] = v;
+                    kept += 1;
+                }
             }
         }
+        session.active.truncate(kept);
+        // Every read of this round is done: the standing broadcasts take their cells in the
+        // arena this round read from, which the next round writes to.
+        let copy_stamps = &mut msgs.stamps[read_parity];
+        let copy_payloads = &mut msgs.payloads[read_parity];
+        standing.retain_mut(|s| {
+            let base = slab.offsets[s.node] as usize;
+            for &arc in &slab.arrival_arc[base..base + slab.degree(s.node)] {
+                copy_stamps[arc as usize] = s.stamp;
+                copy_payloads[arc as usize] = Some(s.msg.clone());
+            }
+            std::mem::take(&mut s.again)
+        });
         messages += delivered_this_round;
-        if any_halt {
-            let halted = &session.halted;
-            session.active.retain(|&v| !halted[v]);
-        }
         round += 1;
         rounds_executed = round;
         if obs_on {
@@ -576,6 +663,7 @@ pub(crate) fn run_core<T: Topology, S: ProgramSpec>(
     session.next_tick = tick_base + rounds_executed;
     msgs.outbox = outbox;
     msgs.inbox = inbox;
+    msgs.standing = standing;
     session.put_msgs(msgs);
     session.slab = slab;
 
@@ -619,6 +707,29 @@ mod tests {
         }
         fn default_output(&self, _init: &NodeInit<()>) -> u64 {
             0
+        }
+    }
+
+    /// Every node outputs how many arrivals it counted in round 0 (always none).
+    struct RoundZeroCount;
+    struct RoundZeroProg;
+    impl NodeProgram for RoundZeroProg {
+        type Msg = u64;
+        type Output = usize;
+        fn round(&mut self, ctx: &mut RoundCtx<'_, u64>) -> Action<usize> {
+            Action::Halt(ctx.received_count() + ctx.messages().count())
+        }
+    }
+    impl ProgramSpec for RoundZeroCount {
+        type Input = ();
+        type Msg = u64;
+        type Output = usize;
+        type Prog = RoundZeroProg;
+        fn build(&self, _init: &NodeInit<()>) -> RoundZeroProg {
+            RoundZeroProg
+        }
+        fn default_output(&self, _init: &NodeInit<()>) -> usize {
+            usize::MAX
         }
     }
 
@@ -679,5 +790,20 @@ mod tests {
         let shrunk = run_view(&small, &[(); 3], &MaxIdSpec { radius: 2 }, &cfg, &mut session);
         assert_eq!(shrunk.outputs.len(), 3);
         assert_eq!(shrunk.outputs, vec![2, 2, 2]);
+    }
+
+    #[test]
+    fn round_zero_inbox_is_empty_in_fresh_and_reused_sessions() {
+        // Never-written cells carry stamp 0; the first run's round 0 must not count them.
+        let g = path(5);
+        let view = GraphView::full(&g);
+        let mut session = Session::new();
+        for _ in 0..2 {
+            let exec =
+                run_view(&view, &[(); 5], &RoundZeroCount, &RunConfig::default(), &mut session);
+            assert_eq!(exec.outputs, vec![0; 5]);
+        }
+        let via_run = run(&g, &[(); 5], &RoundZeroCount, &RunConfig::default());
+        assert_eq!(via_run.outputs, vec![0; 5]);
     }
 }
