@@ -8,7 +8,6 @@
 //! as a long ETA even when most of the *count* is already done.
 
 use std::collections::BTreeMap;
-use std::io::Write;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -168,10 +167,10 @@ impl ProgressMeter {
             *last = Instant::now();
         }
         let line = self.status_line();
-        let mut err = std::io::stderr().lock();
-        // \x1b[K clears the remainder of a longer previous line.
-        let _ = write!(err, "\r{line}\x1b[K");
-        let _ = err.flush();
+        // \x1b[K clears the remainder of a longer previous line. `eprint!` (stderr is
+        // unbuffered) rather than a raw `stderr()` handle, so the test harness captures the
+        // HUD instead of letting it interleave with its own per-test result lines.
+        eprint!("\r{line}\x1b[K");
     }
 }
 
