@@ -7,7 +7,6 @@
 
 use local_algos::checkers;
 use local_runtime::{Graph, NodeId};
-use std::collections::BTreeSet;
 
 /// A distributed problem `Π = {(G, x, y)}` closed under disjoint union.
 pub trait Problem: Clone + Send + Sync + 'static {
@@ -123,37 +122,98 @@ impl Problem for ColoringProblem {
 pub type SlcColor = (u64, u64);
 
 /// Input of the strong list colouring (SLC) problem at one node: the common degree bound `Δ̂`
-/// and the node's list of allowed colours.
+/// and the node's list `L(v)` of allowed colours. The SLC invariant requires at least
+/// `deg(v) + 1` copies `(k, j)` of every base colour `k ∈ [1, g(Δ̂)]`.
+///
+/// The list is kept implicitly as the rectangle `[1, base_colors] × [1, Δ̂ + 1]` minus a sorted
+/// vector of removed colours. Theorem 5 starts every node on the full rectangle and the SLC
+/// pruning only ever removes the colours of pruned neighbours, so `removed` holds
+/// `r ≤ deg(v)` entries while the rectangle holds `(Δ̂ + 1)·base_colors` — a clone costs O(r)
+/// instead of O(Δ̂²). Costs: [`contains`](Self::contains) and [`remove`](Self::remove) are
+/// O(log r) plus, for `remove`, an O(r) shift; [`first_copy`](Self::first_copy) and
+/// [`copies_of`](Self::copies_of) are O(log r + r_k) where `r_k` counts the removed copies of
+/// `k`; [`base_colors`](Self::base_colors) and [`iter`](Self::iter) walk the whole rectangle.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SlcInput {
     /// The common upper bound `Δ̂ ≥ Δ(G)` contained in every node's input.
     pub delta_hat: u64,
-    /// The allowed colours `L(v)`; the SLC invariant requires at least `deg(v) + 1` entries
-    /// for every first coordinate `k ∈ [1, g(Δ̂)]`.
-    pub list: BTreeSet<SlcColor>,
+    /// Number of base colours `K`: the rectangle's first coordinate ranges over `[1, K]`.
+    base_colors: u64,
+    /// Colours of the rectangle no longer in the list, sorted and without duplicates.
+    removed: Vec<SlcColor>,
 }
 
 impl SlcInput {
     /// The full list `[1, num_base_colors] × [1, Δ̂ + 1]` (the layer-initial configuration of
     /// the Theorem 5 proof).
     pub fn full(delta_hat: u64, num_base_colors: u64) -> Self {
-        let mut list = BTreeSet::new();
-        for k in 1..=num_base_colors.max(1) {
-            for j in 1..=delta_hat + 1 {
-                list.insert((k, j));
+        SlcInput { delta_hat, base_colors: num_base_colors.max(1), removed: Vec::new() }
+    }
+
+    /// The empty list (the input left to a pruned node, which is never read again).
+    pub(crate) fn empty(delta_hat: u64) -> Self {
+        SlcInput { delta_hat, base_colors: 0, removed: Vec::new() }
+    }
+
+    fn in_rectangle(&self, (k, j): SlcColor) -> bool {
+        (1..=self.base_colors).contains(&k) && (1..=self.delta_hat.saturating_add(1)).contains(&j)
+    }
+
+    /// The removed copies of base colour `k`, in increasing order of `j`.
+    fn removed_of(&self, k: u64) -> &[SlcColor] {
+        let lo = self.removed.partition_point(|&(kk, _)| kk < k);
+        let hi = self.removed.partition_point(|&(kk, _)| kk <= k);
+        &self.removed[lo..hi]
+    }
+
+    /// `true` iff `color ∈ L(v)`.
+    pub fn contains(&self, color: SlcColor) -> bool {
+        self.in_rectangle(color) && self.removed.binary_search(&color).is_err()
+    }
+
+    /// Removes `color` from the list; a no-op when it is not in the list.
+    pub fn remove(&mut self, color: SlcColor) {
+        if self.in_rectangle(color) {
+            if let Err(at) = self.removed.binary_search(&color) {
+                self.removed.insert(at, color);
             }
         }
-        SlcInput { delta_hat, list }
+    }
+
+    /// The smallest `j` with `(k, j) ∈ L(v)`, if base colour `k` has a copy left.
+    pub fn first_copy(&self, k: u64) -> Option<u64> {
+        if !(1..=self.base_colors).contains(&k) {
+            return None;
+        }
+        // The removed copies of `k` are sorted by `j` from 1 up: the first gap is the answer.
+        let mut j = 1;
+        for &(_, removed_j) in self.removed_of(k) {
+            if removed_j != j {
+                break;
+            }
+            j += 1;
+        }
+        (j <= self.delta_hat.saturating_add(1)).then_some(j)
     }
 
     /// Number of copies of base colour `k` still available.
     pub fn copies_of(&self, k: u64) -> usize {
-        self.list.iter().filter(|&&(kk, _)| kk == k).count()
+        if !(1..=self.base_colors).contains(&k) {
+            return 0;
+        }
+        (self.delta_hat.saturating_add(1) as usize) - self.removed_of(k).len()
     }
 
-    /// The distinct base colours present in the list.
-    pub fn base_colors(&self) -> BTreeSet<u64> {
-        self.list.iter().map(|&(k, _)| k).collect()
+    /// The distinct base colours present in the list, in increasing order.
+    pub fn base_colors(&self) -> impl Iterator<Item = u64> + '_ {
+        (1..=self.base_colors).filter(|&k| self.copies_of(k) > 0)
+    }
+
+    /// Every colour of the list in increasing order (materialises the rectangle: tests only).
+    pub fn iter(&self) -> impl Iterator<Item = SlcColor> + '_ {
+        (1..=self.base_colors)
+            .flat_map(move |k| (1..=self.delta_hat.saturating_add(1)).map(move |j| (k, j)))
+            .filter(|&c| self.removed.binary_search(&c).is_err())
     }
 }
 
@@ -177,7 +237,7 @@ impl Problem for SlcProblem {
         output: &[SlcColor],
     ) -> Result<(), String> {
         for v in 0..graph.node_count() {
-            if !input[v].list.contains(&output[v]) {
+            if !input[v].contains(output[v]) {
                 return Err(format!("node {v} chose a colour outside its list"));
             }
         }
@@ -233,7 +293,7 @@ mod tests {
     #[test]
     fn slc_input_full_has_enough_copies() {
         let input = SlcInput::full(3, 5);
-        assert_eq!(input.base_colors().len(), 5);
+        assert_eq!(input.base_colors().count(), 5);
         for k in 1..=5 {
             assert_eq!(input.copies_of(k), 4);
         }

@@ -14,6 +14,12 @@
 //! (Section 5.2). All three ignore the input (except SLC, which rewrites the colour lists) and
 //! run in a constant number of rounds, hence are monotone with respect to every non-decreasing
 //! parameter (Observation 3.1).
+//!
+//! The SLC pruning only ever *removes* colours: a survivor loses the colours of its pruned
+//! neighbours, at most `deg(v)` over a whole alternation. [`SlcInput`] therefore stores a list
+//! as the full `[1, K] × [1, Δ̂ + 1]` rectangle minus a sorted vector of removed colours, and
+//! a survivor costs O(deg(v)·r) at worst, where `r ≤ deg(v)` counts the colours it has lost
+//! so far — never the `(Δ̂ + 1)·K` size of the list.
 
 use crate::problem::{
     MatchingProblem, MisProblem, Problem, RulingSetProblem, SlcColor, SlcInput, SlcProblem,
@@ -198,7 +204,8 @@ impl PruningAlgorithm<MatchingProblem> for MatchingPruning {
 /// A node is pruned iff its tentative colour is in its list and differs from every neighbour's
 /// tentative colour; surviving nodes have the colours of pruned neighbours removed from their
 /// lists (which preserves the SLC invariant because their degree in the remaining graph drops
-/// by the same amount). Runs in 1 round.
+/// by the same amount). Runs in 1 round. A survivor's new list copies only its removed
+/// colours (O(deg)), never the rectangle.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SlcPruning;
 
@@ -216,7 +223,7 @@ impl PruningAlgorithm<SlcProblem> for SlcPruning {
         let n = view.node_count();
         let pruned: Vec<bool> = (0..n)
             .map(|u| {
-                input[u].list.contains(&tentative[u])
+                input[u].contains(tentative[u])
                     && view.neighbors(u).all(|v| tentative[v] != tentative[u])
             })
             .collect();
@@ -224,15 +231,15 @@ impl PruningAlgorithm<SlcProblem> for SlcPruning {
             .map(|u| {
                 if pruned[u] {
                     // Meaningless for pruned nodes (see `Pruned::new_inputs`): no list copy.
-                    SlcInput { delta_hat: input[u].delta_hat, list: Default::default() }
+                    SlcInput::empty(input[u].delta_hat)
                 } else {
-                    let mut list = input[u].list.clone();
+                    let mut list = input[u].clone();
                     for v in view.neighbors(u) {
                         if pruned[v] {
-                            list.remove(&tentative[v]);
+                            list.remove(tentative[v]);
                         }
                     }
-                    SlcInput { delta_hat: input[u].delta_hat, list }
+                    list
                 }
             })
             .collect();
@@ -469,8 +476,8 @@ mod tests {
         let tentative = [(1, 1), (1, 1), (2, 2)];
         let result = SlcPruning.prune(&view(&g), &inputs, &tentative);
         assert_eq!(result.pruned, vec![false, false, true]);
-        assert!(!result.new_inputs[1].list.contains(&(2, 2)));
-        assert!(result.new_inputs[0].list.contains(&(2, 2)), "node 0 keeps unaffected entries");
+        assert!(!result.new_inputs[1].contains((2, 2)));
+        assert!(result.new_inputs[0].contains((2, 2)), "node 0 keeps unaffected entries");
     }
 
     #[test]
@@ -510,8 +517,7 @@ mod tests {
             let input = &result.new_inputs[back[v]];
             let used: std::collections::BTreeSet<SlcColor> =
                 (0..v).filter(|&u| sub.has_edge(u, v)).map(|u| sub_solution[u]).collect();
-            sub_solution[v] = *input
-                .list
+            sub_solution[v] = input
                 .iter()
                 .find(|c| !used.contains(c))
                 .expect("list large enough by the SLC invariant");

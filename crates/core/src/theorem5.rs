@@ -105,15 +105,9 @@ impl SlcFromColoring {
             .zip(inputs)
             .map(|(&c, input)| {
                 let base = (c + 1).min(self.palette.max(1));
-                input
-                    .list
-                    .range((base, 0)..)
-                    .next()
-                    .filter(|&&(k, _)| k == base)
-                    .copied()
-                    // Empty base-colour bucket can only happen under bad guesses; emit an
-                    // arbitrary (out-of-list) value, which the pruning will reject.
-                    .unwrap_or((base, 0))
+                // Empty base-colour bucket can only happen under bad guesses; emit an
+                // arbitrary (out-of-list) value, which the pruning will reject.
+                (base, input.first_copy(base).unwrap_or(0))
             })
             .collect();
         AlgoRun { outputs, rounds: run.rounds, messages: run.messages, completed: run.completed }

@@ -178,11 +178,19 @@ impl<'g, 's, P: Problem> AlternationState<'g, 's, P> {
         // to the graph), no CSR copy happens.
         self.keep.clear();
         self.keep.extend(pruned.pruned.iter().map(|&p| !p));
-        let keep = &self.keep;
-        self.inputs =
-            pruned.new_inputs.into_iter().zip(keep).filter(|&(_, &k)| k).map(|(x, _)| x).collect();
-        self.back = (0..alive_before).filter(|&v| keep[v]).map(|v| self.back[v]).collect();
-        self.view.retain(keep);
+        // Compact `inputs` and `back` in place: survivor `v` moves to write index `w ≤ v`,
+        // so `back[v]` is read before anything overwrites it.
+        let mut w = 0;
+        for (v, input) in pruned.new_inputs.into_iter().enumerate() {
+            if self.keep[v] {
+                self.inputs[w] = input;
+                self.back[w] = self.back[v];
+                w += 1;
+            }
+        }
+        self.inputs.truncate(w);
+        self.back.truncate(w);
+        self.view.retain(&self.keep);
         self.prune_micros += prune_started.elapsed().as_micros() as u64;
     }
 

@@ -37,7 +37,7 @@ use std::path::{Path, PathBuf};
 /// protocol — a `sweep --worker` built from different code refuses the shard outright, for
 /// the same reason a version bump retires this cache: results across a version boundary
 /// are not comparable.
-pub const CODE_VERSION: &str = concat!("local-engine-", env!("CARGO_PKG_VERSION"), "+r1");
+pub const CODE_VERSION: &str = concat!("local-engine-", env!("CARGO_PKG_VERSION"), "+r2");
 
 /// A directory-backed store of [`CellResult`]s keyed by cell identity and code version.
 #[derive(Debug, Clone)]

@@ -23,8 +23,9 @@ pub struct RunConfig {
     /// Round budget: when `Some(b)`, the execution is stopped after `b` rounds and every node
     /// that has not halted is forced to the spec's default output.
     pub max_rounds: Option<u64>,
-    /// Hard safety cap applied when `max_rounds` is `None`; prevents runaway executions of
-    /// incorrect or diverging algorithms.
+    /// Hard safety cap on the rounds of an unbudgeted run (`max_rounds == None`); prevents
+    /// runaway executions of incorrect or diverging algorithms. An explicit budget replaces
+    /// it, so `Some(b)` runs up to `b` rounds even when `b > hard_cap`.
     pub hard_cap: u64,
     /// Whether to record a per-round trace (active node counts, message counts).
     pub record_trace: bool,
@@ -261,6 +262,23 @@ mod tests {
         let exec = run(&g, &[(); 2], &ForeverSpec, &cfg);
         assert!(!exec.completed);
         assert_eq!(exec.rounds, 10);
+    }
+
+    #[test]
+    fn explicit_budget_overrides_hard_cap() {
+        let g = path(3);
+        let hard_cap = 10;
+        let spec = MaxIdSpec { radius: hard_cap + 1 };
+        let budgeted = RunConfig { hard_cap, ..RunConfig::default() }.with_budget(hard_cap + 10);
+        let exec = run(&g, &[(); 3], &spec, &budgeted);
+        assert!(exec.completed, "a budget above the hard cap must be honoured");
+        assert_eq!(exec.rounds, hard_cap + 1);
+        assert!(exec.outputs.iter().all(|&o| o == 2));
+
+        let unbudgeted = RunConfig { hard_cap, ..RunConfig::default() };
+        let exec = run(&g, &[(); 3], &spec, &unbudgeted);
+        assert!(!exec.completed, "an unbudgeted run still stops at the hard cap");
+        assert_eq!(exec.rounds, hard_cap);
     }
 
     #[test]

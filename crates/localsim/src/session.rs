@@ -494,7 +494,8 @@ pub(crate) fn run_core<T: Topology, S: ProgramSpec>(
         local_obs::gauge_max(local_obs::metrics::ARENA_ARCS, slab.arc_count() as u64);
     }
 
-    let limit = cfg.max_rounds.unwrap_or(cfg.hard_cap).min(cfg.hard_cap);
+    // An explicit budget is honoured as given; the hard cap only bounds unbudgeted runs.
+    let limit = cfg.max_rounds.unwrap_or(cfg.hard_cap);
     let mut rounds_executed = 0u64;
     let mut active_count = n;
 
