@@ -18,10 +18,10 @@
 //! {a, n}` weakly dominated by `Λ = {n}` because `a ≤ n` and `m` plays the role the paper
 //! assigns to identities).
 
-use crate::coloring::ReducedColoring;
 use crate::mis::ColoringMis;
 use local_runtime::{
-    Action, AlgoRun, Graph, GraphAlgorithm, NodeInit, NodeProgram, ProgramSpec, RoundCtx,
+    Action, AlgoRun, Graph, GraphAlgorithm, GraphView, NodeInit, NodeProgram, ProgramSpec,
+    RoundCtx, Session,
 };
 
 /// Number of peeling rounds used for a given guess of `n` (with ε = 1, i.e. threshold `3ã`).
@@ -157,25 +157,26 @@ impl GraphAlgorithm for ArboricityMis {
     type Input = ();
     type Output = bool;
 
-    fn execute(
+    fn execute_view(
         &self,
-        graph: &Graph,
+        view: &GraphView<'_>,
         inputs: &[()],
         budget: Option<u64>,
         seed: u64,
+        session: &mut Session,
     ) -> AlgoRun<bool> {
-        if graph.is_empty() {
+        if view.is_empty() {
             return AlgoRun::empty();
         }
-        debug_assert_eq!(inputs.len(), graph.node_count());
-        let n = graph.node_count();
+        debug_assert_eq!(inputs.len(), view.node_count());
+        let n = view.node_count();
         let partition = self.partition();
-        let part_run = partition.execute(graph, inputs, budget, seed);
+        let part_run = partition.execute_view(view, inputs, budget, seed, session);
         let mut rounds = part_run.rounds;
         let mut messages = part_run.messages;
         let out_of_budget = |rounds: u64| budget.is_some_and(|b| rounds >= b);
 
-        let layers = part_run.outputs.clone();
+        let layers = part_run.outputs;
         let max_layer = partition.layers();
         let mut in_mis = vec![false; n];
         let mut dominated = vec![false; n];
@@ -193,21 +194,25 @@ impl GraphAlgorithm for ArboricityMis {
             let keep: Vec<bool> =
                 (0..n).map(|v| layers[v] == layer && !dominated[v] && !in_mis[v]).collect();
             if keep.iter().any(|&k| k) {
-                let (sub, back) = graph.induced_subgraph(&keep);
+                let mut layer_view = view.clone();
+                layer_view.retain(&keep);
                 let remaining = budget.map(|b| b.saturating_sub(rounds));
-                let sub_run = per_layer_algo.execute(
-                    &sub,
-                    &vec![(); sub.node_count()],
+                let sub_run = per_layer_algo.execute_view(
+                    &layer_view,
+                    &vec![(); layer_view.node_count()],
                     remaining,
                     seed ^ layer,
+                    session,
                 );
                 rounds += sub_run.rounds + 2; // +2: dominance notification to lower layers.
                 messages += sub_run.messages;
                 completed &= sub_run.completed;
-                for (sub_idx, &orig) in back.iter().enumerate() {
-                    if sub_run.outputs[sub_idx] {
-                        in_mis[orig] = true;
-                        for &w in graph.neighbors(orig) {
+                // Live indices of the layer view ascend with the view's own.
+                let members = (0..n).filter(|&v| keep[v]);
+                for (v, joined) in members.zip(sub_run.outputs) {
+                    if joined {
+                        in_mis[v] = true;
+                        for w in view.neighbors(v) {
                             dominated[w] = true;
                         }
                     }
@@ -222,128 +227,10 @@ impl GraphAlgorithm for ArboricityMis {
     }
 }
 
-/// `O(a)`-ish colouring via the H-partition: colour layer by layer from the last to the first;
-/// within a layer every node has at most `3ã` already-coloured or same-layer neighbours, so a
-/// palette of `3ã + 1` fresh colours per layer... is wasteful; instead we reuse the classical
-/// trick of colouring the whole graph with the degree guess `3ã` applied layer by layer,
-/// giving `O(ã)` colours in total when the guesses are good.
-#[derive(Debug, Clone)]
-pub struct ArboricityColoring {
-    /// Guess for the arboricity `a`.
-    pub arboricity_guess: u64,
-    /// Guess for the number of nodes `n`.
-    pub n_guess: u64,
-    /// Guess for the largest identity `m`.
-    pub id_bound_guess: u64,
-}
-
-impl ArboricityColoring {
-    fn partition(&self) -> HPartition {
-        HPartition { arboricity_guess: self.arboricity_guess, n_guess: self.n_guess }
-    }
-
-    /// The palette used: `6ã + 1` colours (each node has at most `3ã` neighbours in its own or
-    /// later layers and we give the per-layer colouring a palette of `3ã + 1`, doubled by the
-    /// layer parity trick below).
-    pub fn palette(&self) -> u64 {
-        6 * self.arboricity_guess.max(1) + 2
-    }
-
-    /// Upper bound on the number of rounds.
-    pub fn round_bound(&self) -> u64 {
-        let partition = self.partition();
-        let per_layer = ReducedColoring::delta_plus_one(partition.threshold(), self.id_bound_guess)
-            .round_bound()
-            + 2;
-        partition.round_bound() + partition.layers() * per_layer
-    }
-}
-
-impl GraphAlgorithm for ArboricityColoring {
-    type Input = ();
-    type Output = u64;
-
-    fn execute(
-        &self,
-        graph: &Graph,
-        inputs: &[()],
-        budget: Option<u64>,
-        seed: u64,
-    ) -> AlgoRun<u64> {
-        if graph.is_empty() {
-            return AlgoRun::empty();
-        }
-        debug_assert_eq!(inputs.len(), graph.node_count());
-        let n = graph.node_count();
-        let partition = self.partition();
-        let part_run = partition.execute(graph, inputs, budget, seed);
-        let mut rounds = part_run.rounds;
-        let mut messages = part_run.messages;
-        let layers = part_run.outputs.clone();
-        let max_layer = partition.layers();
-        let mut colors: Vec<u64> = vec![0; n];
-        let mut colored = vec![false; n];
-        let palette_half = 3 * self.arboricity_guess.max(1) + 1;
-        let per_layer_algo =
-            ReducedColoring::delta_plus_one(partition.threshold(), self.id_bound_guess);
-        let mut completed = part_run.completed;
-
-        // Colour layers from the last to the first. A node of layer i has ≤ 3ã neighbours in
-        // layers ≥ i; conflicts with *lower* layers are avoided by alternating between two
-        // disjoint colour ranges per layer parity and then greedily fixing any residual clash
-        // with already-coloured higher layers (each node has ≤ 3ã of those, and the half
-        // palette has 3ã + 1 colours, so a free colour always exists).
-        let mut layer = max_layer;
-        while layer >= 1 {
-            if budget.is_some_and(|b| rounds >= b) {
-                completed = false;
-                break;
-            }
-            let keep: Vec<bool> = (0..n).map(|v| layers[v] == layer).collect();
-            if keep.iter().any(|&k| k) {
-                let (sub, back) = graph.induced_subgraph(&keep);
-                let remaining = budget.map(|b| b.saturating_sub(rounds));
-                let sub_run = per_layer_algo.execute(
-                    &sub,
-                    &vec![(); sub.node_count()],
-                    remaining,
-                    seed ^ layer,
-                );
-                rounds += sub_run.rounds + 2;
-                messages += sub_run.messages;
-                completed &= sub_run.completed;
-                let offset = if layer.is_multiple_of(2) { 0 } else { palette_half };
-                for (sub_idx, &orig) in back.iter().enumerate() {
-                    let mut c = sub_run.outputs[sub_idx].min(palette_half - 1) + offset;
-                    // Fix residual clashes with already-coloured (higher-layer) neighbours.
-                    let used: std::collections::BTreeSet<u64> = graph
-                        .neighbors(orig)
-                        .iter()
-                        .filter(|&&w| colored[w])
-                        .map(|&w| colors[w])
-                        .collect();
-                    if used.contains(&c) {
-                        c = (offset..offset + palette_half)
-                            .find(|cc| !used.contains(cc))
-                            .unwrap_or(c);
-                    }
-                    colors[orig] = c;
-                    colored[orig] = true;
-                }
-            }
-            layer -= 1;
-        }
-        if let Some(b) = budget {
-            rounds = rounds.min(b);
-        }
-        AlgoRun { outputs: colors, rounds, messages, completed }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::checkers::{check_coloring, check_mis, palette_size};
+    use crate::checkers::check_mis;
     use local_graphs::{binary_tree, forest_union, grid, path, random_tree, GraphParams};
     use local_runtime::GraphAlgorithm;
 
@@ -402,28 +289,6 @@ mod tests {
         let run = algo.execute(&g, &[(); 100], Some(9), 0);
         assert!(run.rounds <= 9);
         assert_eq!(run.outputs.len(), 100);
-    }
-
-    #[test]
-    fn arboricity_coloring_is_proper_with_bounded_palette() {
-        for g in [random_tree(70, 9), forest_union(80, 3, 3), grid(6, 9)] {
-            let p = GraphParams::of(&g);
-            let algo = ArboricityColoring {
-                arboricity_guess: p.degeneracy.max(1),
-                n_guess: p.n,
-                id_bound_guess: p.max_id,
-            };
-            let run = algo.execute(&g, &vec![(); g.node_count()], None, 0);
-            assert!(run.completed);
-            check_coloring(&g, &run.outputs).expect("arboricity colouring must be proper");
-            assert!(
-                (palette_size(&run.outputs) as u64) <= algo.palette(),
-                "{} colours used, palette {}",
-                palette_size(&run.outputs),
-                algo.palette()
-            );
-            assert!(run.outputs.iter().all(|&c| c < algo.palette()));
-        }
     }
 
     #[test]

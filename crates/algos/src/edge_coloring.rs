@@ -13,7 +13,7 @@
 //! The composite therefore charges the `L(G)` execution's rounds plus one.
 
 use crate::coloring::ReducedColoring;
-use local_runtime::{AlgoRun, Graph, GraphAlgorithm};
+use local_runtime::{AlgoRun, GraphAlgorithm, GraphView, Session};
 
 /// Proper edge colouring with `2Δ̃ − 1` colours via vertex-colouring the line graph.
 /// Non-uniform in `{Δ, m}`.
@@ -32,7 +32,7 @@ impl LineGraphEdgeColoring {
     }
 
     /// The identity bound used on the line graph (edge identities are packed from the endpoint
-    /// identities; see [`Graph::line_graph`]).
+    /// identities; see [`local_runtime::Graph::line_graph`]).
     pub fn line_graph_id_bound(&self) -> u64 {
         self.id_bound_guess.saturating_mul(1_000_003).saturating_add(self.id_bound_guess).max(1)
     }
@@ -58,47 +58,57 @@ impl GraphAlgorithm for LineGraphEdgeColoring {
     type Input = ();
     type Output = Vec<u64>;
 
-    fn execute(
+    fn execute_view(
         &self,
-        graph: &Graph,
+        view: &GraphView<'_>,
         inputs: &[()],
         budget: Option<u64>,
         seed: u64,
+        session: &mut Session,
     ) -> AlgoRun<Vec<u64>> {
-        if graph.is_empty() {
+        if view.is_empty() {
             return AlgoRun::empty();
         }
-        debug_assert_eq!(inputs.len(), graph.node_count());
-        let (lg, edges) = graph.line_graph();
+        debug_assert_eq!(inputs.len(), view.node_count());
+        // The materialized view has the view's live indices and port order, so the line
+        // graph's edge endpoints are live indices too.
+        let (lg, edges) = session.materialized_graph(view).line_graph();
         if lg.is_empty() {
             // No edges: every node has an empty port-colour vector.
             return AlgoRun {
-                outputs: vec![Vec::new(); graph.node_count()],
+                outputs: vec![Vec::new(); view.node_count()],
                 rounds: 0,
                 messages: 0,
                 completed: true,
             };
         }
-        let inner = self.inner();
-        let lg_run = inner.execute(&lg, &vec![(); lg.node_count()], budget, seed);
-
-        // Index edges for the mapping back to ports.
-        let mut edge_color = std::collections::HashMap::new();
-        for (i, &(u, v)) in edges.iter().enumerate() {
-            edge_color.insert((u.min(v), u.max(v)), lg_run.outputs[i]);
-        }
-        let outputs: Vec<Vec<u64>> = (0..graph.node_count())
-            .map(|v| {
-                graph.neighbors(v).iter().map(|&w| edge_color[&(v.min(w), v.max(w))]).collect()
-            })
-            .collect();
+        // A fresh session for L(G): its arenas scale with Σ deg², and pooling them would keep
+        // that much memory alive in the caller's session after this run.
+        let lg_run = self.inner().execute(&lg, &vec![(); lg.node_count()], budget, seed);
         AlgoRun {
-            outputs,
+            outputs: port_colors(view, &edges, &lg_run.outputs),
             rounds: (lg_run.rounds + 1).min(budget.unwrap_or(u64::MAX)),
             messages: lg_run.messages,
             completed: lg_run.completed,
         }
     }
+}
+
+/// Maps a colouring of the line graph back to the ports of `view`. `edges` is the edge list
+/// [`local_runtime::Graph::line_graph`] returns, over `view`'s live indices, and `colors[i]`
+/// is the colour of `edges[i]`; the result holds, per node, the colour on each of its ports.
+pub fn port_colors(
+    view: &GraphView<'_>,
+    edges: &[(usize, usize)],
+    colors: &[u64],
+) -> Vec<Vec<u64>> {
+    let mut edge_color = std::collections::HashMap::new();
+    for (&(u, v), &c) in edges.iter().zip(colors) {
+        edge_color.insert((u.min(v), u.max(v)), c);
+    }
+    (0..view.node_count())
+        .map(|v| view.neighbors(v).map(|w| edge_color[&(v.min(w), v.max(w))]).collect())
+        .collect()
 }
 
 #[cfg(test)]

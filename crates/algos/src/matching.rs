@@ -14,7 +14,7 @@
 
 use crate::edge_coloring::LineGraphEdgeColoring;
 use local_runtime::{
-    Action, AlgoRun, Graph, GraphAlgorithm, GraphView, NodeId, NodeInit, NodeProgram, ProgramSpec,
+    Action, AlgoRun, GraphAlgorithm, GraphView, NodeId, NodeInit, NodeProgram, ProgramSpec,
     RoundCtx, Session,
 };
 use rand::Rng;
@@ -336,38 +336,6 @@ impl GraphAlgorithm for MatchingFromEdgeColoring {
     type Input = ();
     type Output = Partner;
 
-    fn execute(
-        &self,
-        graph: &Graph,
-        inputs: &[()],
-        budget: Option<u64>,
-        seed: u64,
-    ) -> AlgoRun<Partner> {
-        if graph.is_empty() {
-            return AlgoRun::empty();
-        }
-        debug_assert_eq!(inputs.len(), graph.node_count());
-        let ec = self.edge_coloring();
-        let phase1 = ec.execute(graph, inputs, budget, seed);
-        let remaining = budget.map(|b| b.saturating_sub(phase1.rounds));
-        if remaining == Some(0) && budget.is_some() {
-            return AlgoRun {
-                outputs: vec![None; graph.node_count()],
-                rounds: budget.unwrap_or(phase1.rounds),
-                messages: phase1.messages,
-                completed: false,
-            };
-        }
-        let adder = GreedyClassMatching { num_colors: ec.palette() };
-        let phase2 = adder.execute(graph, &phase1.outputs, remaining, seed ^ 0xabcd);
-        AlgoRun {
-            outputs: phase2.outputs,
-            rounds: phase1.rounds + phase2.rounds,
-            messages: phase1.messages + phase2.messages,
-            completed: phase1.completed && phase2.completed,
-        }
-    }
-
     fn execute_view(
         &self,
         view: &GraphView<'_>,
@@ -380,8 +348,8 @@ impl GraphAlgorithm for MatchingFromEdgeColoring {
             return AlgoRun::empty();
         }
         debug_assert_eq!(inputs.len(), view.node_count());
-        // Phase 1 operates on the line graph, so it falls back to a materializing
-        // `execute_view`; the colour-class adder is a node automaton and runs on the view.
+        // Phase 1 builds the line graph of the view; the colour-class adder is a node
+        // automaton and runs on the view itself.
         let ec = self.edge_coloring();
         let phase1 = ec.execute_view(view, inputs, budget, seed, session);
         let remaining = budget.map(|b| b.saturating_sub(phase1.rounds));

@@ -199,24 +199,10 @@ impl ProgramSpec for GreedyMis {
 /// Computes an MIS centrally by greedy over decreasing identity. Used by the synthetic black
 /// boxes and by tests as a reference solution; not charged any rounds.
 pub fn central_greedy_mis(g: &Graph) -> Vec<bool> {
-    let n = g.node_count();
-    let mut order: Vec<usize> = (0..n).collect();
-    order.sort_by_key(|&v| std::cmp::Reverse(g.id(v)));
-    let mut in_set = vec![false; n];
-    let mut blocked = vec![false; n];
-    for v in order {
-        if !blocked[v] {
-            in_set[v] = true;
-            for &w in g.neighbors(v) {
-                blocked[w] = true;
-            }
-        }
-    }
-    in_set
+    central_greedy_mis_view(&GraphView::full(g))
 }
 
-/// [`central_greedy_mis`] over a live [`GraphView`]; identical output (live-indexed) to
-/// running the graph version on the materialized subgraph, since identities are preserved.
+/// [`central_greedy_mis`] over a live [`GraphView`] (live-indexed output).
 pub fn central_greedy_mis_view(view: &GraphView<'_>) -> Vec<bool> {
     let n = view.node_count();
     let mut order: Vec<usize> = (0..n).collect();
@@ -256,39 +242,6 @@ impl ColoringMis {
 impl GraphAlgorithm for ColoringMis {
     type Input = ();
     type Output = bool;
-
-    fn execute(
-        &self,
-        graph: &Graph,
-        inputs: &[()],
-        budget: Option<u64>,
-        seed: u64,
-    ) -> AlgoRun<bool> {
-        if graph.is_empty() {
-            return AlgoRun::empty();
-        }
-        debug_assert_eq!(inputs.len(), graph.node_count());
-        let coloring = ReducedColoring::delta_plus_one(self.delta_guess, self.id_bound_guess);
-        let phase1 = coloring.execute(graph, inputs, budget, seed);
-        let remaining = budget.map(|b| b.saturating_sub(phase1.rounds));
-        if remaining == Some(0) && budget.is_some() {
-            // Budget exhausted during the colouring phase: emit placeholder outputs.
-            return AlgoRun {
-                outputs: vec![false; graph.node_count()],
-                rounds: budget.unwrap_or(phase1.rounds),
-                messages: phase1.messages,
-                completed: false,
-            };
-        }
-        let phase2 = MisFromColoring.execute(graph, &phase1.outputs, remaining, seed ^ 0x5eed);
-        // Observation 2.1: the running time of A1;A2 is at most the sum of the running times.
-        AlgoRun {
-            outputs: phase2.outputs,
-            rounds: phase1.rounds + phase2.rounds,
-            messages: phase1.messages + phase2.messages,
-            completed: phase1.completed && phase2.completed,
-        }
-    }
 
     fn execute_view(
         &self,

@@ -16,7 +16,7 @@
 //! looks inside the algorithm, only at its declared time bound and its output.
 
 use crate::mis::LubyMis;
-use local_runtime::{AlgoRun, Graph, GraphAlgorithm, GraphView, Session};
+use local_runtime::{AlgoRun, GraphAlgorithm, GraphView, Session};
 
 /// Budgeted-Luby (2, β)-ruling set: a weak Monte-Carlo algorithm, non-uniform in `{n}`.
 #[derive(Debug, Clone)]
@@ -43,18 +43,6 @@ impl MisRulingSet {
 impl GraphAlgorithm for MisRulingSet {
     type Input = ();
     type Output = bool;
-
-    fn execute(
-        &self,
-        graph: &Graph,
-        inputs: &[()],
-        budget: Option<u64>,
-        seed: u64,
-    ) -> AlgoRun<bool> {
-        let own_bound = self.round_bound();
-        let effective = budget.map_or(own_bound, |b| b.min(own_bound));
-        LubyMis.execute(graph, inputs, Some(effective), seed)
-    }
 
     fn execute_view(
         &self,

@@ -17,7 +17,7 @@
 //! transformers' guess schedules, iteration counts, and round accounting for the paper's exact
 //! time functions, which is what Table 1 rows (ii), (viii) and (ix) need.
 
-use crate::mis::{central_greedy_mis, central_greedy_mis_view};
+use crate::mis::central_greedy_mis_view;
 use local_graphs::Parameter;
 use local_runtime::{AlgoRun, Graph, GraphAlgorithm, GraphView, NodeId, Session};
 use rand::{Rng, SeedableRng};
@@ -108,11 +108,7 @@ impl SyntheticMis {
         (self.time)(&self.guesses)
     }
 
-    fn guesses_are_good(&self, graph: &Graph) -> bool {
-        self.parameters.iter().zip(self.guesses.iter()).all(|(p, &guess)| guess >= p.eval(graph))
-    }
-
-    fn guesses_are_good_view(&self, view: &GraphView<'_>) -> bool {
+    fn guesses_are_good(&self, view: &GraphView<'_>) -> bool {
         self.parameters
             .iter()
             .zip(self.guesses.iter())
@@ -123,33 +119,6 @@ impl SyntheticMis {
 impl GraphAlgorithm for SyntheticMis {
     type Input = ();
     type Output = bool;
-
-    fn execute(
-        &self,
-        graph: &Graph,
-        inputs: &[()],
-        budget: Option<u64>,
-        seed: u64,
-    ) -> AlgoRun<bool> {
-        if graph.is_empty() {
-            return AlgoRun::empty();
-        }
-        debug_assert_eq!(inputs.len(), graph.node_count());
-        let declared = self.declared_rounds();
-        let rounds = budget.map_or(declared, |b| b.min(declared));
-        let finished_in_time = budget.is_none_or(|b| declared <= b);
-        let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0x53_59_4e_54);
-        let lucky = rng.gen_bool(self.success_probability.clamp(0.0, 1.0));
-        let correct = finished_in_time && self.guesses_are_good(graph) && lucky;
-        let outputs = if correct {
-            central_greedy_mis(graph)
-        } else {
-            // Garbage: an output vector that is *not* promised to be a solution (all-out is the
-            // paper's canonical arbitrary output).
-            vec![false; graph.node_count()]
-        };
-        AlgoRun { outputs, rounds, messages: 0, completed: finished_in_time }
-    }
 
     fn execute_view(
         &self,
@@ -168,7 +137,9 @@ impl GraphAlgorithm for SyntheticMis {
         let finished_in_time = budget.is_none_or(|b| declared <= b);
         let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0x53_59_4e_54);
         let lucky = rng.gen_bool(self.success_probability.clamp(0.0, 1.0));
-        let correct = finished_in_time && self.guesses_are_good_view(view) && lucky;
+        let correct = finished_in_time && self.guesses_are_good(view) && lucky;
+        // Garbage otherwise: an output vector that is *not* promised to be a solution (all-out
+        // is the paper's canonical arbitrary output).
         let outputs =
             if correct { central_greedy_mis_view(view) } else { vec![false; view.node_count()] };
         AlgoRun { outputs, rounds, messages: 0, completed: finished_in_time }
@@ -204,20 +175,10 @@ impl SyntheticMatching {
 
 /// Central greedy maximal matching by identity order (reference solution).
 pub fn central_greedy_matching(g: &Graph) -> Vec<Option<NodeId>> {
-    let mut edges: Vec<(usize, usize)> = g.edges().collect();
-    edges.sort_by_key(|&(u, v)| (g.id(u).min(g.id(v)), g.id(u).max(g.id(v))));
-    let mut partner: Vec<Option<NodeId>> = vec![None; g.node_count()];
-    for (u, v) in edges {
-        if partner[u].is_none() && partner[v].is_none() {
-            partner[u] = Some(g.id(v));
-            partner[v] = Some(g.id(u));
-        }
-    }
-    partner
+    central_greedy_matching_view(&GraphView::full(g))
 }
 
-/// [`central_greedy_matching`] over a live [`GraphView`]; identical (live-indexed) output to
-/// the graph version on the materialized subgraph.
+/// [`central_greedy_matching`] over a live [`GraphView`] (live-indexed output).
 pub fn central_greedy_matching_view(view: &GraphView<'_>) -> Vec<Option<NodeId>> {
     let mut edges: Vec<(usize, usize)> = view.edges().collect();
     edges.sort_by_key(|&(u, v)| (view.id(u).min(view.id(v)), view.id(u).max(view.id(v))));
@@ -234,29 +195,6 @@ pub fn central_greedy_matching_view(view: &GraphView<'_>) -> Vec<Option<NodeId>>
 impl GraphAlgorithm for SyntheticMatching {
     type Input = ();
     type Output = Option<NodeId>;
-
-    fn execute(
-        &self,
-        graph: &Graph,
-        inputs: &[()],
-        budget: Option<u64>,
-        _seed: u64,
-    ) -> AlgoRun<Option<NodeId>> {
-        if graph.is_empty() {
-            return AlgoRun::empty();
-        }
-        debug_assert_eq!(inputs.len(), graph.node_count());
-        let declared = self.declared_rounds();
-        let rounds = budget.map_or(declared, |b| b.min(declared));
-        let finished_in_time = budget.is_none_or(|b| declared <= b);
-        let good = self.n_guess >= graph.node_count() as u64;
-        let outputs = if finished_in_time && good {
-            central_greedy_matching(graph)
-        } else {
-            vec![None; graph.node_count()]
-        };
-        AlgoRun { outputs, rounds, messages: 0, completed: finished_in_time }
-    }
 
     fn execute_view(
         &self,

@@ -19,7 +19,7 @@ use local_algos::mis::{ColoringMis, GreedyMis, LubyMis};
 use local_algos::ruling::MisRulingSet;
 use local_algos::synthetic::{SyntheticMatching, SyntheticMis};
 use local_graphs::{log_star, Parameter};
-use local_runtime::{AlgoRun, DynAlgorithm, Graph, GraphAlgorithm, GraphView, NodeId, Session};
+use local_runtime::{AlgoRun, DynAlgorithm, GraphAlgorithm, GraphView, NodeId, Session};
 use std::sync::Arc;
 
 // --------------------------------------------------------------------------- MIS rows -------
@@ -134,17 +134,6 @@ pub struct TransformedMis {
 impl GraphAlgorithm for TransformedMis {
     type Input = ();
     type Output = bool;
-
-    fn execute(
-        &self,
-        graph: &Graph,
-        _inputs: &[()],
-        budget: Option<u64>,
-        seed: u64,
-    ) -> AlgoRun<bool> {
-        let run = self.inner.solve(graph, &vec![(); graph.node_count()], seed);
-        Self::budgeted(run, budget, graph.node_count())
-    }
 
     fn execute_view(
         &self,

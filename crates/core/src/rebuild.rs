@@ -362,8 +362,9 @@ mod tests {
 
     #[test]
     fn rebuild_matches_view_for_materializing_black_box() {
-        // ArboricityMis has no view-native execute_view: the fast driver reaches it through
-        // the session's epoch-cached materialization. Results must still be byte-identical.
+        // ArboricityMis runs its per-layer phase on retained copies of the live view, where the
+        // rebuild path runs it on a full view of each induced subgraph. Results must still be
+        // byte-identical.
         let transformer = catalog::uniform_arboricity_mis();
         let g = local_graphs::forest_union(90, 3, 5);
         let n = g.node_count();

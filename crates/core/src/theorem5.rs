@@ -66,18 +66,6 @@ impl GraphAlgorithm for SlcFromColoring {
     type Input = SlcInput;
     type Output = SlcColor;
 
-    fn execute(
-        &self,
-        graph: &Graph,
-        inputs: &[SlcInput],
-        budget: Option<u64>,
-        seed: u64,
-    ) -> AlgoRun<SlcColor> {
-        let unit_inputs = vec![(); graph.node_count()];
-        let run = self.inner.execute(graph, &unit_inputs, budget, seed);
-        self.lift(&run, inputs)
-    }
-
     fn execute_view(
         &self,
         view: &GraphView<'_>,

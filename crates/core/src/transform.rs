@@ -695,15 +695,16 @@ mod tests {
         impl local_runtime::GraphAlgorithm for NeverHalts {
             type Input = ();
             type Output = bool;
-            fn execute(
+            fn execute_view(
                 &self,
-                graph: &Graph,
+                view: &local_runtime::GraphView<'_>,
                 _inputs: &[()],
                 budget: Option<u64>,
                 _seed: u64,
+                _session: &mut local_runtime::Session,
             ) -> local_runtime::AlgoRun<bool> {
                 local_runtime::AlgoRun {
-                    outputs: vec![false; graph.node_count()],
+                    outputs: vec![false; view.node_count()],
                     rounds: budget.unwrap_or(1_000_000),
                     messages: 0,
                     completed: false,

@@ -60,6 +60,28 @@ proptest! {
     }
 
     #[test]
+    fn arboricity_alternation_is_byte_identical_across_paths(
+        n in 40usize..96,
+        seed in 0u64..1000,
+    ) {
+        // Unit-disk instances of this size usually survive the first attempt of the
+        // arboricity box in part, so later attempts run ArboricityMis on a retained view —
+        // where its per-layer colouring MIS runs on a retained copy of that view.
+        let g = local_graphs::Family::UnitDisk.generate(n, seed);
+        let n = g.node_count();
+        let transformer = catalog::uniform_arboricity_mis();
+        let mut session = local_runtime::Session::new();
+        let fast = transformer.solve_in(&g, &units(n), seed, &mut session);
+        let reference = transformer.solve_rebuild(&g, &units(n), seed);
+        assert_identical(&fast, &reference, "arboricity-mis");
+        prop_assert!(fast.solved);
+        prop_assert!(MisProblem.validate(&g, &units(n), &fast.outputs).is_ok());
+        // Session reuse: a second solve through the same session stays identical.
+        let again = transformer.solve_in(&g, &units(n), seed, &mut session);
+        assert_identical(&again, &reference, "arboricity-mis (reused session)");
+    }
+
+    #[test]
     fn matching_alternation_is_byte_identical_across_paths(
         family in 0usize..FAMILIES.len(),
         n in 24usize..64,

@@ -4,10 +4,9 @@
 use super::{units, MeasuredRun, Workload, WorkloadSpec};
 use crate::scheduler::Instance;
 use local_algos::checkers;
-use local_algos::edge_coloring::LineGraphEdgeColoring;
-use local_runtime::{GraphAlgorithm, Session};
+use local_algos::edge_coloring::{port_colors, LineGraphEdgeColoring};
+use local_runtime::{GraphAlgorithm, GraphView, Session};
 use local_uniform::catalog;
-use std::collections::HashMap;
 
 /// `coloring` / `lambda<λ>-coloring` — the Theorem 5 uniform `λ(Δ+1)`-colouring (`λ = 1`
 /// is Table 1 row 1's colouring output; larger `λ` is row 5).
@@ -46,11 +45,12 @@ impl Workload for LambdaColoring {
         let graph = &instance.graph;
         let params = &instance.params;
         let baseline = catalog::lambda_coloring_box(self.lambda);
-        let nu = (baseline.build)(params.max_degree, params.max_id).execute(
-            graph,
+        let nu = (baseline.build)(params.max_degree, params.max_id).execute_view(
+            &GraphView::full(graph),
             &units(graph.node_count()),
             None,
             seed,
+            session,
         );
         let transformer = catalog::uniform_lambda_coloring(self.lambda);
         let uni = transformer.solve_in(graph, seed, session);
@@ -105,22 +105,15 @@ impl Workload for EdgeColoring {
         let params = &instance.params;
         let baseline =
             LineGraphEdgeColoring { delta_guess: params.max_degree, id_bound_guess: params.max_id };
-        let nu = baseline.execute(graph, &units(graph.node_count()), None, seed);
+        let full = GraphView::full(graph);
+        let nu = baseline.execute_view(&full, &units(graph.node_count()), None, seed, session);
         let nu_valid = checkers::check_edge_coloring(graph, &nu.outputs).is_ok();
 
         let (lg, edges) = graph.line_graph();
         let transformer = catalog::uniform_lambda_coloring(1);
         let uni = transformer.solve_in(&lg, seed, session);
-        let mut edge_color = HashMap::new();
-        for (i, &(u, v)) in edges.iter().enumerate() {
-            edge_color.insert((u.min(v), u.max(v)), uni.colors[i]);
-        }
-        let port_colors: Vec<Vec<u64>> = (0..graph.node_count())
-            .map(|v| {
-                graph.neighbors(v).iter().map(|&w| edge_color[&(v.min(w), v.max(w))]).collect()
-            })
-            .collect();
-        let uni_valid = checkers::check_edge_coloring(graph, &port_colors).is_ok();
+        let uni_colors = port_colors(&full, &edges, &uni.colors);
+        let uni_valid = checkers::check_edge_coloring(graph, &uni_colors).is_ok();
 
         MeasuredRun {
             uniform_rounds: uni.rounds + 1,

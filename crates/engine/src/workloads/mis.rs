@@ -3,7 +3,7 @@
 use super::{run_transformed, units, MeasuredRun, Workload, WorkloadSpec};
 use crate::scheduler::Instance;
 use local_algos::mis::LubyMis;
-use local_runtime::{GraphAlgorithm, Session};
+use local_runtime::{GraphAlgorithm, GraphView, Session};
 use local_uniform::catalog;
 use local_uniform::problem::{MisProblem, Problem};
 
@@ -177,9 +177,15 @@ impl Workload for LubyMisWorkload {
         "Luby's uniform randomized MIS — the already-uniform baseline (Table 1 row 10)".into()
     }
 
-    fn run(&self, instance: &Instance, seed: u64, _session: &mut Session) -> MeasuredRun {
+    fn run(&self, instance: &Instance, seed: u64, session: &mut Session) -> MeasuredRun {
         let graph = &instance.graph;
-        let run = LubyMis.execute(graph, &units(graph.node_count()), None, seed);
+        let run = LubyMis.execute_view(
+            &GraphView::full(graph),
+            &units(graph.node_count()),
+            None,
+            seed,
+            session,
+        );
         let valid = MisProblem.validate(graph, &units(graph.node_count()), &run.outputs).is_ok();
         MeasuredRun {
             uniform_rounds: run.rounds,

@@ -31,7 +31,7 @@ pub(crate) use mis::{
 pub(crate) use ruling_set::parse_ruling_set;
 
 use crate::scheduler::Instance;
-use local_runtime::{Graph, Session};
+use local_runtime::{Graph, GraphView, Session};
 use local_uniform::problem::Problem;
 use std::sync::Arc;
 
@@ -179,7 +179,13 @@ pub(crate) fn run_transformed<P: Problem<Input = ()>>(
     session: &mut Session,
     uniform: impl Fn(&Graph, u64, &mut Session) -> local_uniform::UniformRun<P::Output>,
 ) -> MeasuredRun {
-    let nu = baseline.execute(graph, &units(graph.node_count()), None, seed);
+    let nu = baseline.execute_view(
+        &GraphView::full(graph),
+        &units(graph.node_count()),
+        None,
+        seed,
+        session,
+    );
     let uni = uniform(graph, seed, session);
     let valid = problem.validate(graph, &units(graph.node_count()), &nu.outputs).is_ok()
         && problem.validate(graph, &units(graph.node_count()), &uni.outputs).is_ok();

@@ -2,7 +2,7 @@
 
 use super::{units, MeasuredRun, Workload, WorkloadSpec};
 use crate::scheduler::Instance;
-use local_runtime::Session;
+use local_runtime::{GraphView, Session};
 use local_uniform::catalog;
 use local_uniform::problem::{Problem, RulingSetProblem};
 
@@ -33,11 +33,12 @@ impl Workload for RulingSet {
     fn run(&self, instance: &Instance, seed: u64, session: &mut Session) -> MeasuredRun {
         let graph = &instance.graph;
         let baseline = catalog::ruling_set_black_box();
-        let nu = (baseline.build)(&[instance.params.n]).execute(
-            graph,
+        let nu = (baseline.build)(&[instance.params.n]).execute_view(
+            &GraphView::full(graph),
             &units(graph.node_count()),
             None,
             seed,
+            session,
         );
         let uni = catalog::uniform_ruling_set(self.beta as usize).solve_in(
             graph,

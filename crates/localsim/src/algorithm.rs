@@ -1,23 +1,29 @@
 //! Graph-level view of a LOCAL algorithm.
 //!
 //! [`GraphAlgorithm`] is the execution-level interface consumed by the paper's transformers:
-//! "run this algorithm on this (sub)graph with these inputs, for at most `budget` rounds, and
-//! tell me the outputs and how many rounds you used". Every [`ProgramSpec`] is automatically a
-//! `GraphAlgorithm` (the runtime drives its node automata), but composite algorithms — e.g. an
-//! algorithm that first computes a partition and then runs a colouring phase on each part, or
-//! one that operates on the line graph — can implement the trait directly, with their round
-//! count justified by the composition bound of Observation 2.1.
+//! "run this algorithm on this configuration with these inputs, for at most `budget` rounds,
+//! and tell me the outputs and how many rounds you used". It has one body per algorithm,
+//! [`GraphAlgorithm::execute_view`], which runs on a live [`GraphView`] with a reusable
+//! [`Session`]: the transformers' attempts on shrinking configurations and the engine's
+//! baselines on whole instances both go through it. [`GraphAlgorithm::execute`] is a
+//! convenience wrapper for a standalone [`Graph`].
+//!
+//! Every [`ProgramSpec`] is automatically a `GraphAlgorithm` (the runtime drives its node
+//! automata), but composite algorithms — e.g. an algorithm that first computes a partition
+//! and then runs a colouring phase on each part, or one that operates on the line graph — can
+//! implement the trait directly, with their round count justified by the composition bound of
+//! Observation 2.1.
 
 use crate::graph::Graph;
 use crate::program::ProgramSpec;
-use crate::runner::{run, Execution, RunConfig};
+use crate::runner::{Execution, RunConfig};
 use crate::session::{run_view, Session};
 use crate::view::GraphView;
 
 /// The outcome of executing a [`GraphAlgorithm`].
 #[derive(Debug, Clone)]
 pub struct AlgoRun<O> {
-    /// Output per node, indexed like the graph the algorithm was executed on.
+    /// Output per node, indexed like the view (or graph) the algorithm was executed on.
     pub outputs: Vec<O>,
     /// Number of rounds charged to the execution.
     pub rounds: u64,
@@ -52,27 +58,13 @@ pub trait GraphAlgorithm: Send + Sync {
     /// Per-node output type `y(v)`.
     type Output: Clone + Send;
 
-    /// Executes the algorithm.
-    fn execute(
-        &self,
-        graph: &Graph,
-        inputs: &[Self::Input],
-        budget: Option<u64>,
-        seed: u64,
-    ) -> AlgoRun<Self::Output>;
-
-    /// Executes the algorithm on a live [`GraphView`], reusing the session's buffers.
+    /// Executes the algorithm on a live [`GraphView`] (inputs and outputs are live-indexed),
+    /// reusing the session's buffers.
     ///
-    /// This is the zero-rebuild entry point used by the alternating drivers: pruning shrinks
-    /// the view in place and the next attempt runs here without materializing a subgraph.
-    /// The contract is strict equivalence — for any view, this must return exactly what
-    /// [`GraphAlgorithm::execute`] would return on [`GraphView::materialize`]'s graph.
-    ///
-    /// The default implementation materializes and delegates — through the session's
-    /// epoch-keyed cache, so consecutive attempts on an unchanged configuration copy the
-    /// subgraph once, not once per attempt. Node-automaton algorithms (every [`ProgramSpec`])
-    /// override it with a direct view execution, and composite algorithms should forward to
-    /// their phases' `execute_view` when their global computation permits.
+    /// The alternating drivers call this on a view that pruning shrinks in place, and the
+    /// engine calls it on the full view of an instance; both hand in a long-lived session, so
+    /// repeated runs do not reallocate the runtime's arenas. Composite algorithms run their
+    /// phases through their phases' `execute_view` with the same session.
     fn execute_view(
         &self,
         view: &GraphView<'_>,
@@ -80,17 +72,10 @@ pub trait GraphAlgorithm: Send + Sync {
         budget: Option<u64>,
         seed: u64,
         session: &mut Session,
-    ) -> AlgoRun<Self::Output> {
-        let sub = session.materialized_graph(view);
-        self.execute(sub, inputs, budget, seed)
-    }
-}
+    ) -> AlgoRun<Self::Output>;
 
-/// Every node-automaton specification is a graph algorithm: the runtime drives it.
-impl<S: ProgramSpec> GraphAlgorithm for S {
-    type Input = S::Input;
-    type Output = S::Output;
-
+    /// Executes the algorithm on a whole standalone graph: [`GraphAlgorithm::execute_view`]
+    /// on [`GraphView::full`] with a fresh [`Session`].
     fn execute(
         &self,
         graph: &Graph,
@@ -98,15 +83,14 @@ impl<S: ProgramSpec> GraphAlgorithm for S {
         budget: Option<u64>,
         seed: u64,
     ) -> AlgoRun<Self::Output> {
-        let cfg = RunConfig { seed, max_rounds: budget, ..RunConfig::default() };
-        let exec = run(graph, inputs, self, &cfg);
-        AlgoRun {
-            outputs: exec.outputs,
-            rounds: exec.rounds,
-            messages: exec.messages,
-            completed: exec.completed,
-        }
+        self.execute_view(&GraphView::full(graph), inputs, budget, seed, &mut Session::new())
     }
+}
+
+/// Every node-automaton specification is a graph algorithm: the runtime drives it.
+impl<S: ProgramSpec> GraphAlgorithm for S {
+    type Input = S::Input;
+    type Output = S::Output;
 
     fn execute_view(
         &self,

@@ -309,8 +309,9 @@ pub struct Session {
     /// The frozen init slab (ids, degrees, flat neighbor-identity arena), keyed by the
     /// topology's content epoch.
     slab: InitSlab,
-    /// Materialized-subgraph cache for composite algorithms without a view-native path,
-    /// keyed by the view's content epoch (equal epoch ⇒ structurally identical view).
+    /// Materialized-subgraph cache for composite algorithms that need a standalone copy of
+    /// the configuration, keyed by the view's content epoch (equal epoch ⇒ structurally
+    /// identical view).
     materialized: Option<(u64, Graph)>,
 }
 
@@ -322,7 +323,8 @@ impl Session {
 
     /// The materialization of `view`, cached by content epoch: repeated attempts on an
     /// unchanged configuration (the common case between prunings) copy the subgraph once, not
-    /// once per attempt. Used by the default [`crate::algorithm::GraphAlgorithm::execute_view`].
+    /// once per attempt. Used by composite algorithms that transform the configuration as a
+    /// whole, such as the line-graph edge colouring.
     pub fn materialized_graph(&mut self, view: &GraphView<'_>) -> &Graph {
         let epoch = view.epoch();
         if self.materialized.as_ref().is_none_or(|&(cached, _)| cached != epoch) {

@@ -352,7 +352,8 @@ impl<'g> GraphView<'g> {
     ///
     /// The result is exactly what chaining [`Graph::induced_subgraph`] along the same pruning
     /// history would have produced (same node order, identities, and adjacency), which is what
-    /// lets composite algorithms without a view-native path fall back to a copy.
+    /// lets composite algorithms that transform the whole configuration (the line-graph edge
+    /// colouring) work on a copy.
     pub fn materialize(&self) -> (Graph, Vec<NodeIndex>) {
         let edges: Vec<(usize, usize)> = self.edges().collect();
         let ids: Vec<NodeId> = self.live_nodes.iter().map(|&b| self.base.id(b)).collect();
