@@ -26,8 +26,7 @@
 //! checked and printed on every job completion and booked per client in a
 //! [`local_coord::ClientLedger`].
 
-use super::network::NetworkBackend;
-use super::process::observations_to_value;
+use super::network::{observations_to_value, read_request_line, write_error_line, NetworkBackend};
 use super::telemetry::WorkerTelemetry;
 use super::{rescue_missing, CellShard, EmitFn, ExecBackend, FaultPlan};
 use crate::cost::CostModel;
@@ -37,7 +36,7 @@ use crate::scenario::{Scenario, ScenarioGrid};
 use crate::store::ResultStore;
 use local_coord::{ClientLedger, FairScheduler, JobStats, TaskEntry, MAX_PEERS};
 use serde::{Deserialize, Serialize, Value};
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -152,10 +151,10 @@ impl CoordJob {
             }
         }
         if !self.failed.load(Ordering::Relaxed) {
-            let line = Raw(Value::Map(vec![
+            let line = Value::Map(vec![
                 ("index".into(), Value::U64(wire as u64)),
                 ("cell".into(), result.to_value()),
-            ]));
+            ]);
             let text = serde_json::to_string(&line).expect("result line serializes");
             let mut writer = self.writer.lock().expect("client writer poisoned");
             if let Err(e) = writeln!(writer, "{text}") {
@@ -205,7 +204,7 @@ impl CoordJob {
                 let observed = self.observed.lock().expect("job calibration poisoned");
                 observations_to_value(&observed.observations())
             };
-            let sentinel = Raw(Value::Map(vec![
+            let sentinel = Value::Map(vec![
                 ("done".into(), Value::U64(self.cells as u64)),
                 ("observations".into(), observations),
                 (
@@ -218,7 +217,7 @@ impl CoordJob {
                         ("queue_wait_micros".into(), Value::U64(stats.queue_wait_micros)),
                     ]),
                 ),
-            ]));
+            ]);
             let text = serde_json::to_string(&sentinel).expect("sentinel serializes");
             let mut writer = self.writer.lock().expect("client writer poisoned");
             if let Err(e) = writeln!(writer, "{text}").and_then(|_| writer.flush()) {
@@ -467,25 +466,15 @@ fn client_session(stream: TcpStream, state: &ServerState) {
     let mut line = String::new();
     let mut last_client = None;
     loop {
-        line.clear();
-        match reader.read_line(&mut line) {
-            Ok(0) => break,
-            Ok(_) => {
-                if let Err(e) = serve_job(line.trim(), &peer_name, &writer, state, &mut last_client)
-                {
-                    eprintln!("coord [{peer_name}]: {e}");
-                    let reply = Raw(Value::Map(vec![("error".into(), Value::Str(e))]));
-                    let text = serde_json::to_string(&reply).expect("error line serializes");
-                    let mut writer = writer.lock().expect("client writer poisoned");
-                    let _ = writeln!(writer, "{text}");
-                    let _ = writer.flush();
-                    break;
-                }
-            }
-            Err(e) => {
-                eprintln!("coord [{peer_name}]: read failed: {e}");
-                break;
-            }
+        let served = match read_request_line(&mut reader, &mut line) {
+            Ok(None) => break,
+            Ok(Some(job)) => serve_job(job, &peer_name, &writer, state, &mut last_client),
+            Err(e) => Err(e),
+        };
+        if let Err(e) = served {
+            eprintln!("coord [{peer_name}]: {e}");
+            write_error_line(&mut *writer.lock().expect("client writer poisoned"), e);
+            break;
         }
     }
     if let Some(client) = last_client {
@@ -678,21 +667,12 @@ fn heartbeat_loop(job: &CoordJob, interval_ms: u64) {
             wall_micros: local_obs::now_micros().saturating_sub(job.accepted_micros),
             counters: Vec::new(),
         };
-        let line = Raw(Value::Map(vec![("telemetry".into(), beat.to_value())]));
+        let line = Value::Map(vec![("telemetry".into(), beat.to_value())]);
         let text = serde_json::to_string(&line).expect("heartbeat serializes");
         let mut writer = job.writer.lock().expect("client writer poisoned");
         // Best-effort: a heartbeat the client never reads must not fail the job.
         let _ = writeln!(writer, "{text}");
         let _ = writer.flush();
-    }
-}
-
-/// Adapter rendering a raw [`Value`] through the serde stub.
-struct Raw(Value);
-
-impl Serialize for Raw {
-    fn to_value(&self) -> Value {
-        self.0.clone()
     }
 }
 

@@ -18,7 +18,7 @@
 //! garble@K        insert one deterministic non-protocol line before result K, then continue
 //! dup@K           emit result line K twice (a repeated index the parent must reject)
 //! delay@K=MS      sleep MS milliseconds before emitting result K (exercises read deadlines)
-//! refuse*N        parent-side: fail the first N connect/spawn attempts to the worker
+//! refuse*N        parent-side: refuse the first N connect attempts to the worker (retried)
 //! ```
 //!
 //! A clause may be scoped to one worker of a fleet with a `w<i>:` prefix (`w1:kill@3`).
@@ -67,7 +67,7 @@ pub enum FaultAction {
         /// Sleep duration in milliseconds.
         ms: u64,
     },
-    /// Parent-side: fail the first `count` connect (or spawn) attempts to the worker.
+    /// Parent-side: refuse the first `count` connect attempts to the worker.
     RefuseConnect {
         /// How many attempts to refuse before letting one through.
         count: u64,
@@ -148,7 +148,7 @@ impl FaultPlan {
         FaultPlan { clauses: self.clauses.iter().filter(|c| c.worker.is_none()).copied().collect() }
     }
 
-    /// How many connect/spawn attempts to worker `i` the coordinator should refuse.
+    /// How many connect attempts to worker `i` the coordinator should refuse.
     pub fn refuse_connects(&self, i: usize) -> u64 {
         self.clauses
             .iter()
@@ -158,6 +158,22 @@ impl FaultPlan {
                 _ => None,
             })
             .sum()
+    }
+
+    /// The `refuse` clauses of workers `workers[j]`, rescoped to `w<j>`: the parent-side
+    /// plan for a fleet made of that subset of the workers, in that order.
+    pub fn refusals_for(&self, workers: &[usize]) -> FaultPlan {
+        let clauses = workers
+            .iter()
+            .enumerate()
+            .map(|(j, &i)| (j, self.refuse_connects(i)))
+            .filter(|&(_, count)| count > 0)
+            .map(|(j, count)| FaultClause {
+                worker: Some(j),
+                action: FaultAction::RefuseConnect { count },
+            })
+            .collect();
+        FaultPlan { clauses }
     }
 
     /// Renders the plan back into the script grammar ([`FaultPlan::parse`] inverts it).
@@ -352,6 +368,7 @@ mod tests {
         assert_eq!(plan.refuse_connects(0), 4);
         assert_eq!(plan.refuse_connects(1), 0);
         assert_eq!(plan.unscoped().render(), "delay@9=10");
+        assert_eq!(plan.refusals_for(&[1, 0]).render(), "w1:refuse*4");
     }
 
     #[test]

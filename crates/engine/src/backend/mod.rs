@@ -6,14 +6,15 @@
 //!
 //! * [`InProcessBackend`] — the work-stealing thread pool ([`crate::pool`]) that has always
 //!   powered `run_grid`, now behind the trait;
-//! * [`ProcessBackend`] — spawns `sweep --worker` subprocesses, ships each a serialized
-//!   sub-shard over stdin, and merges their newline-delimited result streams, falling back
-//!   to in-process execution when a worker dies or emits garbage;
-//! * [`NetworkBackend`] — stripes shards over persistent `sweep --serve` TCP daemons with
-//!   connect/read deadlines, capped reconnect backoff, heartbeat liveness, re-dispatch of a
-//!   dead peer's cells to healthy peers, and the same in-process rescue of last resort.
+//! * [`NetworkBackend`] — the one remote transport: stripes shards over persistent
+//!   `sweep --serve` TCP daemons with connect/read deadlines, capped reconnect backoff,
+//!   heartbeat liveness, re-dispatch of a dead peer's cells to healthy peers, and an
+//!   in-process rescue of last resort;
+//! * [`ProcessBackend`] — launches local `sweep --serve 127.0.0.1:0` daemons per shard
+//!   ([`LocalDaemon`]) and drives them through a [`NetworkBackend`], rescuing in-process the
+//!   stripe of any daemon that never announces its address.
 //!
-//! All three are exercised against the same deterministic fault-injection layer
+//! All of them are exercised against the same deterministic fault-injection layer
 //! ([`faults`]), so the rescue discipline is tested, not asserted.
 //!
 //! The determinism contract survives the abstraction because every cell's seed is a pure
@@ -33,8 +34,8 @@ pub use coordinator::{
 };
 pub use faults::{backoff_ms, FaultAction, FaultClause, FaultInjector, FaultPlan, LineFault};
 pub use in_process::InProcessBackend;
-pub use network::{serve_forever, NetworkBackend};
-pub use process::{worker_serve, ProcessBackend};
+pub use network::{serve_forever, NetworkBackend, MAX_REQUEST_BYTES};
+pub use process::{LocalDaemon, ProcessBackend};
 pub use telemetry::{liveness_window, SpanDump, WireEvent, WireTrack, WorkerTelemetry};
 
 use crate::cost::CostModel;
@@ -45,9 +46,9 @@ use std::sync::Mutex;
 
 /// A batch of cells dispatched to a backend as one unit of work, in execution (LPT) order.
 ///
-/// The shard is the wire unit of the multi-process protocol: the parent serializes it as one
-/// JSON document over a worker's stdin; the worker refuses shards whose `code_version` does
-/// not match its own (a stale binary would silently produce non-reproducible results).
+/// The shard is the wire unit of the daemon protocol: the client serializes it into one
+/// request line; the daemon refuses shards whose `code_version` does not match its own (a
+/// stale binary would silently produce non-reproducible results).
 #[derive(Debug, Clone, PartialEq)]
 pub struct CellShard {
     /// The grid's base seed; every instance/cell seed derives from it.
@@ -174,9 +175,9 @@ pub const BACKEND_ENTRIES: &[BackendEntry] = &[
     },
     BackendEntry {
         name: "process",
-        summary: "sweep --worker subprocesses over the stdin/stdout shard protocol; a \
-                  failed worker's cells are rescued in-process",
-        flags: "--workers, --threads, --faults",
+        summary: "launches local `sweep --serve` daemons and drives them like `network`; a \
+                  daemon that never starts has its cells rescued in-process",
+        flags: "--workers, --threads, --io-deadline-ms, --faults",
     },
     BackendEntry {
         name: "network",
@@ -205,8 +206,8 @@ pub fn render_backend_listing() -> String {
 /// [`InProcessBackend`], emitting each result via `emit` keyed by its *position in
 /// `missing`* (callers map that back to their own index space), merging the fallback's
 /// calibration into `observed`, and counting the re-run cells on
-/// [`local_obs::metrics::RESCUED_CELLS`]. Both distributed backends degrade through this
-/// one function, so the failure discipline cannot drift between transports.
+/// [`local_obs::metrics::RESCUED_CELLS`]. Every distributed backend degrades through this
+/// one function, so the failure discipline cannot drift between them.
 pub(crate) fn rescue_missing(
     stripe: &CellShard,
     missing: &[usize],

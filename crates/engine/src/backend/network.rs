@@ -1,16 +1,19 @@
-//! The network backend: shard dispatch to persistent `sweep --serve` TCP daemons.
+//! The network backend — the one remote transport — and the `sweep --serve` daemon it talks
+//! to.
 //!
 //! # Wire protocol
 //!
-//! The transport reuses the multi-process stream protocol verbatim ([`super::process`],
-//! verified by [`super::stream`]) with one framing addition: instead of a shard on stdin,
-//! the coordinator writes one JSON *request line* per shard over the socket —
-//! `{"shard": <CellShard>, "telemetry": <ms>?}` — and the daemon answers with exactly the
-//! stdout stream a `--worker` child would produce (result lines, optional heartbeats and a
-//! span dump, the observation-carrying sentinel). Connections are persistent: a daemon
-//! serves any number of requests per connection and any number of connections over its
-//! lifetime, version-checking every shard against its own build. A daemon that cannot
-//! serve a request answers a single `{"error": …}` line and drops the connection.
+//! The coordinator writes one JSON *request line* per shard over the socket —
+//! `{"shard": <CellShard>, "telemetry": <ms>?}` — and the daemon answers with a
+//! newline-delimited stream verified by [`super::stream`]: one `{"index": i, "cell": {…}}`
+//! line per finished cell (in completion order — the index maps back to the stripe),
+//! optional `{"telemetry": …}` heartbeats and one `{"spans": …}` dump when telemetry was
+//! requested, and a `{"done": n, "observations": […]}` sentinel carrying the daemon's
+//! cost-model observation sums. Connections are persistent: a daemon serves any number of
+//! requests per connection and any number of connections over its lifetime,
+//! version-checking every shard against its own build. A daemon that cannot serve a
+//! request — including a request line over [`MAX_REQUEST_BYTES`] — answers a single
+//! `{"error": …}` line and drops the connection.
 //!
 //! # Robustness discipline
 //!
@@ -27,25 +30,31 @@
 //! simultaneously connected peers, and every transition lands as a timestamped
 //! `worker-state` record labelled with the peer.
 //!
-//! Fault injection mirrors the process backend: `refuse*N` clauses fail the first N
-//! connect attempts coordinator-side; everything else in a `w<i>:` scope is scripted into
-//! daemon `i`'s own `LOCAL_FAULTS` environment when it is launched (daemons are separate
-//! processes — the coordinator cannot forward faults it did not start the daemon with).
+//! Fault injection: `refuse*N` clauses fail the first N connect attempts coordinator-side;
+//! everything else in a `w<i>:` scope is scripted into daemon `i`'s own `LOCAL_FAULTS`
+//! environment when it is launched (daemons are separate processes — the coordinator cannot
+//! forward faults it did not start the daemon with; [`super::ProcessBackend`] launches its
+//! local daemons that way).
 
-use super::faults::FaultInjector;
-use super::process::{observations_from_value, serve_shard};
+use super::faults::{FaultInjector, LineFault};
 use super::stream::{LineOutcome, StripeStream};
-use super::telemetry::WorkerTelemetry;
-use super::{backoff_ms, liveness_window, CellShard, EmitFn, ExecBackend, FaultPlan};
+use super::telemetry::{SpanDump, WorkerTelemetry};
+use super::{
+    backoff_ms, liveness_window, CellShard, EmitFn, ExecBackend, FaultPlan, InProcessBackend,
+};
 use crate::cost::CostModel;
 use crate::progress::ProgressMeter;
 use local_coord::ConcurrencyGate;
 use serde::{Deserialize, Serialize, Value};
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
+
+/// How long one connect attempt may take by default; [`super::ProcessBackend`] waits as
+/// long for a launched daemon to announce its address.
+pub(super) const DEFAULT_CONNECT_TIMEOUT_MS: u64 = 5_000;
 
 /// Executes shards by striping them over persistent `sweep --serve` TCP daemons.
 #[derive(Debug)]
@@ -88,7 +97,7 @@ impl NetworkBackend {
             progress: None,
             heartbeat_ms: 500,
             io_deadline_ms: 600_000,
-            connect_timeout_ms: 5_000,
+            connect_timeout_ms: DEFAULT_CONNECT_TIMEOUT_MS,
             retry_base_ms: 100,
             retry_cap_ms: 5_000,
             max_connect_attempts: 5,
@@ -262,8 +271,7 @@ impl NetworkBackend {
         if let Some(name) = &self.client_label {
             request.push(("client".to_string(), Value::Str(name.clone())));
         }
-        let request =
-            serde_json::to_string(&Line(Value::Map(request))).expect("request serializes");
+        let request = serde_json::to_string(&Value::Map(request)).expect("request serializes");
         let mut writer = &stream;
         if let Err(e) = writeln!(writer, "{request}").and_then(|_| writer.flush()) {
             self.record_state(peer, false);
@@ -271,7 +279,7 @@ impl NetworkBackend {
         }
 
         let mut reader = BufReader::new(&stream);
-        let mut verifier = StripeStream::new(stripe, format!("peer {peer}"), connect_offset);
+        let mut verifier = StripeStream::new(stripe, format!("worker {peer}"), connect_offset);
         let mut failure = None;
         let mut line = String::new();
         loop {
@@ -459,15 +467,6 @@ fn try_connect(addr: &str, timeout: Duration) -> Result<TcpStream, String> {
     Err(last)
 }
 
-/// Adapter rendering a raw [`Value`] through the serde stub.
-struct Line(Value);
-
-impl Serialize for Line {
-    fn to_value(&self) -> Value {
-        self.0.clone()
-    }
-}
-
 /// Runs the `sweep --serve` daemon loop: binds `addr`, announces `listening on <addr>` on
 /// stdout (so scripts binding port 0 can learn the port), and serves shard requests
 /// forever — any number of connections, any number of requests per connection. Up to
@@ -531,25 +530,51 @@ fn serve_connection(
     let mut writer = stream;
     let mut line = String::new();
     loop {
-        line.clear();
-        match reader.read_line(&mut line) {
-            Ok(0) => return,
-            Ok(_) => {
-                if let Err(e) = serve_request(line.trim(), threads, faults, gate, &mut writer) {
-                    eprintln!("sweep serve [{client}]: {e}");
-                    let reply = Line(Value::Map(vec![("error".into(), Value::Str(e))]));
-                    let text = serde_json::to_string(&reply).expect("error line serializes");
-                    let _ = writeln!(writer, "{text}");
-                    let _ = writer.flush();
-                    return;
-                }
-            }
-            Err(e) => {
-                eprintln!("sweep serve [{client}]: read failed: {e}");
-                return;
-            }
+        let served = match read_request_line(&mut reader, &mut line) {
+            Ok(None) => return,
+            Ok(Some(request)) => serve_request(request, threads, faults, gate, &mut writer),
+            Err(e) => Err(e),
+        };
+        if let Err(e) = served {
+            eprintln!("sweep serve [{client}]: {e}");
+            write_error_line(&mut writer, e);
+            return;
         }
     }
+}
+
+/// The longest request line a server reads (32 MiB, newline included). Requests are one
+/// shard or grid per line, so this bounds what one connection can make a daemon or
+/// coordinator buffer; a longer line gets one `{"error": …}` reply and the connection is
+/// closed.
+pub const MAX_REQUEST_BYTES: usize = 32 << 20;
+
+/// Reads one request line of at most [`MAX_REQUEST_BYTES`] into `line`, returning it
+/// trimmed, or `None` when the client hung up. The one line reader of both servers
+/// (`sweep --serve` daemons and the coordinator); its errors are meant for the client's
+/// error line.
+pub(super) fn read_request_line<'a>(
+    reader: &mut impl BufRead,
+    line: &'a mut String,
+) -> Result<Option<&'a str>, String> {
+    line.clear();
+    match reader.take(MAX_REQUEST_BYTES as u64 + 1).read_line(line) {
+        Ok(0) => Ok(None),
+        Ok(read) if read > MAX_REQUEST_BYTES => {
+            Err(format!("request line longer than {MAX_REQUEST_BYTES} bytes"))
+        }
+        Ok(_) => Ok(Some(line.trim())),
+        Err(e) => Err(format!("read failed: {e}")),
+    }
+}
+
+/// Answers a request that cannot be served with one `{"error": …}` line (best-effort: the
+/// caller hangs up next either way).
+pub(super) fn write_error_line(out: &mut impl Write, message: String) {
+    let reply = Value::Map(vec![("error".into(), Value::Str(message))]);
+    let text = serde_json::to_string(&reply).expect("error line serializes");
+    let _ = writeln!(out, "{text}");
+    let _ = out.flush();
 }
 
 /// Parses and executes one shard request against this daemon's build, inside the daemon's
@@ -575,7 +600,7 @@ fn serve_request(
             return;
         }
         let beat = WorkerTelemetry { cells_done: 0, wall_micros: 0, counters: Vec::new() };
-        let line = Line(Value::Map(vec![("telemetry".into(), beat.to_value())]));
+        let line = Value::Map(vec![("telemetry".into(), beat.to_value())]);
         let text = serde_json::to_string(&line).expect("heartbeat serializes");
         let _ = writeln!(out, "{text}");
         let _ = out.flush();
@@ -592,4 +617,169 @@ fn serve_request(
         local_obs::reset();
     }
     serve_shard(&shard, threads, telemetry, faults, out)
+}
+
+/// The daemon's serving core: version-checks `shard`, executes it with an
+/// [`InProcessBackend`], streams result lines plus the observation-carrying sentinel to
+/// `out`, and applies the process's fault injector to every result line (`kill` and
+/// `truncate` clauses terminate the *calling process* when they fire).
+///
+/// `telemetry_ms` is the client's heartbeat request: `Some(interval)` turns the obs layer on
+/// for the shard and adds heartbeat records every `interval` milliseconds plus a final span
+/// dump before the sentinel; `None` produces exactly the pre-telemetry stream.
+pub(super) fn serve_shard(
+    shard: &CellShard,
+    threads: usize,
+    telemetry_ms: Option<u64>,
+    faults: &FaultInjector,
+    out: &mut (impl Write + Send),
+) -> Result<(), String> {
+    if shard.code_version != crate::cache::CODE_VERSION {
+        return Err(format!(
+            "code-version skew: shard was built by {:?}, this worker is {:?}",
+            shard.code_version,
+            crate::cache::CODE_VERSION
+        ));
+    }
+    if telemetry_ms.is_some() {
+        local_obs::enable();
+    }
+    let started = std::time::Instant::now();
+    let backend = InProcessBackend::new(threads);
+    let sink = Mutex::new(&mut *out);
+    let cells_done = AtomicU64::new(0);
+    let heartbeat = || {
+        let record = WorkerTelemetry {
+            cells_done: cells_done.load(Ordering::Relaxed),
+            wall_micros: started.elapsed().as_micros() as u64,
+            counters: local_obs::counter_totals(),
+        };
+        let line = Value::Map(vec![("telemetry".into(), record.to_value())]);
+        let text = serde_json::to_string(&line).expect("telemetry line serializes");
+        // Best-effort: a heartbeat the client never reads must not fail the stripe.
+        let mut sink = sink.lock().expect("result sink poisoned");
+        let _ = writeln!(sink, "{text}");
+        let _ = sink.flush();
+    };
+    let mut write_error = None;
+    {
+        let write_error = Mutex::new(&mut write_error);
+        let stop = AtomicBool::new(false);
+        std::thread::scope(|scope| {
+            if let Some(interval_ms) = telemetry_ms {
+                let stop = &stop;
+                let heartbeat = &heartbeat;
+                scope.spawn(move || {
+                    // Sleep in short slices so the beater notices `stop` promptly even
+                    // under long heartbeat intervals.
+                    let slice = Duration::from_millis(interval_ms.clamp(1, 50));
+                    let mut elapsed_ms = 0u64;
+                    while !stop.load(Ordering::Relaxed) {
+                        std::thread::sleep(slice);
+                        elapsed_ms += slice.as_millis() as u64;
+                        if elapsed_ms >= interval_ms {
+                            elapsed_ms = 0;
+                            heartbeat();
+                        }
+                    }
+                });
+            }
+            backend.run_shard(shard, &|index, result| {
+                let line = Value::Map(vec![
+                    ("index".into(), Value::U64(index as u64)),
+                    ("cell".into(), result.to_value()),
+                ]);
+                let text = serde_json::to_string(&line).expect("result line serializes");
+                cells_done.fetch_add(1, Ordering::Relaxed);
+                let mut sink = sink.lock().expect("result sink poisoned");
+                // The scripted faults fire under the sink lock, so "result line k" follows
+                // emission order deterministically.
+                match faults.on_result_line() {
+                    LineFault::Kill => {
+                        let _ = sink.flush();
+                        std::process::exit(1);
+                    }
+                    LineFault::Truncate => {
+                        // A clean stream that simply ends: flush what was verified so far
+                        // and exit zero without a sentinel.
+                        let _ = sink.flush();
+                        std::process::exit(0);
+                    }
+                    LineFault::Garble => {
+                        let _ = writeln!(sink, "{}", FaultInjector::garbage_line(index as u64));
+                    }
+                    LineFault::Duplicate => {
+                        let _ = writeln!(sink, "{text}");
+                    }
+                    LineFault::Delay(ms) => {
+                        std::thread::sleep(Duration::from_millis(ms));
+                    }
+                    LineFault::None => {}
+                }
+                if let Err(e) = writeln!(sink, "{text}") {
+                    write_error.lock().expect("error slot poisoned").get_or_insert(e.to_string());
+                }
+            });
+            stop.store(true, Ordering::Relaxed);
+        });
+    }
+    if let Some(e) = write_error {
+        return Err(format!("cannot write results: {e}"));
+    }
+    if telemetry_ms.is_some() {
+        // One guaranteed final heartbeat (fast stripes may outrun the interval), then the
+        // span dump — both before the sentinel, which stays the stream terminator.
+        heartbeat();
+        let dump = SpanDump::from_snapshot(&local_obs::snapshot());
+        let line = Value::Map(vec![("spans".into(), dump.to_value())]);
+        let text = serde_json::to_string(&line).expect("span dump serializes");
+        let mut sink = sink.lock().expect("result sink poisoned");
+        writeln!(sink, "{text}").map_err(|e| format!("cannot write span dump: {e}"))?;
+    }
+    let sentinel = Value::Map(vec![
+        ("done".into(), Value::U64(shard.cells.len() as u64)),
+        ("observations".into(), observations_to_value(&backend.calibration().observations())),
+    ]);
+    let text = serde_json::to_string(&sentinel).expect("sentinel serializes");
+    let mut sink = sink.lock().expect("result sink poisoned");
+    writeln!(sink, "{text}").map_err(|e| format!("cannot write sentinel: {e}"))?;
+    sink.flush().map_err(|e| format!("cannot flush results: {e}"))
+}
+
+/// Renders calibration observation sums for the sentinel line.
+pub(super) fn observations_to_value(observations: &[(String, String, f64, f64)]) -> Value {
+    Value::Seq(
+        observations
+            .iter()
+            .map(|(problem, family, observed, predicted)| {
+                Value::Seq(vec![
+                    Value::Str(problem.clone()),
+                    Value::Str(family.clone()),
+                    Value::F64(*observed),
+                    Value::F64(*predicted),
+                ])
+            })
+            .collect(),
+    )
+}
+
+/// Parses the sentinel's observation sums; shape errors discard the calibration only (the
+/// results themselves were verified line by line).
+pub(super) fn observations_from_value(
+    value: &Value,
+) -> Result<Vec<(String, String, f64, f64)>, String> {
+    value
+        .as_seq()
+        .ok_or_else(|| "observations are not a sequence".to_string())?
+        .iter()
+        .map(|entry| match entry.as_seq() {
+            Some([problem, family, observed, predicted]) => Ok((
+                String::from_value(problem)?,
+                String::from_value(family)?,
+                f64::from_value(observed)?,
+                f64::from_value(predicted)?,
+            )),
+            _ => Err("observation entry is not a 4-tuple".to_string()),
+        })
+        .collect()
 }

@@ -1,118 +1,124 @@
-//! The multi-process backend and its serialized cell-shard protocol.
+//! The multi-process backend: a launcher of local `sweep --serve` daemons, driven through
+//! [`NetworkBackend`].
 //!
-//! # Wire protocol
-//!
-//! The parent splits the scheduler's shard into instance-grouped stripes (one per worker;
-//! graph instances round-robined in LPT order, so cells sharing an instance co-locate and
-//! no instance is generated twice across the fleet) and, per worker, spawns
-//! `sweep --worker --threads T`:
-//!
-//! * **stdin** — one JSON document: the worker's [`CellShard`] (base seed, code-version
-//!   tag, and `Scenario` coordinates). The worker reads it whole before executing
-//!   anything, then refuses it unless the code version matches its own build. The parent
-//!   writes it from a dedicated thread, behind the same liveness deadline as reads — a
-//!   wedged worker that never reads its stdin is detected and rescued, not waited on
-//!   forever.
-//! * **stdout** — newline-delimited JSON, one `{"index": i, "cell": {…}}` line per finished
-//!   cell (in completion order — the index maps back to the stripe), terminated by a
-//!   sentinel `{"done": n, "observations": […]}` line carrying the worker's cost-model
-//!   observation sums. When the parent requested telemetry (`--telemetry <ms>`), the
-//!   stream additionally carries `{"telemetry": …}` heartbeat records (progress + counter
-//!   totals, see [`super::telemetry::WorkerTelemetry`]) and one final `{"spans": …}` dump
-//!   of the worker's span buffers ([`super::telemetry::SpanDump`]) right before the
-//!   sentinel — both strictly additive, so mixed-version fleets exchange exactly the
-//!   pre-existing record bytes. Heartbeats double as liveness: a stream that stays silent
-//!   past the [`super::liveness_window`] is declared dead.
-//! * **stderr** — captured line by line, re-emitted on the parent's stderr prefixed with
-//!   the worker id (`[worker 3] …`); the last few lines ride along in the failure reason
-//!   when a worker dies, so the rescue-path log says *why*.
-//!
-//! # Failure semantics
-//!
-//! Every result line is verified against the cell it claims to be (problem, family, size,
-//! replicate, *and* the derived execution seed) before it is accepted (see
-//! [`super::stream`]). A worker that exits nonzero, truncates its stream, repeats an
-//! index, stalls past the liveness deadline, or emits anything unparseable is abandoned on
-//! the spot: its already-verified cells stand, and the parent re-executes the rest through
-//! the shared [`super::rescue_missing`] path — so a killed, wedged, or garbage-spewing
-//! worker degrades wall clock, never the report. Worker children are killed and reaped on
-//! drop, so no failure path (including a panicking emit) leaks a zombie.
+//! On every [`ExecBackend::run_shard`] the backend spawns one daemon per stripe (at most
+//! `workers`), each as `CMD --serve 127.0.0.1:0 --threads T`, reads the `listening on ADDR`
+//! line it announces, and runs the shard through a [`NetworkBackend`] over the announced
+//! addresses. Verification, re-dispatch to healthy daemons, liveness deadlines, heartbeats,
+//! span import and the in-process rescue of last resort are therefore the network
+//! backend's, byte for byte: there is one remote transport. A daemon that never announces
+//! an address — dead on arrival, killed, printing garbage, or silent past the connect
+//! timeout — has its stripe rescued in-process through [`super::rescue_missing`]. Every
+//! daemon is killed and reaped when the shard ends, on return and on unwind, so no failure
+//! path leaks a zombie.
 //!
 //! # Fault injection
 //!
 //! The backend honours a [`FaultPlan`] (builder knob, defaulting to the `LOCAL_FAULTS`
-//! environment script): clauses scoped `w<i>:` are forwarded — unscoped — into worker
-//! `i`'s environment, where [`worker_serve`] executes them against its own result stream;
-//! `refuse` clauses fail the spawn parent-side. Children of an unfaulted worker get
-//! `LOCAL_FAULTS` scrubbed from their environment, so a scripted coordinator can never
-//! leak its own script into the fleet.
+//! environment script): stream clauses scoped `w<i>:` become — unscoped — daemon `i`'s own
+//! `LOCAL_FAULTS`, and a daemon without any gets the variable removed from its environment,
+//! so a scripted parent never leaks its script into the fleet. `refuse*N` clauses stay
+//! parent-side: the network backend refuses the first N connects to that daemon and
+//! retries them through its backoff.
 
-use super::faults::{FaultInjector, FaultPlan, LineFault};
-use super::stream::{LineOutcome, StripeStream};
-use super::telemetry::SpanDump;
-use super::{liveness_window, CellShard, EmitFn, ExecBackend, InProcessBackend};
+use super::faults::FaultPlan;
+use super::network::DEFAULT_CONNECT_TIMEOUT_MS;
+use super::{CellShard, EmitFn, ExecBackend, NetworkBackend};
 use crate::cost::CostModel;
 use crate::pool;
 use crate::progress::ProgressMeter;
-use serde::{Deserialize, Serialize, Value};
-use std::collections::VecDeque;
-use std::io::{BufRead, BufReader, Write};
-use std::process::{Child, Command, ExitStatus, Stdio};
-use std::sync::mpsc::{self, RecvTimeoutError};
-use std::sync::{Arc, Mutex};
+use std::io::{BufRead, BufReader};
+use std::process::{Child, Command, Stdio};
+use std::sync::{mpsc, Mutex};
 use std::time::Duration;
-
-/// How many trailing worker-stderr lines ride along in a failure reason.
-const STDERR_TAIL: usize = 8;
 
 /// Default read/write liveness deadline: generous enough for the largest single cells when
 /// no heartbeats flow (telemetry shrinks the effective window via
 /// [`super::liveness_window`]).
 const DEFAULT_IO_DEADLINE_MS: u64 = 600_000;
 
-/// A worker child that is *always* killed and reaped: explicitly via [`ReapGuard::wait`]
-/// on the normal path, or by `Drop` when the dispatching thread unwinds (a panicking emit,
-/// an early error return). Without this, an abandoned child outlives the backend as a
-/// zombie once it exits.
-struct ReapGuard {
-    child: Option<Child>,
-}
-
-impl ReapGuard {
-    fn new(child: Child) -> Self {
-        ReapGuard { child: Some(child) }
-    }
-
-    /// Best-effort kill; the process is reaped by [`ReapGuard::wait`] or `Drop`.
-    fn kill(&mut self) {
-        if let Some(child) = &mut self.child {
-            let _ = child.kill();
-        }
-    }
-
-    /// Waits for (and thereby reaps) the child; afterwards `Drop` is a no-op.
-    fn wait(&mut self) -> std::io::Result<ExitStatus> {
-        match &mut self.child {
-            Some(child) => {
-                let status = child.wait();
-                self.child = None;
-                status
-            }
-            None => Err(std::io::Error::other("child already reaped")),
-        }
-    }
-}
+/// A child process that is *always* killed and reaped when dropped — on the normal path and
+/// when the owning thread unwinds (a panicking emit, an early error return). Without this,
+/// an abandoned child outlives the backend, as a zombie once it exits.
+#[derive(Debug)]
+struct ReapGuard(Child);
 
 impl Drop for ReapGuard {
     fn drop(&mut self) {
-        if let Some(mut child) = self.child.take() {
-            let _ = child.kill();
-            let _ = child.wait();
-        }
+        let _ = self.0.kill();
+        let _ = self.0.wait();
     }
 }
 
-/// Executes shards by fanning stripes out to `sweep --worker` subprocesses.
+/// One local `sweep --serve 127.0.0.1:0` daemon on an OS-assigned port, killed and reaped on
+/// drop.
+#[derive(Debug)]
+pub struct LocalDaemon {
+    child: ReapGuard,
+    addr: String,
+}
+
+impl LocalDaemon {
+    /// Spawns `command` (program + leading arguments) as
+    /// `… --serve 127.0.0.1:0 --threads THREADS`, with `faults` rendered into its
+    /// `LOCAL_FAULTS` (removed from its environment when the plan is empty), and waits up to
+    /// `timeout` for its `listening on ADDR` announcement. A daemon that exits, announces
+    /// anything else, or stays silent is killed and reaped, and the reason returned.
+    pub fn spawn(
+        command: &[String],
+        threads: usize,
+        faults: &FaultPlan,
+        timeout: Duration,
+    ) -> Result<LocalDaemon, String> {
+        let (program, args) = command.split_first().ok_or("no daemon command")?;
+        let mut launch = Command::new(program);
+        launch
+            .args(args)
+            .args(["--serve", "127.0.0.1:0", "--threads", &threads.to_string()])
+            .stdin(Stdio::null())
+            .stdout(Stdio::piped());
+        if faults.is_empty() {
+            launch.env_remove("LOCAL_FAULTS");
+        } else {
+            launch.env("LOCAL_FAULTS", faults.render());
+        }
+        let mut child = launch.spawn().map_err(|e| format!("cannot spawn {program}: {e}"))?;
+        let stdout = child.stdout.take().expect("stdout was piped");
+        let child = ReapGuard(child);
+
+        // Pipes have no read timeout, so the announcement is read on a thread, which then
+        // drains stdout so the daemon never blocks on a full pipe. It is not joined: a
+        // grandchild of a wrapper command may hold the pipe open long after the kill.
+        let (announce, announced) = mpsc::channel();
+        std::thread::spawn(move || {
+            let mut stdout = BufReader::new(stdout);
+            let mut line = String::new();
+            let _ = stdout.read_line(&mut line);
+            let _ = announce.send(line);
+            let _ = std::io::copy(&mut stdout, &mut std::io::sink());
+        });
+        let line = announced
+            .recv_timeout(timeout)
+            .map_err(|_| format!("no address announced within {}ms", timeout.as_millis()))?;
+        match line.trim().strip_prefix("listening on ") {
+            Some(addr) => Ok(LocalDaemon { child, addr: addr.to_string() }),
+            None if line.is_empty() => Err("exited without announcing an address".to_string()),
+            None => Err(format!("unexpected announcement {:?}", line.trim())),
+        }
+    }
+
+    /// The `host:port` the daemon announced.
+    pub fn addr(&self) -> &str {
+        &self.addr
+    }
+
+    /// Whether the daemon process is still running.
+    pub fn is_running(&mut self) -> bool {
+        matches!(self.child.0.try_wait(), Ok(None))
+    }
+}
+
+/// Executes shards over local `sweep --serve` daemons it launches per shard.
 #[derive(Debug)]
 pub struct ProcessBackend {
     workers: usize,
@@ -126,8 +132,8 @@ pub struct ProcessBackend {
 }
 
 impl ProcessBackend {
-    /// A backend that spawns `workers` subprocesses (`0` = available parallelism), each
-    /// re-invoking the current executable in `--worker` mode with one thread. The current
+    /// A backend that launches `workers` daemons (`0` = available parallelism), each
+    /// re-invoking the current executable in `--serve` mode with one thread. The current
     /// executable is the right command when the caller *is* the `sweep` binary; library
     /// embedders and tests point elsewhere with [`ProcessBackend::with_command`].
     pub fn new(workers: usize) -> Self {
@@ -136,8 +142,8 @@ impl ProcessBackend {
         ProcessBackend::with_command(workers, command)
     }
 
-    /// Like [`ProcessBackend::new`] with an explicit worker command line (program + leading
-    /// arguments; `--worker --threads T` is appended at spawn time).
+    /// Like [`ProcessBackend::new`] with an explicit daemon command line (program + leading
+    /// arguments; `--serve 127.0.0.1:0 --threads T` is appended at spawn time).
     pub fn with_command(workers: usize, command: impl Into<Vec<String>>) -> Self {
         ProcessBackend {
             workers: pool::resolve_worker_count(workers),
@@ -151,246 +157,42 @@ impl ProcessBackend {
         }
     }
 
-    /// Sets how many threads each worker process runs its stripe with (`0` = the worker
-    /// machine's available parallelism; default 1 — process-level parallelism usually wants
-    /// single-threaded workers).
+    /// Sets how many threads each daemon runs its stripe with, and the in-process rescue
+    /// path's thread count (`0` = available parallelism; default 1 — process-level
+    /// parallelism usually wants single-threaded workers).
     pub fn worker_threads(mut self, threads: usize) -> Self {
         self.worker_threads = threads;
         self
     }
 
-    /// Attaches a live progress meter: workers are asked for heartbeats, and both result
+    /// Attaches a live progress meter: daemons are asked for heartbeats, and both result
     /// lines and heartbeat records update the per-worker throughput display.
     pub fn progress(mut self, meter: ProgressMeter) -> Self {
         self.progress = Some(meter);
         self
     }
 
-    /// Sets the worker heartbeat interval (default 500ms; only used when telemetry is on).
+    /// Sets the daemon heartbeat interval (default 500ms; only used when telemetry is on).
     pub fn heartbeat_ms(mut self, ms: u64) -> Self {
         self.heartbeat_ms = ms.max(1);
         self
     }
 
-    /// Sets the I/O liveness deadline in milliseconds (default 600000): a worker whose
-    /// stream stays silent this long — including one that never reads its stdin — is
-    /// declared dead and its missing cells are rescued. When heartbeats flow, the
-    /// effective window shrinks to a few heartbeat intervals ([`super::liveness_window`]).
+    /// Sets the I/O liveness deadline in milliseconds (default 600000): a daemon whose
+    /// stream stays silent this long is declared dead and its missing cells are
+    /// re-dispatched or rescued. When heartbeats flow, the effective window shrinks to a few
+    /// heartbeat intervals ([`super::liveness_window`]).
     pub fn io_deadline_ms(mut self, ms: u64) -> Self {
         self.io_deadline_ms = ms.max(1);
         self
     }
 
     /// Sets the deterministic fault-injection plan (default: the `LOCAL_FAULTS`
-    /// environment script). Clauses scoped to worker `i` are forwarded into that worker's
-    /// environment; `refuse` clauses fail the spawn parent-side.
+    /// environment script). Clauses scoped to worker `i` are forwarded into that daemon's
+    /// environment; `refuse` clauses refuse connects to it parent-side.
     pub fn faults(mut self, plan: FaultPlan) -> Self {
         self.faults = plan;
         self
-    }
-
-    /// Whether to ask workers for telemetry, and at what interval: yes when a progress
-    /// meter is attached or the coordinator's own obs layer is recording.
-    fn telemetry_interval(&self) -> Option<u64> {
-        (self.progress.is_some() || local_obs::is_enabled()).then_some(self.heartbeat_ms)
-    }
-
-    /// Dispatches one stripe to one worker subprocess. Returns the indices (into the
-    /// stripe) of the cells that still need a result, plus a description of what went wrong
-    /// when the stream could not be fully trusted.
-    fn run_stripe(
-        &self,
-        worker: usize,
-        stripe: &CellShard,
-        parent_indices: &[usize],
-        emit: &EmitFn,
-    ) -> Result<(), (Vec<usize>, String)> {
-        let all = || (0..stripe.cells.len()).collect::<Vec<usize>>();
-        if self.command.is_empty() {
-            return Err((all(), "no worker command (current_exe unavailable)".into()));
-        }
-        let refusals = self.faults.refuse_connects(worker);
-        if refusals > 0 {
-            // The process backend has no reconnect loop, so any scripted refusal fails the
-            // whole stripe (the network backend retries through its backoff instead).
-            local_obs::counter_add(local_obs::metrics::FAULTS_INJECTED, 1);
-            return Err((all(), format!("fault-injected spawn refusal (refuse*{refusals})")));
-        }
-        let mut command = Command::new(&self.command[0]);
-        command
-            .args(&self.command[1..])
-            .arg("--worker")
-            .args(["--threads", &self.worker_threads.to_string()])
-            .stdin(Stdio::piped())
-            .stdout(Stdio::piped())
-            .stderr(Stdio::piped());
-        let telemetry = self.telemetry_interval();
-        if let Some(ms) = telemetry {
-            command.args(["--telemetry", &ms.to_string()]);
-        }
-        // Fault clauses scoped to this worker travel in its environment; everyone else
-        // gets the variable scrubbed so a scripted parent cannot leak faults downstream.
-        let worker_faults = self.faults.for_worker(worker);
-        if worker_faults.is_empty() {
-            command.env_remove("LOCAL_FAULTS");
-        } else {
-            command.env("LOCAL_FAULTS", worker_faults.render());
-        }
-        // Worker span timestamps are relative to the worker's own start; record the spawn
-        // time so the final span dump can be rebased onto the coordinator's timeline.
-        let spawn_offset = local_obs::now_micros();
-        let mut child = match command.spawn() {
-            Ok(child) => child,
-            Err(e) => return Err((all(), format!("cannot spawn worker: {e}"))),
-        };
-
-        // Take the pipes before the child moves behind the reap guard.
-        let child_stdin = child.stdin.take();
-        let child_stdout = child.stdout.take().expect("stdout was piped");
-        let child_stderr = child.stderr.take();
-        let mut child = ReapGuard::new(child);
-
-        // Drain stderr on a dedicated thread: re-emit each line prefixed with the worker
-        // id, and keep a short tail for the failure reason. The thread ends at pipe EOF.
-        let stderr_tail = Arc::new(Mutex::new(VecDeque::<String>::new()));
-        let stderr_thread = child_stderr.map(|stderr| {
-            let tail = Arc::clone(&stderr_tail);
-            std::thread::spawn(move || {
-                for line in BufReader::new(stderr).lines().map_while(Result::ok) {
-                    eprintln!("[worker {worker}] {line}");
-                    let mut tail = tail.lock().expect("stderr tail poisoned");
-                    if tail.len() == STDERR_TAIL {
-                        tail.pop_front();
-                    }
-                    tail.push_back(line);
-                }
-            })
-        });
-        let worker_label = format!("worker {worker}");
-
-        // Ship the stripe from a dedicated writer thread: a worker that never reads its
-        // stdin can no longer wedge the dispatcher on `write_all` — the read loop's
-        // liveness deadline fires instead, the child is killed, and the broken pipe
-        // unblocks this thread for the join below.
-        let shipped = serde_json::to_string(stripe).expect("shard serializes");
-        let writer_thread = std::thread::spawn(move || -> Result<(), String> {
-            match child_stdin {
-                Some(mut stdin) => stdin.write_all(shipped.as_bytes()).map_err(|e| e.to_string()),
-                None => Err("stdin was not piped".into()),
-            }
-        });
-
-        // Read the stream on a dedicated thread too, so the verification loop can enforce
-        // the liveness deadline with `recv_timeout` (pipes have no native read timeout).
-        let (line_tx, line_rx) = mpsc::channel::<std::io::Result<String>>();
-        let reader_thread = std::thread::spawn(move || {
-            for line in BufReader::new(child_stdout).lines() {
-                if line_tx.send(line).is_err() {
-                    break;
-                }
-            }
-        });
-
-        let deadline = liveness_window(Duration::from_millis(self.io_deadline_ms), telemetry);
-        let mut stream = StripeStream::new(stripe, worker_label, spawn_offset);
-        let mut failure = None;
-        loop {
-            match line_rx.recv_timeout(deadline) {
-                Ok(Ok(line)) => {
-                    let mut accept = |index: usize, result| emit(parent_indices[index], result);
-                    match stream.consume(&line, self.progress.as_ref(), &mut accept) {
-                        Ok(LineOutcome::Progress) => {}
-                        Ok(LineOutcome::Finished) => break,
-                        Err(reason) => {
-                            failure = Some(reason);
-                            break;
-                        }
-                    }
-                }
-                Ok(Err(e)) => {
-                    failure = Some(format!("stream read error: {e}"));
-                    break;
-                }
-                Err(RecvTimeoutError::Disconnected) => {
-                    failure = Some("stream truncated before the sentinel".into());
-                    break;
-                }
-                Err(RecvTimeoutError::Timeout) => {
-                    failure = Some(format!(
-                        "liveness deadline exceeded ({}ms without a line — wedged worker?)",
-                        deadline.as_millis()
-                    ));
-                    break;
-                }
-            }
-        }
-        if failure.is_none() {
-            failure = stream.verify_completion().err();
-        }
-
-        if failure.is_some() {
-            // Stop trusting the worker entirely: kill it so a blocked writer cannot stall
-            // the wait below, then re-run whatever is missing.
-            child.kill();
-        }
-        let status = child.wait();
-        drop(line_rx);
-        if failure.is_none() {
-            // The worker finished cleanly, so its pipes have hit EOF; join the tails.
-            let _ = reader_thread.join();
-            let write_result = writer_thread.join().unwrap_or(Err("writer thread panicked".into()));
-            if let Some(thread) = stderr_thread {
-                let _ = thread.join();
-            }
-            if let Err(e) = write_result {
-                failure = Some(format!("cannot ship the stripe over stdin: {e}"));
-            }
-        } else {
-            // A killed worker may have forked grandchildren (e.g. `sh -c` wrappers) that
-            // inherited the pipe write ends and outlive the kill; joining would wait them
-            // out. Detach instead — the threads end at true EOF, and every byte that
-            // matters was already refused above.
-            drop(reader_thread);
-            drop(writer_thread);
-            drop(stderr_thread);
-        }
-        if failure.is_none() {
-            match status {
-                Ok(status) if status.success() => {}
-                Ok(status) => failure = Some(format!("worker exited with {status}")),
-                Err(e) => failure = Some(format!("cannot wait for worker: {e}")),
-            }
-        }
-
-        match failure {
-            None => {
-                // Fully trusted stream: merge the worker's observation sums home.
-                if let Some(observations) =
-                    stream.sentinel_observations().map(observations_from_value)
-                {
-                    let mut observed = self.observed.lock().expect("cost observations poisoned");
-                    for (problem, family, obs, pred) in observations.unwrap_or_default() {
-                        observed.observe_group(&problem, &family, obs, pred);
-                    }
-                }
-                Ok(())
-            }
-            Some(mut reason) => {
-                // The sentinel's sums are gone with the worker, but the verified cells
-                // stand in the report — so their line-observed calibration stands too (the
-                // fallback separately observes whatever it re-runs).
-                self.observed
-                    .lock()
-                    .expect("cost observations poisoned")
-                    .merge(&stream.line_observed);
-                let tail = stderr_tail.lock().expect("stderr tail poisoned");
-                if !tail.is_empty() {
-                    reason.push_str("; last stderr: ");
-                    reason.push_str(&tail.iter().cloned().collect::<Vec<_>>().join(" | "));
-                }
-                Err((stream.missing(), reason))
-            }
-        }
     }
 }
 
@@ -408,27 +210,71 @@ impl ExecBackend for ProcessBackend {
             return;
         }
         let stripes = shard.stripe(self.workers);
+        // Launch the whole fleet at once, so announcements are awaited in parallel.
+        let timeout = Duration::from_millis(DEFAULT_CONNECT_TIMEOUT_MS);
+        let fleet: Vec<Result<LocalDaemon, String>> = std::thread::scope(|scope| {
+            let launches: Vec<_> = (0..stripes.len())
+                .map(|i| {
+                    let faults = self.faults.for_worker(i);
+                    scope.spawn(move || {
+                        LocalDaemon::spawn(&self.command, self.worker_threads, &faults, timeout)
+                    })
+                })
+                .collect();
+            launches.into_iter().map(|launch| launch.join().expect("launch panicked")).collect()
+        });
+
         std::thread::scope(|scope| {
-            for (worker, (stripe, parent_indices)) in stripes.iter().enumerate() {
-                scope.spawn(move || {
-                    if let Err((missing, reason)) =
-                        self.run_stripe(worker, stripe, parent_indices, emit)
-                    {
-                        eprintln!(
-                            "sweep process backend: worker failed ({reason}); re-running {} \
-                             cells in-process",
-                            missing.len()
-                        );
-                        super::rescue_missing(
-                            stripe,
-                            &missing,
-                            self.worker_threads,
-                            &self.observed,
-                            &|k, result| emit(parent_indices[missing[k]], result),
-                        );
+            let mut peers = Vec::new();
+            let mut live = Vec::new();
+            let mut remote = vec![true; shard.cells.len()];
+            for (worker, launched) in fleet.iter().enumerate() {
+                let (stripe, parent_indices) = &stripes[worker];
+                match launched {
+                    Ok(daemon) => {
+                        peers.push(daemon.addr.clone());
+                        live.push(worker);
                     }
-                });
+                    Err(reason) => {
+                        eprintln!(
+                            "sweep process backend: worker {worker} failed ({reason}); \
+                             re-running {} cells in-process",
+                            stripe.cells.len()
+                        );
+                        parent_indices.iter().for_each(|&p| remote[p] = false);
+                        let all: Vec<usize> = (0..stripe.cells.len()).collect();
+                        scope.spawn(move || {
+                            super::rescue_missing(
+                                stripe,
+                                &all,
+                                self.worker_threads,
+                                &self.observed,
+                                &|k, result| emit(parent_indices[k], result),
+                            )
+                        });
+                    }
+                }
             }
+            if peers.is_empty() {
+                return;
+            }
+            // The announced daemons' cells, in the shard's cost order.
+            let parents: Vec<usize> = (0..shard.cells.len()).filter(|&p| remote[p]).collect();
+            let sub = CellShard {
+                base_seed: shard.base_seed,
+                code_version: shard.code_version.clone(),
+                cells: parents.iter().map(|&p| shard.cells[p].clone()).collect(),
+            };
+            let mut network = NetworkBackend::new(peers)
+                .rescue_threads(self.worker_threads)
+                .heartbeat_ms(self.heartbeat_ms)
+                .io_deadline_ms(self.io_deadline_ms)
+                .faults(self.faults.refusals_for(&live));
+            if let Some(meter) = &self.progress {
+                network = network.progress(meter.clone());
+            }
+            network.run_shard(&sub, &|k, result| emit(parents[k], result));
+            self.observed.lock().expect("cost observations poisoned").merge(&network.calibration());
         });
     }
 
@@ -439,211 +285,18 @@ impl ExecBackend for ProcessBackend {
     }
 }
 
-/// Serves one worker invocation: parse the shard on `input`, execute it with an
-/// [`InProcessBackend`], and stream result lines plus the observation-carrying sentinel to
-/// `out`. This *is* `sweep --worker`; it lives here so both sides of the protocol share one
-/// module (the `--serve` TCP daemon reuses the same serving core through
-/// [`super::network`]). Errors (bad shard, version skew) are returned for the binary to
-/// print and turn into a nonzero exit, which the parent detects as a shard failure.
-///
-/// `telemetry_ms` is the parent's `--telemetry` request: `Some(interval)` turns the obs
-/// layer on for the stripe and adds heartbeat records every `interval` milliseconds plus a
-/// final span dump before the sentinel; `None` (old parents, plain invocations) produces
-/// exactly the pre-telemetry stream.
-///
-/// `faults` executes the process's scripted stream faults; note that `kill` and `truncate`
-/// clauses terminate the *calling process* when they fire.
-pub fn worker_serve(
-    input: &str,
-    threads: usize,
-    telemetry_ms: Option<u64>,
-    faults: &FaultInjector,
-    out: &mut (impl Write + Send),
-) -> Result<(), String> {
-    let shard = CellShard::from_value(
-        &serde_json::from_str(input).map_err(|e| format!("unreadable shard: {e}"))?,
-    )
-    .map_err(|e| format!("malformed shard: {e}"))?;
-    serve_shard(&shard, threads, telemetry_ms, faults, out)
-}
-
-/// The serving core shared by `sweep --worker` (stdin/stdout) and the `sweep --serve` TCP
-/// daemon: version-checks `shard`, executes it, streams results/telemetry/sentinel to
-/// `out`, and applies the process's fault injector to every result line.
-pub(super) fn serve_shard(
-    shard: &CellShard,
-    threads: usize,
-    telemetry_ms: Option<u64>,
-    faults: &FaultInjector,
-    out: &mut (impl Write + Send),
-) -> Result<(), String> {
-    if shard.code_version != crate::cache::CODE_VERSION {
-        return Err(format!(
-            "code-version skew: shard was built by {:?}, this worker is {:?}",
-            shard.code_version,
-            crate::cache::CODE_VERSION
-        ));
-    }
-    if telemetry_ms.is_some() {
-        local_obs::enable();
-    }
-    let started = std::time::Instant::now();
-    let backend = InProcessBackend::new(threads);
-    let sink = Mutex::new(&mut *out);
-    let cells_done = std::sync::atomic::AtomicU64::new(0);
-    let heartbeat = || {
-        let record = super::WorkerTelemetry {
-            cells_done: cells_done.load(std::sync::atomic::Ordering::Relaxed),
-            wall_micros: started.elapsed().as_micros() as u64,
-            counters: local_obs::counter_totals(),
-        };
-        let line = Raw(Value::Map(vec![("telemetry".into(), record.to_value())]));
-        let text = serde_json::to_string(&line).expect("telemetry line serializes");
-        // Best-effort: a heartbeat the parent never reads must not fail the stripe.
-        let mut sink = sink.lock().expect("worker stdout poisoned");
-        let _ = writeln!(sink, "{text}");
-        let _ = sink.flush();
-    };
-    let mut write_error = None;
-    {
-        let write_error = Mutex::new(&mut write_error);
-        let stop = std::sync::atomic::AtomicBool::new(false);
-        std::thread::scope(|scope| {
-            if let Some(interval_ms) = telemetry_ms {
-                let stop = &stop;
-                let heartbeat = &heartbeat;
-                scope.spawn(move || {
-                    // Sleep in short slices so the beater notices `stop` promptly even
-                    // under long heartbeat intervals.
-                    let slice = std::time::Duration::from_millis(interval_ms.clamp(1, 50));
-                    let mut elapsed_ms = 0u64;
-                    while !stop.load(std::sync::atomic::Ordering::Relaxed) {
-                        std::thread::sleep(slice);
-                        elapsed_ms += slice.as_millis() as u64;
-                        if elapsed_ms >= interval_ms {
-                            elapsed_ms = 0;
-                            heartbeat();
-                        }
-                    }
-                });
-            }
-            backend.run_shard(shard, &|index, result| {
-                let line = Raw(Value::Map(vec![
-                    ("index".into(), Value::U64(index as u64)),
-                    ("cell".into(), result.to_value()),
-                ]));
-                let text = serde_json::to_string(&line).expect("result line serializes");
-                cells_done.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                let mut sink = sink.lock().expect("worker stdout poisoned");
-                // The scripted faults fire under the sink lock, so "result line k" follows
-                // emission order deterministically.
-                match faults.on_result_line() {
-                    LineFault::Kill => {
-                        let _ = sink.flush();
-                        std::process::exit(1);
-                    }
-                    LineFault::Truncate => {
-                        // A clean stream that simply ends: flush what was verified so far
-                        // and exit zero without a sentinel.
-                        let _ = sink.flush();
-                        std::process::exit(0);
-                    }
-                    LineFault::Garble => {
-                        let _ = writeln!(sink, "{}", FaultInjector::garbage_line(index as u64));
-                    }
-                    LineFault::Duplicate => {
-                        let _ = writeln!(sink, "{text}");
-                    }
-                    LineFault::Delay(ms) => {
-                        std::thread::sleep(std::time::Duration::from_millis(ms));
-                    }
-                    LineFault::None => {}
-                }
-                if let Err(e) = writeln!(sink, "{text}") {
-                    write_error.lock().expect("error slot poisoned").get_or_insert(e.to_string());
-                }
-            });
-            stop.store(true, std::sync::atomic::Ordering::Relaxed);
-        });
-    }
-    if let Some(e) = write_error {
-        return Err(format!("cannot write results: {e}"));
-    }
-    if telemetry_ms.is_some() {
-        // One guaranteed final heartbeat (fast stripes may outrun the interval), then the
-        // span dump — both before the sentinel, which stays the stream terminator.
-        heartbeat();
-        let dump = SpanDump::from_snapshot(&local_obs::snapshot());
-        let line = Raw(Value::Map(vec![("spans".into(), dump.to_value())]));
-        let text = serde_json::to_string(&line).expect("span dump serializes");
-        let mut sink = sink.lock().expect("worker stdout poisoned");
-        writeln!(sink, "{text}").map_err(|e| format!("cannot write span dump: {e}"))?;
-    }
-    let sentinel = Raw(Value::Map(vec![
-        ("done".into(), Value::U64(shard.cells.len() as u64)),
-        ("observations".into(), observations_to_value(&backend.calibration().observations())),
-    ]));
-    let text = serde_json::to_string(&sentinel).expect("sentinel serializes");
-    let mut sink = sink.lock().expect("worker stdout poisoned");
-    writeln!(sink, "{text}").map_err(|e| format!("cannot write sentinel: {e}"))?;
-    sink.flush().map_err(|e| format!("cannot flush results: {e}"))
-}
-
-/// Renders calibration observation sums for the sentinel line.
-pub(super) fn observations_to_value(observations: &[(String, String, f64, f64)]) -> Value {
-    Value::Seq(
-        observations
-            .iter()
-            .map(|(problem, family, observed, predicted)| {
-                Value::Seq(vec![
-                    Value::Str(problem.clone()),
-                    Value::Str(family.clone()),
-                    Value::F64(*observed),
-                    Value::F64(*predicted),
-                ])
-            })
-            .collect(),
-    )
-}
-
-/// Parses the sentinel's observation sums; shape errors discard the calibration only (the
-/// results themselves were verified line by line).
-pub(super) fn observations_from_value(
-    value: &Value,
-) -> Result<Vec<(String, String, f64, f64)>, String> {
-    value
-        .as_seq()
-        .ok_or_else(|| "observations are not a sequence".to_string())?
-        .iter()
-        .map(|entry| match entry.as_seq() {
-            Some([problem, family, observed, predicted]) => Ok((
-                String::from_value(problem)?,
-                String::from_value(family)?,
-                f64::from_value(observed)?,
-                f64::from_value(predicted)?,
-            )),
-            _ => Err("observation entry is not a 4-tuple".to_string()),
-        })
-        .collect()
-}
-
-/// Adapter rendering a raw [`Value`] through the serde stub (which serializes `Serialize`
-/// types, not `Value`s directly).
-struct Raw(Value);
-
-impl Serialize for Raw {
-    fn to_value(&self) -> Value {
-        self.0.clone()
-    }
-}
-
+/// The stream every launched daemon speaks, pinned at its source:
+/// [`super::network::serve_shard`].
 #[cfg(test)]
 mod tests {
+    use super::super::faults::FaultInjector;
+    use super::super::network::{observations_from_value, observations_to_value, serve_shard};
     use super::super::stream::accept_result;
     use super::*;
     use crate::registry::workload;
     use crate::scenario::Scenario;
     use local_graphs::Family;
+    use serde::Value;
 
     fn no_faults() -> FaultInjector {
         FaultInjector::default()
@@ -670,11 +323,10 @@ mod tests {
     }
 
     #[test]
-    fn worker_serve_round_trips_through_the_stream_format() {
+    fn serve_shard_round_trips_through_the_stream_format() {
         let shard = small_shard();
         let mut out = Vec::new();
-        worker_serve(&serde_json::to_string(&shard).unwrap(), 1, None, &no_faults(), &mut out)
-            .unwrap();
+        serve_shard(&shard, 1, None, &no_faults(), &mut out).unwrap();
         let text = String::from_utf8(out).unwrap();
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), shard.cells.len() + 1, "cells + sentinel");
@@ -695,13 +347,11 @@ mod tests {
     }
 
     #[test]
-    fn worker_serve_rejects_code_version_skew() {
+    fn serve_shard_rejects_code_version_skew() {
         let mut shard = small_shard();
         shard.code_version = "some-stale-build".into();
         let mut out = Vec::new();
-        let err =
-            worker_serve(&serde_json::to_string(&shard).unwrap(), 1, None, &no_faults(), &mut out)
-                .unwrap_err();
+        let err = serve_shard(&shard, 1, None, &no_faults(), &mut out).unwrap_err();
         assert!(err.contains("code-version skew"), "{err}");
         assert!(out.is_empty(), "a refused shard must produce no results");
     }
@@ -710,8 +360,7 @@ mod tests {
     fn accept_result_rejects_foreign_and_duplicate_cells() {
         let shard = small_shard();
         let mut out = Vec::new();
-        worker_serve(&serde_json::to_string(&shard).unwrap(), 1, None, &no_faults(), &mut out)
-            .unwrap();
+        serve_shard(&shard, 1, None, &no_faults(), &mut out).unwrap();
         let text = String::from_utf8(out).unwrap();
         let first = serde_json::from_str(text.lines().next().unwrap()).unwrap();
 
@@ -733,8 +382,7 @@ mod tests {
         let shard = small_shard();
         let injector = FaultInjector::new(&FaultPlan::parse("garble@1").unwrap());
         let mut out = Vec::new();
-        worker_serve(&serde_json::to_string(&shard).unwrap(), 1, None, &injector, &mut out)
-            .unwrap();
+        serve_shard(&shard, 1, None, &injector, &mut out).unwrap();
         let text = String::from_utf8(out).unwrap();
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), shard.cells.len() + 2, "cells + one garbage line + sentinel");
@@ -748,8 +396,7 @@ mod tests {
         let shard = small_shard();
         let injector = FaultInjector::new(&FaultPlan::parse("dup@0").unwrap());
         let mut out = Vec::new();
-        worker_serve(&serde_json::to_string(&shard).unwrap(), 1, None, &injector, &mut out)
-            .unwrap();
+        serve_shard(&shard, 1, None, &injector, &mut out).unwrap();
         let text = String::from_utf8(out).unwrap();
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), shard.cells.len() + 2, "cells + one duplicate + sentinel");

@@ -1,12 +1,11 @@
-//! Shared consumption of a worker's result stream.
+//! Verified consumption of a daemon's result stream.
 //!
-//! Both distributed backends — [`super::ProcessBackend`] over pipes and
-//! [`super::NetworkBackend`] over TCP — receive the same newline-delimited protocol:
-//! `{"index", "cell"}` result lines, optional `{"telemetry"}` heartbeats and one
-//! `{"spans"}` dump, terminated by a `{"done", "observations"}` sentinel. This module owns
-//! the verification state machine for one stripe of that stream, so the trust rules
-//! (per-line identity checks, duplicate-index rejection, sentinel completeness) cannot
-//! drift between transports.
+//! Every stripe a [`super::NetworkBackend`] ships — to remote daemons, to the local ones
+//! [`super::ProcessBackend`] launches, or through a coordinator — comes back as the same
+//! newline-delimited protocol: `{"index", "cell"}` result lines, optional `{"telemetry"}`
+//! heartbeats and one `{"spans"}` dump, terminated by a `{"done", "observations"}`
+//! sentinel. This module owns the verification state machine for one stripe of that
+//! stream: per-line identity checks, duplicate-index rejection, sentinel completeness.
 
 use super::telemetry::{SpanDump, WorkerTelemetry};
 use super::CellShard;
@@ -176,4 +175,76 @@ pub(crate) fn accept_result(
         ));
     }
     Ok((index, result))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::super::faults::FaultInjector;
+    use super::super::network::serve_shard;
+    use super::*;
+    use crate::registry::workload;
+    use crate::scenario::Scenario;
+    use local_graphs::Family;
+
+    /// A four-cell stripe and the stream a daemon serves for it: four result lines, then the
+    /// sentinel.
+    fn served() -> (CellShard, Vec<String>) {
+        let cells = (0..4)
+            .map(|replicate| Scenario {
+                problem: workload("luby-mis"),
+                family: Family::SparseGnp.into(),
+                n: 32,
+                replicate,
+            })
+            .collect();
+        let stripe = CellShard::new(3, cells);
+        let mut out = Vec::new();
+        serve_shard(&stripe, 1, None, &FaultInjector::default(), &mut out).unwrap();
+        let lines: Vec<String> =
+            String::from_utf8(out).unwrap().lines().map(String::from).collect();
+        assert_eq!(lines.len(), 5, "four results + sentinel");
+        (stripe, lines)
+    }
+
+    fn index_of(line: &str) -> usize {
+        serde_json::from_str(line).unwrap().get("index").and_then(Value::as_u64).unwrap() as usize
+    }
+
+    /// Feeds `lines` to a fresh verifier; returns it with the indices it accepted.
+    fn feed<'a>(stripe: &'a CellShard, lines: &[String]) -> (StripeStream<'a>, Vec<usize>) {
+        let mut stream = StripeStream::new(stripe, "worker 0".into(), 0);
+        let mut accepted = Vec::new();
+        for line in lines {
+            stream.consume(line, None, &mut |index, _| accepted.push(index)).unwrap();
+        }
+        (stream, accepted)
+    }
+
+    #[test]
+    fn a_stream_cut_after_two_results_is_missing_exactly_the_tail() {
+        let (stripe, lines) = served();
+        let (stream, accepted) = feed(&stripe, &lines[..2]);
+        assert_eq!(accepted, [index_of(&lines[0]), index_of(&lines[1])]);
+        let err = stream.verify_completion().unwrap_err();
+        assert!(err.contains("without a sentinel"), "{err}");
+        let mut tail: Vec<usize> = lines[2..4].iter().map(|l| index_of(l)).collect();
+        tail.sort_unstable();
+        assert_eq!(stream.missing(), tail);
+    }
+
+    #[test]
+    fn a_dropped_line_under_a_confident_sentinel_is_missing_exactly_that_cell() {
+        let (stripe, lines) = served();
+        let mut kept = lines.clone();
+        let dropped = kept.remove(1);
+        let (stream, accepted) = feed(&stripe, &kept);
+        assert_eq!(accepted.len(), 3);
+        // The sentinel still claims all four cells; completeness is judged by what was
+        // verified, so the dropped cell is missing rather than silently lost.
+        let sentinel = serde_json::from_str(kept.last().unwrap()).unwrap();
+        assert_eq!(sentinel.get("done").and_then(Value::as_u64), Some(4));
+        let err = stream.verify_completion().unwrap_err();
+        assert!(err.contains("before every cell was emitted"), "{err}");
+        assert_eq!(stream.missing(), [index_of(&dropped)]);
+    }
 }

@@ -17,11 +17,11 @@
 //! * `--sizes`     comma list (`200,400`) or doubling ladder (`100..10000`).
 //! * `--seeds`     replicates per cell (default 2).
 //! * `--backend`   execution backend: `in-process` (default; the work-stealing thread pool),
-//!   `process` (spawn `sweep --worker` subprocesses over the serialized shard protocol), or
+//!   `process` (launch local `sweep --serve` daemons and drive them like `network`), or
 //!   `network` (stripe over persistent `sweep --serve` TCP daemons named by `--connect`).
 //! * `--threads`   worker threads (0 = available parallelism). Under `--backend process`
-//!   this is each worker process's thread count (default 1).
-//! * `--workers`   worker processes for `--backend process` (0 = available parallelism).
+//!   this is each daemon's thread count (default 1).
+//! * `--workers`   local daemons for `--backend process` (0 = available parallelism).
 //! * `--connect`   comma list of daemon addresses for `--backend network`.
 //! * `--io-deadline-ms`  liveness deadline for worker I/O; heartbeats shrink the window.
 //! * `--faults`    deterministic fault-injection script (also read from `LOCAL_FAULTS`).
@@ -49,16 +49,15 @@
 //! * `--progress`  live stderr status line: cells done/total, cache hits, per-worker
 //!   throughput, and an ETA from the cost model's predictions for the outstanding cells.
 //!
-//! There is also a hidden `--worker` mode — the receiving end of the process backend's
-//! shard protocol (shard JSON on stdin, newline-delimited results + sentinel on stdout) —
-//! a `--serve ADDR` mode, the same protocol as a persistent TCP daemon for `--backend
-//! network`, and a `--coordinate ADDR` mode that schedules many clients' submissions
+//! There is also a `--serve ADDR` mode — a persistent TCP daemon, the receiving end of
+//! `--backend network` and of the daemons `--backend process` launches — and a
+//! `--coordinate ADDR` mode that schedules many clients' submissions
 //! (`--submit`) fairly over a `--connect` daemon fleet; see `local_engine::backend` for
 //! the framing and `local_engine::backend::coordinator` for the job protocol.
 
 use local_engine::backend::{
-    coordinate_forever, serve_forever, worker_serve, CoordinatorBackend, CoordinatorConfig,
-    FaultInjector, FaultPlan, InProcessBackend, NetworkBackend, ProcessBackend,
+    coordinate_forever, serve_forever, CoordinatorBackend, CoordinatorConfig, FaultPlan,
+    InProcessBackend, NetworkBackend, ProcessBackend,
 };
 use local_engine::{
     default_workloads, parse_sizes, parse_workload, render_listing, BinaryStore, CellResult,
@@ -67,7 +66,6 @@ use local_engine::{
 };
 use local_graphs::{builtin_families, parse_family, FamilySpec};
 use serde::{Deserialize, Value};
-use std::io::Read;
 use std::process::ExitCode;
 use std::sync::Arc;
 
@@ -299,16 +297,17 @@ USAGE:
   --list       print every registered workload, family, and execution backend (with the
                flags that configure it) straight from the registries, then exit.
 
-  --backend    in-process (default): the work-stealing thread pool. process: fan the sweep
-               out to worker subprocesses over the serialized shard protocol; a failed
-               worker's cells are re-run in-process, never lost. network: stripe the sweep
-               over persistent `sweep --serve ADDR` daemons (--connect) with reconnect
-               backoff, heartbeat liveness, re-dispatch to healthy peers, and the same
-               in-process rescue of last resort — byte-identical reports either way.
+  --backend    in-process (default): the work-stealing thread pool. network: stripe the
+               sweep over persistent `sweep --serve ADDR` daemons (--connect) with
+               reconnect backoff, heartbeat liveness, re-dispatch to healthy peers, and an
+               in-process rescue of last resort. process: launch --workers local
+               `sweep --serve` daemons and run the sweep over them exactly like network; a
+               daemon that never starts has its cells re-run in-process. Byte-identical
+               reports either way.
   --threads    worker threads; 0 = available parallelism. Under --backend process, each
-               worker process's thread count (default 1); under --backend network, the
+               daemon's thread count (default 1); under --backend network, the
                in-process rescue path's thread count (default 0).
-  --workers    worker processes for --backend process; 0 = available parallelism.
+  --workers    local daemons for --backend process; 0 = available parallelism.
   --connect    comma list of daemon addresses for --backend network (one stripe per peer).
   --submit     submit the sweep to a `sweep --coordinate` service at HOST:PORT (implies
                --backend coordinator); verified results stream back cell by cell and the
@@ -335,8 +334,8 @@ USAGE:
   --faults     deterministic fault-injection script (also read from LOCAL_FAULTS), e.g.
                \"w0:kill@5 w1:refuse*2\"; clauses scoped w<i>: apply to worker/peer i.
                kill@K / truncate@K / garble@K / dup@K / delay@K=MS act on a worker's K-th
-               result line; refuse*N fails its first N connects. Injected faults surface
-               on the `resilience:` line.
+               result line; refuse*N refuses its first N connects, which are retried with
+               backoff. Injected faults surface on the `resilience:` line.
   --dry-run    print the cost model's predicted per-cell micros and the LPT execution order
                (calibrated from cached observations when available) without running cells.
   --deterministic
@@ -360,7 +359,8 @@ USAGE:
                stored cells (the summary line prints `rows materialized 0`).
   --trace F    enable observability and write a Chrome trace-event JSON (phase spans,
                counters, one track per thread/worker) to F; open it in Perfetto or
-               chrome://tracing. Under --backend process, workers stream their spans home.
+               chrome://tracing. Under --backend process and network, daemons stream their
+               spans home.
   --trace-events F
                append the recorded events to F as an NDJSON log (one JSON object per line).
   --progress   live stderr status line: cells done/total, cache hits, per-worker
@@ -370,29 +370,9 @@ EXAMPLE:
   sweep --problems mis,matching --families sparse-gnp,tree --sizes 100..1600 \\
         --seeds 32 --backend process --workers 8 --out results.json";
 
-/// The hidden `--worker` mode: serve one shard over the stdin/stdout protocol and exit.
-/// Any error lands on stderr with a nonzero exit, which the parent treats as a shard
-/// failure and absorbs in-process. Stream faults scripted into this process's
-/// `LOCAL_FAULTS` (the parent forwards per-worker clauses) are executed here.
-fn worker_main(threads: usize, telemetry_ms: Option<u64>) -> ExitCode {
-    let mut input = String::new();
-    if let Err(e) = std::io::stdin().read_to_string(&mut input) {
-        eprintln!("sweep --worker: cannot read shard from stdin: {e}");
-        return ExitCode::FAILURE;
-    }
-    let faults = FaultInjector::from_env_lossy();
-    let mut stdout = std::io::stdout();
-    match worker_serve(&input, threads, telemetry_ms, &faults, &mut stdout) {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(message) => {
-            eprintln!("sweep --worker: {message}");
-            ExitCode::FAILURE
-        }
-    }
-}
-
 /// The `--serve` mode: a persistent worker daemon on a TCP address, the receiving end of
-/// `--backend network`. Runs until killed.
+/// `--backend network` (and of `--backend process`, which launches such daemons locally).
+/// Runs until killed.
 fn serve_main(addr: &str, threads: usize, max_concurrent: usize) -> ExitCode {
     match serve_forever(addr, threads, max_concurrent) {
         Ok(()) => ExitCode::SUCCESS,
@@ -800,30 +780,15 @@ fn dry_run(grid: &ScenarioGrid, store: Option<&dyn ResultStore>) -> ExitCode {
 }
 
 fn main() -> ExitCode {
-    // The worker, serve, and coordinate modes are not regular flags: they must not drag
-    // the full sweep arg surface into the protocol, so they are dispatched before normal
-    // parsing. A worker honours only `--threads N` and `--telemetry MS` (the parent's
-    // heartbeat request); a daemon honours `--serve ADDR`, `--threads N`, and
+    // The serve and coordinate modes are not regular flags: they must not drag the full
+    // sweep arg surface into the protocol, so they are dispatched before normal parsing. A
+    // daemon honours `--serve ADDR`, `--threads N`, and
     // `--max-concurrent-shards N` (telemetry is per-request); a coordinator honours
     // `--coordinate ADDR`, `--connect`, `--threads`, `--io-deadline-ms`,
     // `--stripes-per-peer`, and `--faults`.
     let raw: Vec<String> = std::env::args().skip(1).collect();
     if raw.first().map(String::as_str) == Some("store") {
         return store_main(&raw[1..]);
-    }
-    if raw.iter().any(|a| a == "--worker") {
-        let threads = raw
-            .iter()
-            .position(|a| a == "--threads")
-            .and_then(|i| raw.get(i + 1))
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(1);
-        let telemetry_ms = raw
-            .iter()
-            .position(|a| a == "--telemetry")
-            .and_then(|i| raw.get(i + 1))
-            .and_then(|v| v.parse().ok());
-        return worker_main(threads, telemetry_ms);
     }
     if let Some(i) = raw.iter().position(|a| a == "--serve") {
         let Some(addr) = raw.get(i + 1).filter(|a| !a.starts_with("--")) else {

@@ -33,10 +33,10 @@ use std::path::{Path, PathBuf};
 /// The cache-retiring code-version tag: the crate version plus a revision counter bumped
 /// whenever an algorithm/report change makes old results non-reproducible.
 ///
-/// The same tag travels in every [`crate::backend::CellShard`] of the multi-process
-/// protocol — a `sweep --worker` built from different code refuses the shard outright, for
-/// the same reason a version bump retires this cache: results across a version boundary
-/// are not comparable.
+/// The same tag travels in every [`crate::backend::CellShard`] a daemon is sent — a
+/// `sweep --serve` daemon built from different code refuses the shard outright, for the
+/// same reason a version bump retires this cache: results across a version boundary are
+/// not comparable.
 pub const CODE_VERSION: &str = concat!("local-engine-", env!("CARGO_PKG_VERSION"), "+r2");
 
 /// A directory-backed store of [`CellResult`]s keyed by cell identity and code version.
@@ -132,22 +132,12 @@ impl SweepCache {
             ("label".into(), Value::Str(cell.label())),
             ("cell".into(), result.to_value()),
         ]);
-        let text = serde_json::to_string_pretty(&Wrapped(envelope))
+        let text = serde_json::to_string_pretty(&envelope)
             .map_err(|e| std::io::Error::other(e.to_string()))?;
         let path = self.path(self.key(cell, base_seed));
         let tmp = path.with_extension(format!("tmp.{}", std::process::id()));
         std::fs::write(&tmp, text)?;
         std::fs::rename(&tmp, &path)
-    }
-}
-
-/// Adapter: render a raw [`Value`] through the `serde_json` stub (which serializes
-/// `Serialize` types, not `Value`s directly).
-struct Wrapped(Value);
-
-impl Serialize for Wrapped {
-    fn to_value(&self) -> Value {
-        self.0.clone()
     }
 }
 

@@ -21,9 +21,10 @@
 //!   aside).
 //! * [`backend`] — *how cells become results*: the [`ExecBackend`] trait, the
 //!   [`InProcessBackend`] work-stealing pool ([`pool`]) with its instance cache keyed by
-//!   [`local_graphs::InstanceKey`], and the [`ProcessBackend`] that fans serialized
-//!   [`CellShard`]s out to `sweep --worker` subprocesses and merges their result streams
-//!   (re-running in-process whatever a failed worker leaves behind).
+//!   [`local_graphs::InstanceKey`], the [`NetworkBackend`] that stripes serialized
+//!   [`CellShard`]s over `sweep --serve` daemons and verifies their result streams
+//!   (re-dispatching or re-running in-process whatever a failed daemon leaves behind), and
+//!   the [`ProcessBackend`] that launches such daemons locally.
 //! * [`store`] — persistence behind the [`ResultStore`] trait: the JSON-file
 //!   [`SweepCache`] and the [`BinaryStore`] (the `local-store` append-only segmented
 //!   store) both serve and absorb cells for every backend; the binary store also answers

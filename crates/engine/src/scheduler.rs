@@ -5,13 +5,13 @@
 //! calibration and LPT ordering, streaming aggregation, canonical report order — and hands
 //! the actual running of cells to an [`ExecBackend`] as one cost-ordered [`CellShard`]:
 //! [`InProcessBackend`] shards it over this process's work-stealing pool
-//! ([`crate::pool`]), [`crate::backend::ProcessBackend`] fans stripes out to `sweep
-//! --worker` subprocesses. Because those concerns compose *outside* the backend, the cache,
+//! ([`crate::pool`]), [`crate::backend::NetworkBackend`] stripes it over `sweep --serve`
+//! daemons. Because those concerns compose *outside* the backend, the cache,
 //! streaming mode, and cost ordering work identically no matter what executes the cells.
 //!
 //! Determinism: a cell's seed is a pure function of its identity ([`Scenario::cell_seed`],
 //! built on [`local_runtime::mix_seed`]) and backends emit results keyed by shard index, so
-//! a sweep with `threads = 64` — or two worker processes — produces byte-identical results
+//! a sweep with `threads = 64` — or two daemons — produces byte-identical results
 //! to `threads = 1` (wall-clock fields aside).
 
 use crate::backend::{CellShard, ExecBackend, InProcessBackend};

@@ -7,19 +7,20 @@
 //!   stand, the remainder is re-dispatched to the healthy peer;
 //! * refused connections retry through the capped backoff and recover;
 //! * an unreachable fleet degrades all the way to in-process rescue;
-//! * a hostile request (a 200 000-deep bracket bomb) gets an error line, not a crash;
+//! * hostile requests (a 200 000-deep bracket bomb, a line over the request cap) get an
+//!   error line, not a crash;
 //! * every degradation increments the observable resilience counters.
 //!
 //! Counter assertions use before/after deltas under one test-local lock, because the obs
 //! counters are process-global and the test harness runs tests concurrently.
 
-use local_engine::backend::{FaultPlan, NetworkBackend};
+use local_engine::backend::{FaultPlan, LocalDaemon, NetworkBackend, MAX_REQUEST_BYTES};
 use local_engine::{run_grid, workload, Report, ScenarioGrid, Sweep, SweepConfig};
 use local_graphs::{family, Family};
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
-use std::process::{Child, Command, Stdio};
 use std::sync::Mutex;
+use std::time::Duration;
 
 static SERIAL: Mutex<()> = Mutex::new(());
 
@@ -50,41 +51,11 @@ fn assert_reports_identical(reference: &Report, candidate: &Report, label: &str)
 }
 
 /// A `sweep --serve` daemon on an OS-assigned localhost port, killed and reaped on drop.
-struct Daemon {
-    child: Child,
-    addr: String,
-}
-
-impl Daemon {
-    fn spawn(faults: Option<&str>) -> Daemon {
-        let mut command = Command::new(env!("CARGO_BIN_EXE_sweep"));
-        command
-            .args(["--serve", "127.0.0.1:0", "--threads", "1"])
-            .stdin(Stdio::null())
-            .stdout(Stdio::piped())
-            .stderr(Stdio::null());
-        match faults {
-            Some(script) => command.env("LOCAL_FAULTS", script),
-            None => command.env_remove("LOCAL_FAULTS"),
-        };
-        let mut child = command.spawn().expect("daemon spawns");
-        let stdout = child.stdout.take().expect("stdout was piped");
-        let mut line = String::new();
-        BufReader::new(stdout).read_line(&mut line).expect("daemon announces its address");
-        let addr = line
-            .trim()
-            .strip_prefix("listening on ")
-            .unwrap_or_else(|| panic!("unexpected announcement: {line:?}"))
-            .to_string();
-        Daemon { child, addr }
-    }
-}
-
-impl Drop for Daemon {
-    fn drop(&mut self) {
-        let _ = self.child.kill();
-        let _ = self.child.wait();
-    }
+fn spawn_daemon(faults: Option<&str>) -> LocalDaemon {
+    let plan = FaultPlan::parse(faults.unwrap_or("")).expect("test script parses");
+    let command = [env!("CARGO_BIN_EXE_sweep").to_string()];
+    LocalDaemon::spawn(&command, 1, &plan, Duration::from_secs(30))
+        .expect("daemon announces its address")
 }
 
 fn counters() -> (u64, u64, u64, u64) {
@@ -101,10 +72,11 @@ fn two_network_daemons_match_one_in_process_thread_byte_for_byte() {
     let _guard = SERIAL.lock().unwrap();
     let grid = demo_grid();
     let reference = run_grid(&grid, &SweepConfig::with_threads(1));
-    let a = Daemon::spawn(None);
-    let b = Daemon::spawn(None);
-    let candidate =
-        Sweep::over(&grid).backend(NetworkBackend::new(vec![a.addr.clone(), b.addr.clone()])).run();
+    let a = spawn_daemon(None);
+    let b = spawn_daemon(None);
+    let candidate = Sweep::over(&grid)
+        .backend(NetworkBackend::new(vec![a.addr().to_string(), b.addr().to_string()]))
+        .run();
     assert_eq!(candidate.threads, 2, "the report records the peer count");
     assert_reports_identical(&reference, &candidate, "network backend");
 }
@@ -114,12 +86,12 @@ fn one_connection_serves_many_shards_and_stays_deterministic() {
     let _guard = SERIAL.lock().unwrap();
     let grid = demo_grid();
     let reference = run_grid(&grid, &SweepConfig::with_threads(1));
-    let daemon = Daemon::spawn(None);
+    let daemon = spawn_daemon(None);
     // Two sweeps against the same persistent daemon: the second request must be served as
     // cleanly as the first (fresh connections, same daemon process).
     for round in 0..2 {
         let candidate =
-            Sweep::over(&grid).backend(NetworkBackend::new(vec![daemon.addr.clone()])).run();
+            Sweep::over(&grid).backend(NetworkBackend::new(vec![daemon.addr().to_string()])).run();
         assert_reports_identical(
             &reference,
             &candidate,
@@ -134,13 +106,14 @@ fn a_daemon_killed_mid_sweep_loses_nothing() {
     local_obs::enable();
     let grid = demo_grid();
     let reference = run_grid(&grid, &SweepConfig::with_threads(1));
-    let healthy = Daemon::spawn(None);
+    let healthy = spawn_daemon(None);
     // This daemon exits(1) right before serving its 6th result line — a mid-sweep crash.
-    let doomed = Daemon::spawn(Some("kill@5"));
+    let doomed = spawn_daemon(Some("kill@5"));
     let (retries0, redispatched0, rescued0, _) = counters();
     let candidate = Sweep::over(&grid)
         .backend(
-            NetworkBackend::new(vec![healthy.addr.clone(), doomed.addr.clone()]).retry(5, 50, 2),
+            NetworkBackend::new(vec![healthy.addr().to_string(), doomed.addr().to_string()])
+                .retry(5, 50, 2),
         )
         .run();
     assert_reports_identical(&reference, &candidate, "killed daemon");
@@ -171,13 +144,16 @@ fn overlapping_peer_deaths_count_each_redispatch_and_rescue_exactly_once() {
         .replicates(12)
         .base_seed(9);
     let reference = run_grid(&grid, &SweepConfig::with_threads(1));
-    let first_to_die = Daemon::spawn(Some("kill@2"));
-    let second_to_die = Daemon::spawn(Some("kill@8"));
+    let first_to_die = spawn_daemon(Some("kill@2"));
+    let second_to_die = spawn_daemon(Some("kill@8"));
     let (retries0, redispatched0, rescued0, _) = counters();
     let candidate = Sweep::over(&grid)
         .backend(
-            NetworkBackend::new(vec![first_to_die.addr.clone(), second_to_die.addr.clone()])
-                .retry(5, 50, 2),
+            NetworkBackend::new(vec![
+                first_to_die.addr().to_string(),
+                second_to_die.addr().to_string(),
+            ])
+            .retry(5, 50, 2),
         )
         .run();
     assert_reports_identical(&reference, &candidate, "double kill");
@@ -197,13 +173,13 @@ fn truncated_daemon_streams_keep_verified_cells() {
     local_obs::enable();
     let grid = demo_grid();
     let reference = run_grid(&grid, &SweepConfig::with_threads(1));
-    let healthy = Daemon::spawn(None);
+    let healthy = spawn_daemon(None);
     // This daemon flushes four verified lines, then exits(0): a clean stream that simply
     // ends without a sentinel.
-    let truncating = Daemon::spawn(Some("truncate@4"));
+    let truncating = spawn_daemon(Some("truncate@4"));
     let candidate = Sweep::over(&grid)
         .backend(
-            NetworkBackend::new(vec![truncating.addr.clone(), healthy.addr.clone()])
+            NetworkBackend::new(vec![truncating.addr().to_string(), healthy.addr().to_string()])
                 .retry(5, 50, 2),
         )
         .run();
@@ -219,10 +195,10 @@ fn garbled_daemon_streams_abandon_trust_at_the_corruption() {
     // A single peer that garbles its stream after two verified lines: the two cells stand,
     // the peer is marked unhealthy, and with no other peers the remainder is rescued
     // in-process — still byte-identical.
-    let garbler = Daemon::spawn(Some("garble@2"));
+    let garbler = spawn_daemon(Some("garble@2"));
     let (_, _, rescued0, _) = counters();
     let candidate = Sweep::over(&grid)
-        .backend(NetworkBackend::new(vec![garbler.addr.clone()]).retry(5, 50, 2))
+        .backend(NetworkBackend::new(vec![garbler.addr().to_string()]).retry(5, 50, 2))
         .run();
     assert_reports_identical(&reference, &candidate, "garbled daemon");
     let (_, _, rescued1, _) = counters();
@@ -235,13 +211,13 @@ fn refused_connections_back_off_and_recover() {
     local_obs::enable();
     let grid = demo_grid();
     let reference = run_grid(&grid, &SweepConfig::with_threads(1));
-    let daemon = Daemon::spawn(None);
+    let daemon = spawn_daemon(None);
     let (retries0, _, _, injected0) = counters();
     // The coordinator's own fault plan refuses this peer's first two connect attempts;
     // the third goes through and the sweep completes over the daemon.
     let candidate = Sweep::over(&grid)
         .backend(
-            NetworkBackend::new(vec![daemon.addr.clone()])
+            NetworkBackend::new(vec![daemon.addr().to_string()])
                 .faults(FaultPlan::parse("w0:refuse*2").unwrap())
                 .retry(1, 5, 5),
         )
@@ -278,19 +254,42 @@ fn a_bracket_bomb_is_refused_and_the_daemon_keeps_serving() {
     let _guard = SERIAL.lock().unwrap();
     let grid = demo_grid();
     let reference = run_grid(&grid, &SweepConfig::with_threads(1));
-    let mut daemon = Daemon::spawn(None);
+    let mut daemon = spawn_daemon(None);
     // One request line of 200 000 `[`: a parser without a nesting limit overflows the
     // connection thread's stack and takes the whole daemon down.
-    let mut bomb = TcpStream::connect(&daemon.addr).expect("daemon accepts");
+    let mut bomb = TcpStream::connect(daemon.addr()).expect("daemon accepts");
     bomb.write_all(&[b'['; 200_000]).and_then(|()| bomb.write_all(b"\n")).expect("bomb sent");
     let mut reply = String::new();
     BufReader::new(&bomb).read_line(&mut reply).expect("daemon answers the bomb");
     assert!(reply.contains("\"error\""), "expected an error line, got {reply:?}");
     assert!(reply.contains("recursion limit exceeded"), "unexpected error: {reply:?}");
-    assert!(daemon.child.try_wait().expect("daemon status").is_none(), "daemon died");
+    assert!(daemon.is_running(), "daemon died");
     let candidate =
-        Sweep::over(&grid).backend(NetworkBackend::new(vec![daemon.addr.clone()])).run();
+        Sweep::over(&grid).backend(NetworkBackend::new(vec![daemon.addr().to_string()])).run();
     assert_reports_identical(&reference, &candidate, "after the bracket bomb");
+}
+
+#[test]
+fn an_oversized_request_line_is_refused_and_the_daemon_keeps_serving() {
+    let _guard = SERIAL.lock().unwrap();
+    let grid = demo_grid();
+    let reference = run_grid(&grid, &SweepConfig::with_threads(1));
+    let mut daemon = spawn_daemon(None);
+    // One byte over the cap and no newline: the daemon must stop buffering at the cap, not
+    // wait for the end of a line that never comes. Sending nothing past what it reads
+    // keeps the reply readable (no reset from unread bytes).
+    let mut hog = TcpStream::connect(daemon.addr()).expect("daemon accepts");
+    hog.write_all(&vec![b'x'; MAX_REQUEST_BYTES + 1]).expect("oversized line sent");
+    let mut reply = String::new();
+    BufReader::new(&hog).read_line(&mut reply).expect("daemon answers the oversized line");
+    assert!(reply.contains("\"error\""), "expected an error line, got {reply:?}");
+    assert!(reply.contains("request line longer than"), "unexpected error: {reply:?}");
+    let mut rest = String::new();
+    assert_eq!(BufReader::new(&hog).read_line(&mut rest).ok(), Some(0), "connection closed");
+    assert!(daemon.is_running(), "daemon died");
+    let candidate =
+        Sweep::over(&grid).backend(NetworkBackend::new(vec![daemon.addr().to_string()])).run();
+    assert_reports_identical(&reference, &candidate, "after the oversized line");
 }
 
 #[test]
@@ -299,10 +298,11 @@ fn a_dead_peer_in_a_fleet_shifts_its_stripe_to_the_living() {
     local_obs::enable();
     let grid = demo_grid();
     let reference = run_grid(&grid, &SweepConfig::with_threads(1));
-    let live = Daemon::spawn(None);
+    let live = spawn_daemon(None);
     let candidate = Sweep::over(&grid)
         .backend(
-            NetworkBackend::new(vec![live.addr.clone(), "127.0.0.1:1".to_string()]).retry(1, 5, 2),
+            NetworkBackend::new(vec![live.addr().to_string(), "127.0.0.1:1".to_string()])
+                .retry(1, 5, 2),
         )
         .run();
     assert_reports_identical(&reference, &candidate, "half-dead fleet");

@@ -1,11 +1,13 @@
-//! The process backend's headline guarantees, exercised against the real `sweep --worker`
-//! binary (Cargo builds it for integration tests and exposes the path as
-//! `CARGO_BIN_EXE_sweep`):
+//! The process backend's headline guarantees, exercised against local daemons launched
+//! from the real `sweep` binary (Cargo builds it for integration tests and exposes the path
+//! as `CARGO_BIN_EXE_sweep`):
 //!
 //! * a 2-worker process sweep is byte-identical to a single-threaded in-process sweep;
-//! * worker failures of every flavour (dead on arrival, killed, garbage stdout, truncated
-//!   stream) degrade to in-process re-execution with a byte-identical report;
+//! * daemons that never announce an address (dead on arrival, killed, garbage on stdout)
+//!   degrade to in-process re-execution with a byte-identical report;
 //! * the cache, streaming mode, and cost calibration all compose with the process backend.
+//!
+//! Cut and under-emitting streams are the stream verifier's unit tests (`backend/stream.rs`).
 
 use local_engine::backend::ProcessBackend;
 use local_engine::{
@@ -95,31 +97,6 @@ fn garbage_on_stdout_falls_back_in_process() {
     let liar = vec!["/bin/sh".to_string(), "-c".to_string(), script];
     let candidate = Sweep::over(&grid).backend(ProcessBackend::with_command(2, liar)).run();
     assert_reports_identical(&reference, &candidate, "garbage worker");
-}
-
-#[test]
-fn truncated_streams_keep_verified_cells_and_rerun_the_rest() {
-    let grid = demo_grid();
-    let reference = run_grid(&grid, &SweepConfig::with_threads(1));
-    // A real worker whose stream is cut after two lines: the two verified cells stand,
-    // everything after the cut is re-executed in-process.
-    let script = format!("'{}' --worker --threads 1 2>/dev/null | head -n 2", worker_bin());
-    let truncated = vec!["/bin/sh".to_string(), "-c".to_string(), script];
-    let candidate = Sweep::over(&grid).backend(ProcessBackend::with_command(2, truncated)).run();
-    assert_reports_identical(&reference, &candidate, "truncated worker");
-}
-
-#[test]
-fn under_emitting_workers_with_a_confident_sentinel_still_trigger_reruns() {
-    let grid = demo_grid();
-    let reference = run_grid(&grid, &SweepConfig::with_threads(1));
-    // A real worker whose second result line is dropped: the sentinel still claims the full
-    // count and the process exits 0, but completeness is judged by what was verified, so
-    // the missing cell is re-executed rather than silently lost.
-    let script = format!("'{}' --worker --threads 1 2>/dev/null | sed '2d'", worker_bin());
-    let dropper = vec!["/bin/sh".to_string(), "-c".to_string(), script];
-    let candidate = Sweep::over(&grid).backend(ProcessBackend::with_command(2, dropper)).run();
-    assert_reports_identical(&reference, &candidate, "under-emitting worker");
 }
 
 #[test]

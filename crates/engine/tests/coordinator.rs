@@ -14,6 +14,7 @@
 //! Counter assertions use before/after deltas under one test-local lock, because the obs
 //! counters are process-global and the test harness runs tests concurrently.
 
+use local_engine::backend::{FaultPlan, LocalDaemon};
 use local_engine::{
     run_grid, workload, CoordinatorBackend, CoordinatorConfig, CoordinatorServer, Report,
     ScenarioGrid, Sweep, SweepConfig,
@@ -23,7 +24,6 @@ use serde::Serialize;
 use serde_json::Value;
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
-use std::process::{Child, Command, Stdio};
 use std::sync::Mutex;
 use std::thread;
 use std::time::{Duration, Instant};
@@ -48,41 +48,11 @@ fn assert_reports_identical(reference: &Report, candidate: &Report, label: &str)
 }
 
 /// A `sweep --serve` daemon on an OS-assigned localhost port, killed and reaped on drop.
-struct Daemon {
-    child: Child,
-    addr: String,
-}
-
-impl Daemon {
-    fn spawn(faults: Option<&str>) -> Daemon {
-        let mut command = Command::new(env!("CARGO_BIN_EXE_sweep"));
-        command
-            .args(["--serve", "127.0.0.1:0", "--threads", "1"])
-            .stdin(Stdio::null())
-            .stdout(Stdio::piped())
-            .stderr(Stdio::null());
-        match faults {
-            Some(script) => command.env("LOCAL_FAULTS", script),
-            None => command.env_remove("LOCAL_FAULTS"),
-        };
-        let mut child = command.spawn().expect("daemon spawns");
-        let stdout = child.stdout.take().expect("stdout was piped");
-        let mut line = String::new();
-        BufReader::new(stdout).read_line(&mut line).expect("daemon announces its address");
-        let addr = line
-            .trim()
-            .strip_prefix("listening on ")
-            .unwrap_or_else(|| panic!("unexpected announcement: {line:?}"))
-            .to_string();
-        Daemon { child, addr }
-    }
-}
-
-impl Drop for Daemon {
-    fn drop(&mut self) {
-        let _ = self.child.kill();
-        let _ = self.child.wait();
-    }
+fn spawn_daemon(faults: Option<&str>) -> LocalDaemon {
+    let plan = FaultPlan::parse(faults.unwrap_or("")).expect("test script parses");
+    let command = [env!("CARGO_BIN_EXE_sweep").to_string()];
+    LocalDaemon::spawn(&command, 1, &plan, Duration::from_secs(30))
+        .expect("daemon announces its address")
 }
 
 /// Binds an in-process coordinator over `fleet` with test-friendly (fast-failing) retry
@@ -129,9 +99,9 @@ fn two_concurrent_clients_each_get_byte_identical_reports() {
         .base_seed(11);
     let reference_a = run_grid(&grid_a, &SweepConfig::with_threads(1));
     let reference_b = run_grid(&grid_b, &SweepConfig::with_threads(1));
-    let first = Daemon::spawn(None);
-    let second = Daemon::spawn(None);
-    let coordinator = start_coordinator(vec![first.addr.clone(), second.addr.clone()]);
+    let first = spawn_daemon(None);
+    let second = spawn_daemon(None);
+    let coordinator = start_coordinator(vec![first.addr().to_string(), second.addr().to_string()]);
     let (verified0, rescued0, jobs0) = counters();
     let submit = |grid: ScenarioGrid, name: &str| {
         let addr = coordinator.clone();
@@ -167,8 +137,8 @@ fn a_daemon_killed_mid_job_rescues_exactly_the_unverified_cells() {
         .replicates(2)
         .base_seed(9);
     let reference = run_grid(&grid, &SweepConfig::with_threads(1));
-    let doomed = Daemon::spawn(Some("kill@5"));
-    let coordinator = start_coordinator(vec![doomed.addr.clone()]);
+    let doomed = spawn_daemon(Some("kill@5"));
+    let coordinator = start_coordinator(vec![doomed.addr().to_string()]);
     let (verified0, rescued0, _) = counters();
     let candidate =
         Sweep::over(&grid).backend(CoordinatorBackend::new(coordinator).client("mourner")).run();
@@ -181,18 +151,12 @@ fn a_daemon_killed_mid_job_rescues_exactly_the_unverified_cells() {
 /// A raw protocol client: submits `grid` as one job line and timestamps every result line
 /// as it arrives, so the test can observe the *interleaving* of two clients' streams.
 fn submit_raw(coordinator: &str, grid: &ScenarioGrid, name: &str) -> Vec<Instant> {
-    struct Line(Value);
-    impl Serialize for Line {
-        fn to_value(&self) -> Value {
-            self.0.clone()
-        }
-    }
     let mut stream = TcpStream::connect(coordinator).expect("client connects");
     stream.set_read_timeout(Some(Duration::from_secs(60))).expect("read timeout set");
-    let request = Line(Value::Map(vec![
+    let request = Value::Map(vec![
         ("grid".into(), grid.to_value()),
         ("client".into(), Value::Str(name.to_string())),
-    ]));
+    ]);
     let text = serde_json::to_string(&request).expect("job line serializes");
     writeln!(stream, "{text}").and_then(|_| stream.flush()).expect("job line sends");
     let mut arrivals = Vec::new();
@@ -220,8 +184,8 @@ fn a_late_client_is_served_before_the_early_clients_job_finishes() {
     // service times dominate scheduling noise. Client beta submits ~250 ms after alpha;
     // deficit round-robin must interleave the jobs rather than queue beta behind alpha.
     let delays: Vec<String> = (0..16).map(|k| format!("delay@{k}=120")).collect();
-    let slow = Daemon::spawn(Some(&delays.join(" ")));
-    let coordinator = start_coordinator(vec![slow.addr.clone()]);
+    let slow = spawn_daemon(Some(&delays.join(" ")));
+    let coordinator = start_coordinator(vec![slow.addr().to_string()]);
     let grid = |base_seed: u64| {
         ScenarioGrid::new()
             .problems([workload("mis")])
@@ -273,9 +237,9 @@ fn a_store_backed_coordinator_serves_repeat_submissions_without_the_fleet() {
     let reference = run_grid(&grid, &SweepConfig::with_threads(1));
     let store = Arc::new(BinaryStore::open(&dir).expect("store opens"));
 
-    let daemon = Daemon::spawn(None);
+    let daemon = spawn_daemon(None);
     let config = CoordinatorConfig {
-        fleet: vec![daemon.addr.clone()],
+        fleet: vec![daemon.addr().to_string()],
         rescue_threads: 1,
         retry_base_ms: 5,
         retry_cap_ms: 50,

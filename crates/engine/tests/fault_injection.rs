@@ -1,7 +1,7 @@
-//! Deterministic fault injection against the process backend: every scripted failure mode
-//! must degrade to a byte-identical report, and the rescue accounting must be *exact* —
-//! a fault at result line K leaves exactly K verified cells standing and re-runs exactly
-//! the rest.
+//! Deterministic fault injection against the process backend (one local daemon driven
+//! through the network backend): every scripted failure mode must degrade to a
+//! byte-identical report, and the rescue accounting must be *exact* — a fault at result
+//! line K leaves exactly K verified cells standing and re-runs exactly the rest.
 //!
 //! Counter assertions use before/after deltas under one test-local lock, because the obs
 //! counters are process-global and the test harness runs tests concurrently.
@@ -101,15 +101,23 @@ fn duplicated_result_lines_are_rejected_not_double_counted() {
 }
 
 #[test]
-fn scripted_spawn_refusals_fail_the_stripe_parent_side() {
+fn scripted_connect_refusals_are_retried_parent_side() {
     let _guard = SERIAL.lock().unwrap();
     let grid = small_grid();
     let reference = run_grid(&grid, &SweepConfig::with_threads(1));
     local_obs::enable();
+    let retries_before = local_obs::counter_value(local_obs::metrics::NET_RETRIES);
     let injected_before = local_obs::counter_value(local_obs::metrics::FAULTS_INJECTED);
+    // The parent refuses its first connect to the daemon, then retries through the
+    // network backend's backoff: the daemon serves the whole stripe.
     let (candidate, rescued) = faulted_sweep(&grid, "w0:refuse*1");
-    assert_reports_identical(&reference, &candidate, "refused spawn");
-    assert_eq!(rescued, grid.cell_count() as u64, "the whole stripe is rescued");
+    assert_reports_identical(&reference, &candidate, "refused connect");
+    assert_eq!(rescued, 0, "a retried connect rescues nothing");
+    assert_eq!(
+        local_obs::counter_value(local_obs::metrics::NET_RETRIES) - retries_before,
+        1,
+        "the refusal costs exactly one retry"
+    );
     assert_eq!(
         local_obs::counter_value(local_obs::metrics::FAULTS_INJECTED) - injected_before,
         1,
@@ -141,10 +149,9 @@ fn workers_that_never_read_stdin_hit_the_write_deadline_discipline() {
     let reference = run_grid(&grid, &SweepConfig::with_threads(1));
     local_obs::enable();
     let before = rescued();
-    // A wedged worker: accepts the spawn, never reads its stdin, never writes a byte. The
-    // shard ships from a writer thread behind the same liveness deadline as reads, so the
-    // dispatcher is never stuck in write_all — the deadline fires, the worker is killed,
-    // and everything is rescued.
+    // A wedged worker: accepts the spawn, never reads its stdin, never writes a byte — so
+    // it never announces an address. The launcher stops waiting at the connect timeout,
+    // the worker is killed, and everything is rescued.
     let wedged = vec!["/bin/sh".to_string(), "-c".to_string(), "sleep 300".to_string()];
     let backend = ProcessBackend::with_command(1, wedged).io_deadline_ms(300);
     let started = std::time::Instant::now();
