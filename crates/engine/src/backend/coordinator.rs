@@ -506,11 +506,11 @@ fn serve_job(
     } else {
         return Err("job without a shard or a grid".to_string());
     };
-    if shard.code_version != crate::cache::CODE_VERSION {
+    if shard.code_version != crate::store::CODE_VERSION {
         return Err(format!(
             "code-version skew: job was built by {:?}, this coordinator is {:?}",
             shard.code_version,
-            crate::cache::CODE_VERSION
+            crate::store::CODE_VERSION
         ));
     }
     let telemetry_ms = value.get("telemetry").and_then(Value::as_u64);

@@ -53,7 +53,7 @@ use std::sync::Mutex;
 pub struct CellShard {
     /// The grid's base seed; every instance/cell seed derives from it.
     pub base_seed: u64,
-    /// The [`crate::cache::CODE_VERSION`] of the dispatching engine.
+    /// The [`crate::store::CODE_VERSION`] of the dispatching engine.
     pub code_version: String,
     /// The cells to execute, already cost-ordered by the scheduler.
     pub cells: Vec<Scenario>,
@@ -62,7 +62,7 @@ pub struct CellShard {
 impl CellShard {
     /// A shard of `cells` under this engine's own code version.
     pub fn new(base_seed: u64, cells: Vec<Scenario>) -> Self {
-        CellShard { base_seed, code_version: crate::cache::CODE_VERSION.to_string(), cells }
+        CellShard { base_seed, code_version: crate::store::CODE_VERSION.to_string(), cells }
     }
 
     /// Splits the shard into `count` stripes by round-robining *graph instances* (in

@@ -634,11 +634,11 @@ pub(super) fn serve_shard(
     faults: &FaultInjector,
     out: &mut (impl Write + Send),
 ) -> Result<(), String> {
-    if shard.code_version != crate::cache::CODE_VERSION {
+    if shard.code_version != crate::store::CODE_VERSION {
         return Err(format!(
             "code-version skew: shard was built by {:?}, this worker is {:?}",
             shard.code_version,
-            crate::cache::CODE_VERSION
+            crate::store::CODE_VERSION
         ));
     }
     if telemetry_ms.is_some() {

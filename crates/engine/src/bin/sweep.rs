@@ -27,21 +27,20 @@
 //! * `--faults`    deterministic fault-injection script (also read from `LOCAL_FAULTS`).
 //! * `--out`       write the JSON report here; `--csv` additionally writes per-cell CSV.
 //! * `--dry-run`   print the cost model's predicted per-cell micros and the LPT execution
-//!   order (calibrated from the cache when one is attached) without running anything.
+//!   order (calibrated from the result store's hits) without running anything.
 //! * `--deterministic`  zero every wall-clock field in the outputs, so reports produced by
 //!   different backends or parallelism levels compare byte-for-byte.
 //! * `--profile`   emit per-phase timings (attempt / pruning / instance generation) as extra
 //!   CSV columns and a printed summary; the JSON report always carries them per cell.
 //! * `--folded F`  write the sweep's phase times as folded stacks (flamegraph format) to `F`.
-//! * `--cache-dir D`  incremental result cache location (default `target/sweep-cache`); a
-//!   re-sweep executes only cells whose inputs changed. `--no-cache` disables it.
-//! * `--store D`   segmented binary result store replacing the JSON cache at scale: CRC-
-//!   checked append-only segment files instead of one JSON file per cell, behind the same
-//!   incremental-re-sweep semantics. `sweep store import CACHE_DIR --store D` migrates a
-//!   cache; `sweep store bench` measures both on a synthetic grid.
+//! * `--store D`   result store location (default `target/sweep-store`): every finished
+//!   cell lands in CRC-checked append-only segment files, so a re-sweep executes only the
+//!   cells whose inputs changed. One sweep per store directory at a time; a second one
+//!   exits 1. `--no-store` turns the store off. `sweep store bench` measures it on a
+//!   synthetic grid.
 //! * `--stream`    stream cells to the result store instead of holding them in memory
-//!   (large grids); per-cell CSV is then produced by reading the store back. Requires a
-//!   cache or store.
+//!   (large grids); per-cell CSV is then produced by reading the store back. Requires the
+//!   store.
 //! * `--trace F`   enable the observability layer and write a Chrome trace-event JSON of
 //!   the sweep (phase spans, counters, one track per thread/worker) to `F` — loadable in
 //!   Perfetto or `chrome://tracing`.
@@ -61,11 +60,9 @@ use local_engine::backend::{
 };
 use local_engine::{
     default_workloads, parse_sizes, parse_workload, render_listing, BinaryStore, CellResult,
-    CostModel, ProgressMeter, ResultStore, Scenario, ScenarioGrid, Sweep, SweepCache, WorkloadSpec,
-    CODE_VERSION,
+    CostModel, ProgressMeter, ResultStore, Scenario, ScenarioGrid, Sweep, WorkloadSpec,
 };
 use local_graphs::{builtin_families, parse_family, FamilySpec};
-use serde::{Deserialize, Value};
 use std::process::ExitCode;
 use std::sync::Arc;
 
@@ -97,10 +94,6 @@ struct Args {
     deterministic: bool,
     profile: bool,
     folded: Option<String>,
-    cache_dir: Option<String>,
-    /// `--cache-dir` was given explicitly (as opposed to the default location), which
-    /// conflicts with `--store`.
-    cache_dir_explicit: bool,
     store_dir: Option<String>,
     stream: bool,
     trace: Option<String>,
@@ -114,6 +107,14 @@ struct Args {
 /// we only reject text that is not a count at all.
 fn parse_count(flag: &str, text: &str) -> Result<usize, String> {
     text.parse().map_err(|e| format!("bad {flag}: {e} (0 means available parallelism)"))
+}
+
+/// Parses any other numeric flag value.
+fn parse_number<T: std::str::FromStr>(flag: &str, text: &str) -> Result<T, String>
+where
+    T::Err: std::fmt::Display,
+{
+    text.parse().map_err(|e| format!("bad {flag}: {e}"))
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -137,9 +138,7 @@ fn parse_args() -> Result<Args, String> {
         deterministic: false,
         profile: false,
         folded: None,
-        cache_dir: Some("target/sweep-cache".to_string()),
-        cache_dir_explicit: false,
-        store_dir: None,
+        store_dir: Some("target/sweep-store".to_string()),
         stream: false,
         trace: None,
         trace_events: None,
@@ -176,9 +175,7 @@ fn parse_args() -> Result<Args, String> {
                 };
             }
             "--sizes" => args.sizes = parse_sizes(&value("--sizes")?)?,
-            "--seeds" => {
-                args.seeds = value("--seeds")?.parse().map_err(|e| format!("bad --seeds: {e}"))?
-            }
+            "--seeds" => args.seeds = parse_number("--seeds", &value("--seeds")?)?,
             "--backend" => {
                 args.backend = match value("--backend")?.as_str() {
                     "in-process" => BackendKind::InProcess,
@@ -205,11 +202,8 @@ fn parse_args() -> Result<Args, String> {
             }
             "--client" => args.client = Some(value("--client")?),
             "--io-deadline-ms" => {
-                args.io_deadline_ms = Some(
-                    value("--io-deadline-ms")?
-                        .parse()
-                        .map_err(|e| format!("bad --io-deadline-ms: {e}"))?,
-                );
+                args.io_deadline_ms =
+                    Some(parse_number("--io-deadline-ms", &value("--io-deadline-ms")?)?);
             }
             "--faults" => {
                 args.faults = Some(
@@ -217,10 +211,7 @@ fn parse_args() -> Result<Args, String> {
                         .map_err(|e| format!("bad --faults: {e}"))?,
                 );
             }
-            "--base-seed" => {
-                args.base_seed =
-                    value("--base-seed")?.parse().map_err(|e| format!("bad --base-seed: {e}"))?
-            }
+            "--base-seed" => args.base_seed = parse_number("--base-seed", &value("--base-seed")?)?,
             "--out" => args.out = Some(value("--out")?),
             "--csv" => args.csv = Some(value("--csv")?),
             "--list" => {
@@ -231,12 +222,8 @@ fn parse_args() -> Result<Args, String> {
             "--deterministic" => args.deterministic = true,
             "--profile" => args.profile = true,
             "--folded" => args.folded = Some(value("--folded")?),
-            "--cache-dir" => {
-                args.cache_dir = Some(value("--cache-dir")?);
-                args.cache_dir_explicit = true;
-            }
-            "--no-cache" => args.cache_dir = None,
             "--store" => args.store_dir = Some(value("--store")?),
+            "--no-store" => args.store_dir = None,
             "--stream" => args.stream = true,
             "--trace" => args.trace = Some(value("--trace")?),
             "--trace-events" => args.trace_events = Some(value("--trace-events")?),
@@ -248,15 +235,9 @@ fn parse_args() -> Result<Args, String> {
             other => return Err(format!("unknown flag: {other} (try --help)")),
         }
     }
-    if args.store_dir.is_some() && args.cache_dir_explicit {
-        return Err("--store and --cache-dir are two locations for the same results: pick \
-                    one (the binary store supersedes the JSON cache; `sweep store import` \
-                    migrates an existing cache)"
-            .to_string());
-    }
-    if args.stream && args.cache_dir.is_none() && args.store_dir.is_none() {
-        return Err("--stream needs a result store (drop --no-cache or add --store DIR): \
-                    streamed cells live on disk, not in memory"
+    if args.stream && args.store_dir.is_none() {
+        return Err("--stream needs the result store (drop --no-store): streamed cells live \
+                    on disk, not in memory"
             .to_string());
     }
     if args.backend == BackendKind::Network && args.connect.is_empty() {
@@ -282,17 +263,15 @@ USAGE:
         [--io-deadline-ms MS] [--faults SCRIPT]
         [--base-seed S] [--out report.json] [--csv cells.csv] [--list] [--dry-run]
         [--deterministic] [--profile] [--folded stacks.folded]
-        [--cache-dir DIR | --no-cache | --store DIR] [--stream]
+        [--store DIR | --no-store] [--stream]
         [--trace trace.json] [--trace-events events.ndjson] [--progress]
   sweep --serve ADDR [--threads N] [--max-concurrent-shards N]
                                             run a persistent worker daemon
   sweep --coordinate ADDR --connect HOST:PORT,… [--threads N] [--io-deadline-ms MS]
         [--stripes-per-peer N] [--faults SCRIPT] [--store DIR]
                                             run a multi-client coordinator over a fleet
-  sweep store import CACHE_DIR --store DIR [--base-seed S]
-                                            migrate a JSON cache into the binary store
   sweep store bench [--cells N] [--dir DIR] [--json PATH]
-                                            benchmark the store against the JSON cache
+                                            benchmark the result store on a synthetic grid
 
   --list       print every registered workload, family, and execution backend (with the
                flags that configure it) straight from the registries, then exit.
@@ -337,26 +316,25 @@ USAGE:
                result line; refuse*N refuses its first N connects, which are retried with
                backoff. Injected faults surface on the `resilience:` line.
   --dry-run    print the cost model's predicted per-cell micros and the LPT execution order
-               (calibrated from cached observations when available) without running cells.
+               (calibrated from the store's hits) without running cells.
   --deterministic
                zero every wall-clock field in reports/CSV, so outputs from different
                backends and parallelism levels compare byte-for-byte.
   --profile    emit per-phase wall-time columns (attempt / pruning / instance generation)
                in the CSV output and print a phase-time summary.
   --folded F   write phase times as folded stacks (flamegraph.pl / inferno format) to F.
-  --cache-dir  incremental result cache (default target/sweep-cache): a re-sweep executes
-               only changed cells and serves the rest from disk, byte-identically.
-  --no-cache   disable the cache.
-  --store      segmented binary result store in DIR, replacing the JSON cache for
-               million-cell sweeps: append-only CRC-checked segment files with an index
-               rebuilt by one sequential scan on open, torn tails truncated on recovery.
-               Same identity keys and incremental semantics as the cache, byte-identical
-               reports. On a coordinator, a shared store serves repeat submissions and
-               accumulates every client's fresh results. Conflicts with --cache-dir.
+  --store      result store directory (default target/sweep-store): append-only
+               CRC-checked segment files with an index rebuilt by one sequential scan on
+               open, torn tails truncated on recovery. A re-sweep executes only changed
+               cells and serves the rest from disk, byte-identically. One sweep per store
+               directory at a time: a second one exits 1. On a coordinator (off unless
+               given), a shared store serves repeat submissions and accumulates every
+               client's fresh results.
+  --no-store   run without the result store.
   --stream     fold cells into summaries as they complete and keep them only in the
-               result store (flat memory for very large grids). With --store the re-sweep
-               summary path is fully columnar: no CellResult rows are materialized for
-               stored cells (the summary line prints `rows materialized 0`).
+               result store (flat memory for very large grids). The re-sweep summary path
+               is fully columnar: no CellResult rows are materialized for stored cells (the
+               summary line prints `rows materialized 0`).
   --trace F    enable observability and write a Chrome trace-event JSON (phase spans,
                counters, one track per thread/worker) to F; open it in Perfetto or
                chrome://tracing. Under --backend process and network, daemons stream their
@@ -370,11 +348,43 @@ EXAMPLE:
   sweep --problems mis,matching --families sparse-gnp,tree --sizes 100..1600 \\
         --seeds 32 --backend process --workers 8 --out results.json";
 
+/// The value of `flag` on a `--serve`, `--coordinate` or `store bench` command line, parsed
+/// by `parse`; `None` when the flag is absent. A flag without a value, or with one `parse`
+/// rejects, is an error, never a silent default.
+fn mode_flag<T>(
+    raw: &[String],
+    flag: &str,
+    parse: impl Fn(&str, &str) -> Result<T, String>,
+) -> Result<Option<T>, String> {
+    let Some(i) = raw.iter().position(|a| a == flag) else {
+        return Ok(None);
+    };
+    let text = raw.get(i + 1).ok_or_else(|| format!("missing value for {flag}"))?;
+    parse(flag, text).map(Some)
+}
+
+/// Opens the result store at `dir`. A directory another process holds gets a hint naming
+/// the two ways out: another directory, or `no_store` (how this mode runs without one).
+fn open_store(dir: &str, no_store: &str) -> Result<BinaryStore, String> {
+    BinaryStore::open(dir).map_err(|e| match e.kind() {
+        std::io::ErrorKind::WouldBlock => format!(
+            "cannot open --store {dir}: {e}; one sweep per store directory: pass --store \
+             OTHER_DIR or {no_store}"
+        ),
+        _ => format!("cannot open --store {dir}: {e}"),
+    })
+}
+
 /// The `--serve` mode: a persistent worker daemon on a TCP address, the receiving end of
 /// `--backend network` (and of `--backend process`, which launches such daemons locally).
-/// Runs until killed.
-fn serve_main(addr: &str, threads: usize, max_concurrent: usize) -> ExitCode {
-    match serve_forever(addr, threads, max_concurrent) {
+/// Honours `--threads N` and `--max-concurrent-shards N` (telemetry is per-request). Runs
+/// until killed.
+fn serve_main(raw: &[String], addr: &str) -> ExitCode {
+    let served = mode_flag(raw, "--threads", parse_count).and_then(|threads| {
+        let max_concurrent = mode_flag(raw, "--max-concurrent-shards", parse_count)?;
+        serve_forever(addr, threads.unwrap_or(0), max_concurrent.unwrap_or(0))
+    });
+    match served {
         Ok(()) => ExitCode::SUCCESS,
         Err(message) => {
             eprintln!("sweep --serve: {message}");
@@ -383,44 +393,41 @@ fn serve_main(addr: &str, threads: usize, max_concurrent: usize) -> ExitCode {
     }
 }
 
+/// The `--coordinate` flags as a [`CoordinatorConfig`]: `--connect`, `--threads`,
+/// `--io-deadline-ms`, `--stripes-per-peer`, `--faults` and `--store`.
+fn coordinator_config(raw: &[String]) -> Result<CoordinatorConfig, String> {
+    let mut config = CoordinatorConfig::default();
+    let fleet = |_: &str, v: &str| Ok(v.split(',').map(|a| a.trim().to_string()).collect());
+    if let Some(fleet) = mode_flag(raw, "--connect", fleet)? {
+        config.fleet = fleet;
+    }
+    if let Some(n) = mode_flag(raw, "--threads", parse_count)? {
+        config.rescue_threads = n;
+    }
+    if let Some(ms) = mode_flag(raw, "--io-deadline-ms", parse_number)? {
+        config.io_deadline_ms = ms;
+    }
+    if let Some(n) = mode_flag(raw, "--stripes-per-peer", parse_number::<usize>)? {
+        config.stripes_per_peer = n.max(1);
+    }
+    let faults = |flag: &str, v: &str| FaultPlan::parse(v).map_err(|e| format!("bad {flag}: {e}"));
+    config.faults = mode_flag(raw, "--faults", faults)?.unwrap_or_else(FaultPlan::from_env_lossy);
+    if let Some(dir) = mode_flag(raw, "--store", |_, v| Ok(v.to_string()))? {
+        config.store = Some(Arc::new(open_store(&dir, "drop --store")?));
+    }
+    Ok(config)
+}
+
 /// The `--coordinate` mode: a multi-client scheduling service over a `--connect` daemon
 /// fleet. Runs until killed.
 fn coordinate_main(raw: &[String], addr: &str) -> ExitCode {
-    let get = |flag: &str| raw.iter().position(|a| a == flag).and_then(|i| raw.get(i + 1));
-    let mut config = CoordinatorConfig {
-        fleet: get("--connect")
-            .map(|v| v.split(',').map(|a| a.trim().to_string()).collect())
-            .unwrap_or_default(),
-        ..CoordinatorConfig::default()
-    };
-    if let Some(n) = get("--threads").and_then(|v| v.parse().ok()) {
-        config.rescue_threads = n;
-    }
-    if let Some(ms) = get("--io-deadline-ms").and_then(|v| v.parse().ok()) {
-        config.io_deadline_ms = ms;
-    }
-    if let Some(n) = get("--stripes-per-peer").and_then(|v| v.parse::<usize>().ok()) {
-        config.stripes_per_peer = n.max(1);
-    }
-    config.faults = match get("--faults") {
-        Some(script) => match FaultPlan::parse(script) {
-            Ok(plan) => plan,
-            Err(e) => {
-                eprintln!("sweep --coordinate: bad --faults: {e}");
-                return ExitCode::FAILURE;
-            }
-        },
-        None => FaultPlan::from_env_lossy(),
-    };
-    if let Some(dir) = get("--store") {
-        match BinaryStore::open(dir) {
-            Ok(store) => config.store = Some(Arc::new(store)),
-            Err(e) => {
-                eprintln!("sweep --coordinate: cannot open --store {dir}: {e}");
-                return ExitCode::FAILURE;
-            }
+    let config = match coordinator_config(raw) {
+        Ok(config) => config,
+        Err(message) => {
+            eprintln!("sweep --coordinate: {message}");
+            return ExitCode::FAILURE;
         }
-    }
+    };
     // The coordinator always arms observability: per-client accounting gauges are part of
     // its contract, not an opt-in.
     local_obs::enable();
@@ -438,105 +445,6 @@ fn coordinate_main(raw: &[String], addr: &str) -> ExitCode {
             ExitCode::FAILURE
         }
     }
-}
-
-/// Why one JSON cache entry was not imported into the binary store.
-enum ImportSkip {
-    /// The entry's code version is not this binary's [`CODE_VERSION`]; its result is not
-    /// reproducible by this code and must not be served.
-    Version,
-    /// The entry's recorded execution seed disagrees with the seed its cell derives under
-    /// the requested base seed — it belongs to a different `--base-seed`.
-    Seed,
-    /// Not a parseable cache entry at all (torn file, foreign JSON, unknown label).
-    Unreadable,
-    /// The store already holds this cell (an earlier import or sweep wrote it).
-    Present,
-}
-
-/// Imports one JSON cache entry into the store. `Err` is fatal (the store write failed);
-/// `Ok(Err(skip))` records why the entry was passed over.
-fn import_entry(
-    store: &BinaryStore,
-    path: &std::path::Path,
-    base_seed: u64,
-) -> Result<Result<(), ImportSkip>, String> {
-    let unreadable = |_| ImportSkip::Unreadable;
-    let parse = || -> Result<(Scenario, CellResult), ImportSkip> {
-        let text = std::fs::read_to_string(path).map_err(|_| ImportSkip::Unreadable)?;
-        let value = serde_json::from_str(&text).map_err(unreadable)?;
-        if value.get("code_version").and_then(Value::as_str) != Some(CODE_VERSION) {
-            return Err(ImportSkip::Version);
-        }
-        let label = value.get("label").and_then(Value::as_str).ok_or(ImportSkip::Unreadable)?;
-        // A label spells the full cell identity: `problem/family/nSIZE/rREPLICATE`.
-        let parts: Vec<&str> = label.split('/').collect();
-        let [problem, family, n, replicate] = parts[..] else {
-            return Err(ImportSkip::Unreadable);
-        };
-        let cell = Scenario {
-            problem: parse_workload(problem).ok_or(ImportSkip::Unreadable)?,
-            family: parse_family(family).ok_or(ImportSkip::Unreadable)?,
-            n: n.strip_prefix('n').and_then(|v| v.parse().ok()).ok_or(ImportSkip::Unreadable)?,
-            replicate: replicate
-                .strip_prefix('r')
-                .and_then(|v| v.parse().ok())
-                .ok_or(ImportSkip::Unreadable)?,
-        };
-        let result = value
-            .get("cell")
-            .and_then(|cell| CellResult::from_value(cell).ok())
-            .ok_or(ImportSkip::Unreadable)?;
-        Ok((cell, result))
-    };
-    let (cell, result) = match parse() {
-        Ok(parsed) => parsed,
-        Err(skip) => return Ok(Err(skip)),
-    };
-    if cell.cell_seed(base_seed) != result.seed {
-        return Ok(Err(ImportSkip::Seed));
-    }
-    if store.load_columns(&cell, base_seed).is_some() {
-        return Ok(Err(ImportSkip::Present));
-    }
-    ResultStore::store(store, &cell, base_seed, &result)
-        .map_err(|e| format!("cannot store {}: {e}", cell.label()))?;
-    Ok(Ok(()))
-}
-
-/// `sweep store import CACHE_DIR --store DIR [--base-seed S]`: converts a legacy JSON
-/// cache into the segmented binary store, entry by entry, verifying each entry's code
-/// version and derived seed so a foreign or stale entry can never be served later.
-fn store_import(cache_dir: &str, store_dir: &str, base_seed: u64) -> Result<(), String> {
-    let store =
-        BinaryStore::open(store_dir).map_err(|e| format!("cannot open store {store_dir}: {e}"))?;
-    let mut paths: Vec<std::path::PathBuf> = std::fs::read_dir(cache_dir)
-        .map_err(|e| format!("cannot read cache {cache_dir}: {e}"))?
-        .filter_map(|entry| entry.ok().map(|e| e.path()))
-        .filter(|path| path.extension().is_some_and(|ext| ext == "json"))
-        .collect();
-    paths.sort();
-    let (mut imported, mut version, mut seed, mut unreadable, mut present) =
-        (0u64, 0u64, 0u64, 0u64, 0u64);
-    for path in &paths {
-        match import_entry(&store, path, base_seed)? {
-            Ok(()) => imported += 1,
-            Err(ImportSkip::Version) => version += 1,
-            Err(ImportSkip::Seed) => seed += 1,
-            Err(ImportSkip::Unreadable) => unreadable += 1,
-            Err(ImportSkip::Present) => present += 1,
-        }
-    }
-    let stats = store.stats();
-    println!(
-        "store import: {imported} cells imported into {} ({} segments, {} bytes appended); \
-         skipped {version} foreign-version, {seed} seed-mismatched (base seed {base_seed}), \
-         {unreadable} unreadable, {present} already present",
-        store.dir().display(),
-        stats.segments,
-        stats.bytes_appended
-    );
-    Ok(())
 }
 
 /// A deterministic synthetic result for `sweep store bench` — realistic field shapes
@@ -568,16 +476,13 @@ fn synthetic_result(cell: &Scenario, seed: u64) -> CellResult {
     }
 }
 
-/// `sweep store bench [--cells N] [--dir DIR] [--json PATH]`: measures binary-store
-/// append / reopen / columnar-scan / row-scan throughput against the JSON cache on the
-/// same synthetic grid, and optionally writes the numbers as a JSON benchmark artifact.
+/// `sweep store bench [--cells N] [--dir DIR] [--json PATH]`: measures result-store
+/// append / reopen / columnar-scan / row-scan throughput on a synthetic grid, and
+/// optionally writes the numbers as a JSON benchmark artifact.
 fn store_bench(cells: usize, dir: &str, json: Option<&str>) -> Result<(), String> {
     use std::time::Instant;
-    let base = std::path::PathBuf::from(dir);
-    let store_dir = base.join("bench-store");
-    let cache_dir = base.join("bench-cache");
+    let store_dir = std::path::PathBuf::from(dir).join("bench-store");
     let _ = std::fs::remove_dir_all(&store_dir);
-    let _ = std::fs::remove_dir_all(&cache_dir);
     // One synthetic grid: replicate is the only varying axis, so cell identities (and
     // store keys) are unique while staying cheap to generate at 10^5+ scale.
     let scenarios: Vec<Scenario> = (0..cells)
@@ -602,20 +507,6 @@ fn store_bench(cells: usize, dir: &str, json: Option<&str>) -> Result<(), String
         );
         Ok(secs)
     };
-
-    let cache = SweepCache::new(&cache_dir);
-    let json_write = timed("json-cache write", &mut || {
-        for (cell, result) in scenarios.iter().zip(&results) {
-            cache.store(cell, 0, result).map_err(|e| format!("cache write failed: {e}"))?;
-        }
-        Ok(())
-    })?;
-    let json_read = timed("json-cache row scan", &mut || {
-        for cell in &scenarios {
-            cache.load(cell, 0).ok_or("cache read missed a written cell")?;
-        }
-        Ok(())
-    })?;
 
     let store =
         BinaryStore::open(&store_dir).map_err(|e| format!("cannot open bench store: {e}"))?;
@@ -649,12 +540,8 @@ fn store_bench(cells: usize, dir: &str, json: Option<&str>) -> Result<(), String
         Ok(())
     })?;
 
-    // The headline ratio: one write-everything-then-summarize pass, JSON cache over
-    // binary store (columnar readback) — >1 means the store is faster end to end.
-    let ratio = (json_write + json_read) / (bin_append + bin_open + bin_columns);
     println!(
-        "store bench: {cells} cells in {segments} segments; index rebuild {} us; \
-         json-cache/store wall ratio {ratio:.2}x",
+        "store bench: {cells} cells in {segments} segments; index rebuild {} us",
         store.stats().index_rebuild_micros
     );
     if let Some(path) = json {
@@ -662,72 +549,38 @@ fn store_bench(cells: usize, dir: &str, json: Option<&str>) -> Result<(), String
             "{{\n  \"cells\": {cells},\n  \"segments\": {segments},\n  \
              \"store_append_cells_per_s\": {:.0},\n  \"store_reopen_s\": {bin_open:.6},\n  \
              \"store_columnar_scan_cells_per_s\": {:.0},\n  \
-             \"store_row_scan_cells_per_s\": {:.0},\n  \
-             \"json_cache_write_cells_per_s\": {:.0},\n  \
-             \"json_cache_row_scan_cells_per_s\": {:.0},\n  \
-             \"json_cache_over_store_wall_ratio\": {ratio:.3}\n}}\n",
+             \"store_row_scan_cells_per_s\": {:.0}\n}}\n",
             cells as f64 / bin_append,
             cells as f64 / bin_columns,
             cells as f64 / bin_rows,
-            cells as f64 / json_write,
-            cells as f64 / json_read,
         );
         std::fs::write(path, artifact).map_err(|e| format!("cannot write {path}: {e}"))?;
         println!("wrote benchmark JSON to {path}");
     }
+    drop(store);
     let _ = std::fs::remove_dir_all(&store_dir);
-    let _ = std::fs::remove_dir_all(&cache_dir);
     Ok(())
 }
 
-/// The `sweep store …` subcommand family: `import` migrates a JSON cache into the binary
-/// store, `bench` measures the store against the JSON cache on a synthetic grid.
+/// `sweep store bench`, the one `store` subcommand.
 fn store_main(raw: &[String]) -> ExitCode {
-    let get = |flag: &str| raw.iter().position(|a| a == flag).and_then(|i| raw.get(i + 1));
-    let outcome = match raw.first().map(String::as_str) {
-        Some("import") => {
-            let Some(cache_dir) = raw.get(1).filter(|a| !a.starts_with("--")) else {
-                eprintln!(
-                    "sweep store import: missing cache directory (usage: sweep store import \
-                     CACHE_DIR --store DIR [--base-seed S])"
-                );
-                return ExitCode::FAILURE;
-            };
-            let Some(store_dir) = get("--store") else {
-                eprintln!("sweep store import: missing --store DIR");
-                return ExitCode::FAILURE;
-            };
-            let base_seed = match get("--base-seed").map(|v| v.parse::<u64>()) {
-                Some(Ok(seed)) => seed,
-                Some(Err(e)) => {
-                    eprintln!("sweep store import: bad --base-seed: {e}");
-                    return ExitCode::FAILURE;
-                }
-                None => 0,
-            };
-            store_import(cache_dir, store_dir, base_seed)
-        }
-        Some("bench") => {
-            let cells = match get("--cells").map(|v| v.parse::<usize>()) {
-                Some(Ok(cells)) => cells.max(1),
-                Some(Err(e)) => {
-                    eprintln!("sweep store bench: bad --cells: {e}");
-                    return ExitCode::FAILURE;
-                }
-                None => 10_000,
-            };
-            let dir = get("--dir").map(String::as_str).unwrap_or("target/store-bench");
-            store_bench(cells, dir, get("--json").map(String::as_str))
-        }
-        _ => {
-            eprintln!(
-                "sweep store: expected a subcommand — import CACHE_DIR --store DIR \
-                 [--base-seed S], or bench [--cells N] [--dir DIR] [--json PATH]"
-            );
-            return ExitCode::FAILURE;
-        }
-    };
-    match outcome {
+    if raw.first().map(String::as_str) != Some("bench") {
+        eprintln!(
+            "sweep store: expected a subcommand — bench [--cells N] [--dir DIR] [--json PATH]"
+        );
+        return ExitCode::FAILURE;
+    }
+    let text = |_: &str, v: &str| Ok(v.to_string());
+    let benched = mode_flag(raw, "--cells", parse_number::<usize>).and_then(|cells| {
+        let dir = mode_flag(raw, "--dir", text)?;
+        let json = mode_flag(raw, "--json", text)?;
+        store_bench(
+            cells.unwrap_or(10_000).max(1),
+            dir.as_deref().unwrap_or("target/store-bench"),
+            json.as_deref(),
+        )
+    });
+    match benched {
         Ok(()) => ExitCode::SUCCESS,
         Err(message) => {
             eprintln!("sweep store: {message}");
@@ -739,7 +592,7 @@ fn store_main(raw: &[String]) -> ExitCode {
 /// `--dry-run`: predict, order, print — execute nothing. The printed plan mirrors a real
 /// sweep exactly: stored cells are served from disk (and calibrate the model), so only the
 /// *missed* cells appear in the LPT execution order.
-fn dry_run(grid: &ScenarioGrid, store: Option<&dyn ResultStore>) -> ExitCode {
+fn dry_run(grid: &ScenarioGrid, store: Option<&BinaryStore>) -> ExitCode {
     let cells = grid.cells();
     let mut model = CostModel::new();
     let mut missed = Vec::new();
@@ -781,11 +634,8 @@ fn dry_run(grid: &ScenarioGrid, store: Option<&dyn ResultStore>) -> ExitCode {
 
 fn main() -> ExitCode {
     // The serve and coordinate modes are not regular flags: they must not drag the full
-    // sweep arg surface into the protocol, so they are dispatched before normal parsing. A
-    // daemon honours `--serve ADDR`, `--threads N`, and
-    // `--max-concurrent-shards N` (telemetry is per-request); a coordinator honours
-    // `--coordinate ADDR`, `--connect`, `--threads`, `--io-deadline-ms`,
-    // `--stripes-per-peer`, and `--faults`.
+    // sweep arg surface into the protocol, so they are dispatched before normal parsing
+    // (`serve_main` and `coordinator_config` list the flags each honours).
     let raw: Vec<String> = std::env::args().skip(1).collect();
     if raw.first().map(String::as_str) == Some("store") {
         return store_main(&raw[1..]);
@@ -795,19 +645,7 @@ fn main() -> ExitCode {
             eprintln!("sweep --serve: missing bind address (try --serve 127.0.0.1:0)");
             return ExitCode::FAILURE;
         };
-        let threads = raw
-            .iter()
-            .position(|a| a == "--threads")
-            .and_then(|j| raw.get(j + 1))
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(0);
-        let max_concurrent = raw
-            .iter()
-            .position(|a| a == "--max-concurrent-shards")
-            .and_then(|j| raw.get(j + 1))
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(0);
-        return serve_main(addr, threads, max_concurrent);
+        return serve_main(&raw, addr);
     }
     if let Some(i) = raw.iter().position(|a| a == "--coordinate") {
         let Some(addr) = raw.get(i + 1).filter(|a| !a.starts_with("--")) else {
@@ -849,26 +687,16 @@ fn main() -> ExitCode {
         .sizes(args.sizes)
         .replicates(args.seeds)
         .base_seed(args.base_seed);
-    // One result store behind the trait: the segmented binary store when --store is
-    // given, the legacy one-file-per-cell JSON cache otherwise. The concrete binary
-    // handle is kept alongside for its stats counters (summary line, --progress HUD).
-    let binary: Option<Arc<BinaryStore>> = match &args.store_dir {
-        Some(dir) => match BinaryStore::open(dir) {
-            Ok(store) => Some(Arc::new(store)),
-            Err(e) => {
-                eprintln!("sweep: cannot open --store {dir}: {e}");
+    // The result store, held (and its directory locked) for the whole sweep.
+    let store: Option<Arc<BinaryStore>> =
+        match args.store_dir.as_deref().map(|dir| open_store(dir, "--no-store")) {
+            Some(Ok(store)) => Some(Arc::new(store)),
+            Some(Err(message)) => {
+                eprintln!("sweep: {message}");
                 return ExitCode::FAILURE;
             }
-        },
-        None => None,
-    };
-    let store: Option<Arc<dyn ResultStore>> = match &binary {
-        Some(binary) => Some(Arc::clone(binary) as Arc<dyn ResultStore>),
-        None => args
-            .cache_dir
-            .as_ref()
-            .map(|dir| Arc::new(SweepCache::new(dir)) as Arc<dyn ResultStore>),
-    };
+            None => None,
+        };
 
     if args.dry_run {
         let code = dry_run(&grid, store.as_deref());
@@ -909,8 +737,8 @@ fn main() -> ExitCode {
     );
 
     let meter = args.progress.then(ProgressMeter::new);
-    if let (Some(meter), Some(binary)) = (&meter, &binary) {
-        let handle = Arc::clone(binary);
+    if let (Some(meter), Some(store)) = (&meter, &store) {
+        let handle = Arc::clone(store);
         meter.set_store_status(Arc::new(move || {
             let stats = handle.stats();
             format!(
@@ -968,8 +796,8 @@ fn main() -> ExitCode {
     if let Some(meter) = &meter {
         sweep = sweep.progress(meter.clone());
     }
-    if let Some(store) = store.clone() {
-        sweep = sweep.store(store);
+    if let Some(store) = &store {
+        sweep = sweep.store(Arc::clone(store) as Arc<dyn ResultStore>);
     }
     if args.stream {
         sweep = sweep.streaming();
@@ -979,7 +807,7 @@ fn main() -> ExitCode {
 
     println!("{}", report.render_summaries());
     if args.profile {
-        // In streaming mode the report holds no cells; read them back from the cache one at
+        // In streaming mode the report holds no cells; read them back from the store one at
         // a time (they were just written) so the phase summary is printed either way.
         let mut attempt = 0u64;
         let mut prune = 0u64;
@@ -1018,10 +846,10 @@ fn main() -> ExitCode {
         report.total_wall_micros as f64 / 1000.0,
         invalid
     );
-    if let Some(binary) = &binary {
+    if let Some(store) = &store {
         // The store's on-disk shape and this run's traffic. A fully-columnar streamed
         // re-sweep prints `rows materialized 0` — soak scripts assert on it.
-        let stats = binary.stats();
+        let stats = store.stats();
         println!(
             "store: {} segments, {} records ({} appended, {} bytes written), index rebuild \
              {} us, {} hits, {} misses, rows materialized {}",
@@ -1030,9 +858,9 @@ fn main() -> ExitCode {
             stats.records_appended,
             stats.bytes_appended,
             stats.index_rebuild_micros,
-            binary.hits(),
-            binary.misses(),
-            binary.rows_materialized()
+            store.hits(),
+            store.misses(),
+            store.rows_materialized()
         );
     }
     if args.backend == BackendKind::Network

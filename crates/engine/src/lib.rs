@@ -25,10 +25,10 @@
 //!   [`CellShard`]s over `sweep --serve` daemons and verifies their result streams
 //!   (re-dispatching or re-running in-process whatever a failed daemon leaves behind), and
 //!   the [`ProcessBackend`] that launches such daemons locally.
-//! * [`store`] — persistence behind the [`ResultStore`] trait: the JSON-file
-//!   [`SweepCache`] and the [`BinaryStore`] (the `local-store` append-only segmented
-//!   store) both serve and absorb cells for every backend; the binary store also answers
-//!   columnar probes so streamed summaries fold without materializing rows.
+//! * [`store`] — persistence behind the [`ResultStore`] trait: the [`BinaryStore`] (the
+//!   `local-store` append-only segmented store) serves and absorbs cells for every
+//!   backend, and answers columnar probes so streamed summaries fold without
+//!   materializing rows.
 //! * [`report`] — aggregation: per-cell [`CellResult`]s folded into per-group
 //!   [`GroupSummary`]s (mean/p50/p99 rounds, uniform-over-non-uniform overhead ratios),
 //!   serialized to JSON or CSV.
@@ -57,7 +57,6 @@
 #![warn(missing_docs)]
 
 pub mod backend;
-pub mod cache;
 pub mod cost;
 pub mod pool;
 pub mod progress;
@@ -72,7 +71,6 @@ pub use backend::{
     CellShard, CoordinatorBackend, CoordinatorConfig, CoordinatorServer, ExecBackend,
     FaultInjector, FaultPlan, InProcessBackend, NetworkBackend, ProcessBackend,
 };
-pub use cache::{SweepCache, CODE_VERSION};
 pub use cost::CostModel;
 pub use progress::ProgressMeter;
 pub use registry::{
@@ -83,5 +81,5 @@ pub use report::{
 };
 pub use scenario::{parse_sizes, Scenario, ScenarioGrid};
 pub use scheduler::{run_cell, run_cell_in, run_grid, Instance, Sweep, SweepConfig};
-pub use store::{report_from_store, BinaryStore, ResultStore};
+pub use store::{report_from_store, BinaryStore, ResultStore, CODE_VERSION};
 pub use workloads::{MeasuredRun, Workload, WorkloadSpec};

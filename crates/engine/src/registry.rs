@@ -171,7 +171,7 @@ pub fn render_listing() -> String {
     out.push_str(
         "\n`--problems all` / `--families all` expand to the fixed catalogs above \
          (parameterized\nnames are opt-in axes). Any listed pattern is accepted wherever a \
-         name is, including\nin serialized scenarios, cache keys, and the worker protocol.\n",
+         name is, including\nin serialized scenarios, result-store keys, and the worker protocol.\n",
     );
     out
 }

@@ -6,8 +6,8 @@ use serde::{Deserialize, Serialize};
 
 /// The measured outcome of one executed cell.
 ///
-/// `Deserialize` is what lets the incremental sweep cache (`crate::cache`) round-trip
-/// results through JSON files.
+/// `Deserialize` is what lets result lines from `sweep --serve` daemons round-trip through
+/// JSON.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CellResult {
     /// Problem name (see `ProblemKind::name`).
@@ -456,7 +456,7 @@ impl SummaryAccumulator {
 /// per-family `instance-gen` stacks counted once per distinct instance (instances are
 /// shared across the problems that run on them). `other` is the per-cell wall time not
 /// attributed to a profiled phase (validation, report assembly, scheduling). Consumes the
-/// cells one at a time, so streamed sweeps can feed it straight from the cache.
+/// cells one at a time, so streamed sweeps can feed it straight from the result store.
 pub fn folded_stacks<I: IntoIterator<Item = CellResult>>(cells: I) -> String {
     let mut stacks: std::collections::BTreeMap<String, u64> = std::collections::BTreeMap::new();
     let mut seen_instances: std::collections::BTreeSet<(String, usize, u64)> =
@@ -505,14 +505,14 @@ pub struct Report {
     pub cell_count: usize,
     /// Number of distinct graph instances generated (shared across problems).
     pub distinct_instances: usize,
-    /// Cells served from the incremental sweep cache instead of being executed.
+    /// Cells served from the result store instead of being executed.
     pub cache_hits: usize,
     /// End-to-end wall time of the sweep, in microseconds.
     pub total_wall_micros: u64,
     /// Per-group summaries.
     pub summaries: Vec<GroupSummary>,
     /// Every cell, in the grid's canonical order (empty when the sweep ran in streaming
-    /// mode — the cells then live in the sweep cache only).
+    /// mode — the cells then live in the result store only).
     pub cells: Vec<CellResult>,
 }
 

@@ -1,12 +1,12 @@
 //! The scheduler: turns a [`ScenarioGrid`] into a [`Report`] by driving an abstract
 //! execution backend.
 //!
-//! The [`Sweep`] builder owns everything *around* execution — the cache probe, cost-model
+//! The [`Sweep`] builder owns everything *around* execution — the store probe, cost-model
 //! calibration and LPT ordering, streaming aggregation, canonical report order — and hands
 //! the actual running of cells to an [`ExecBackend`] as one cost-ordered [`CellShard`]:
 //! [`InProcessBackend`] shards it over this process's work-stealing pool
 //! ([`crate::pool`]), [`crate::backend::NetworkBackend`] stripes it over `sweep --serve`
-//! daemons. Because those concerns compose *outside* the backend, the cache,
+//! daemons. Because those concerns compose *outside* the backend, the result store,
 //! streaming mode, and cost ordering work identically no matter what executes the cells.
 //!
 //! Determinism: a cell's seed is a pure function of its identity ([`Scenario::cell_seed`],
@@ -15,7 +15,6 @@
 //! to `threads = 1` (wall-clock fields aside).
 
 use crate::backend::{CellShard, ExecBackend, InProcessBackend};
-use crate::cache::SweepCache;
 use crate::cost::CostModel;
 use crate::progress::ProgressMeter;
 use crate::report::{CellResult, Report, SummaryAccumulator};
@@ -34,10 +33,9 @@ pub struct SweepConfig {
     /// Worker threads (1 = fully sequential, no worker threads spawned). 0 means "use the
     /// machine's available parallelism".
     pub threads: usize,
-    /// The incremental result store: cells whose key is already present are served from
-    /// disk, freshly executed cells are written back. Either persistence backend fits —
-    /// the legacy JSON [`SweepCache`] or the segmented [`crate::store::BinaryStore`].
-    /// `None` disables result persistence entirely.
+    /// The incremental result store (typically a [`crate::store::BinaryStore`]): cells
+    /// whose key is already present are served from disk, freshly executed cells are
+    /// written back. `None` disables result persistence entirely.
     pub store: Option<Arc<dyn ResultStore>>,
     /// Stream results instead of accumulating them: every executed cell goes straight to
     /// the store and is folded into the summaries, and [`Report::cells`] stays empty — the
@@ -50,11 +48,6 @@ impl SweepConfig {
     /// the machine's available parallelism", as documented on [`SweepConfig::threads`].
     pub fn with_threads(threads: usize) -> Self {
         SweepConfig { threads, store: None, stream: false }
-    }
-
-    /// Attaches the legacy JSON sweep cache as the result store.
-    pub fn with_cache(self, cache: SweepCache) -> Self {
-        self.with_store(Arc::new(cache))
     }
 
     /// Attaches a result store.
@@ -96,11 +89,11 @@ impl Instance {
 }
 
 /// A configured sweep: the grid, the execution backend, and everything that composes
-/// around it (cache, streaming, cost ordering).
+/// around it (result store, streaming, cost ordering).
 ///
 /// This is the engine's primary entry point; [`run_grid`] is a thin wrapper over it. The
 /// builder separates *what to run* (the grid) from *how cells execute* (the backend) from
-/// *what happens around execution* (cache probe, LPT ordering, streaming aggregation), so
+/// *what happens around execution* (store probe, LPT ordering, streaming aggregation), so
 /// every combination composes:
 ///
 /// ```
@@ -140,12 +133,6 @@ impl<'a> Sweep<'a> {
     pub fn backend(mut self, backend: impl ExecBackend + 'a) -> Self {
         self.backend = Box::new(backend);
         self
-    }
-
-    /// Attaches the legacy JSON sweep cache as the incremental result store; see
-    /// [`Sweep::store`].
-    pub fn cache(self, cache: SweepCache) -> Self {
-        self.store(Arc::new(cache))
     }
 
     /// Attaches an incremental result store: hits are served from disk (and calibrate the

@@ -1,24 +1,37 @@
-//! The result-store abstraction: one trait over both persistence backends — the legacy
-//! one-JSON-file-per-cell [`SweepCache`] and the segmented binary [`BinaryStore`] built on
-//! `local-store` — plus the columnar report path that summarizes a stored grid without
-//! materializing a single [`CellResult`] row.
+//! Result persistence: the [`ResultStore`] trait sweeps read and write through, its one
+//! implementation [`BinaryStore`] (the segmented binary store built on `local-store`), and
+//! the columnar report path that summarizes a stored grid without materializing a single
+//! [`CellResult`] row.
 //!
-//! Identity is shared with the JSON cache bit-for-bit: a record is keyed by the same
+//! A record is keyed by the cell's complete identity, the string
 //! `code_version | problem | family | instance n | instance seed | cell n | replicate |
-//! cell seed` string [`SweepCache::key`] hashes — except the binary store keeps the whole
-//! string as the record key, so reads compare full identities and a hash collision can
-//! never serve a foreign cell. Values are a fixed little-endian encoding of the result
-//! (strings length-prefixed up front, then fifteen `u64` columns at fixed offsets, then a
-//! flags byte), which is what lets [`decode_cell_columns`] pull the summary columns
-//! straight off their offsets.
+//! cell seed` built by `BinaryStore::key`. Per-cell seeds are pure functions of that
+//! identity (see [`crate::scenario`]), so a stored result is byte-identical to what
+//! re-executing the cell would produce. The whole string is the record key, so reads
+//! compare full identities and a hash collision can never serve a foreign cell.
+//! Invalidation is by key, never by mutation: a new `base_seed` changes every key, a
+//! changed axis changes its cells' keys only, and a [`CODE_VERSION`] bump retires every
+//! stored cell at once (old records stay on disk and are never read again).
+//!
+//! Values are a fixed little-endian encoding of the result (strings length-prefixed up
+//! front, then fifteen `u64` columns at fixed offsets, then a flags byte), which is what
+//! lets [`decode_cell_columns`] pull the summary columns straight off their offsets.
 
-use crate::cache::{SweepCache, CODE_VERSION};
 use crate::report::{CellColumns, CellResult, Report, SummaryAccumulator};
 use crate::scenario::{Scenario, ScenarioGrid};
 use local_obs as obs;
 use local_store::{SegmentStore, StoreConfig, StoreStats};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
+
+/// The code-version tag in every record key: the crate version plus a revision counter
+/// bumped whenever an algorithm/report change makes old results non-reproducible.
+///
+/// The same tag travels in every [`crate::backend::CellShard`] a daemon is sent — a
+/// `sweep --serve` daemon built from different code refuses the shard outright, for the
+/// same reason a version bump retires stored results: results across a version boundary
+/// are not comparable.
+pub const CODE_VERSION: &str = concat!("local-engine-", env!("CARGO_PKG_VERSION"), "+r2");
 
 /// Where sweeps read and write per-cell results.
 ///
@@ -39,22 +52,8 @@ pub trait ResultStore: Send + Sync + std::fmt::Debug {
     /// Persists `result` as the outcome of `cell`.
     fn store(&self, cell: &Scenario, base_seed: u64, result: &CellResult) -> std::io::Result<()>;
 
-    /// A short human-readable description for summary lines (`json-cache:DIR`, `store:DIR`).
+    /// A short human-readable description for summary lines (`store:DIR`).
     fn describe(&self) -> String;
-}
-
-impl ResultStore for SweepCache {
-    fn load(&self, cell: &Scenario, base_seed: u64) -> Option<CellResult> {
-        SweepCache::load(self, cell, base_seed)
-    }
-
-    fn store(&self, cell: &Scenario, base_seed: u64, result: &CellResult) -> std::io::Result<()> {
-        SweepCache::store(self, cell, base_seed, result)
-    }
-
-    fn describe(&self) -> String {
-        format!("json-cache:{}", self.dir().display())
-    }
 }
 
 // ------------------------------------------------------------------ binary result codec ----
@@ -186,7 +185,8 @@ pub fn decode_cell_columns(bytes: &[u8]) -> Option<CellColumns> {
 // ------------------------------------------------------------------ the binary store -------
 
 /// The segmented binary result store: [`CellResult`]s encoded into `local-store` records,
-/// keyed by the full cell-identity string (shared with [`SweepCache::key`]'s preimage).
+/// keyed by the full cell-identity string. One handle per directory: opening a directory
+/// another handle (in any process) holds fails with [`std::io::ErrorKind::WouldBlock`].
 #[derive(Debug)]
 pub struct BinaryStore {
     inner: SegmentStore,
@@ -247,8 +247,8 @@ impl BinaryStore {
         self.rows_materialized.load(Ordering::Relaxed)
     }
 
-    /// The record key of one cell: the same identity string [`SweepCache::key`] hashes,
-    /// kept whole so reads compare every field.
+    /// The record key of one cell: every input that determines its result, kept whole so
+    /// reads compare every field.
     fn key(&self, cell: &Scenario, base_seed: u64) -> Vec<u8> {
         let instance = cell.instance_key(base_seed);
         format!(
@@ -421,11 +421,29 @@ mod tests {
             assert_eq!(ResultStore::load(&store, &cell, 1), Some(sample_result()));
             assert!(ResultStore::load(&store, &cell, 2).is_none(), "base seeds must separate");
         }
-        let bumped = BinaryStore::with_code_version(&dir, "v2").unwrap();
-        assert!(ResultStore::load(&bumped, &cell, 1).is_none(), "version bump must miss");
+        {
+            let bumped = BinaryStore::with_code_version(&dir, "v2").unwrap();
+            assert!(ResultStore::load(&bumped, &cell, 1).is_none(), "version bump must miss");
+        }
         let same = BinaryStore::with_code_version(&dir, "v1").unwrap();
         assert_eq!(ResultStore::load(&same, &cell, 1), Some(sample_result()));
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn keys_separate_cells_seeds_and_versions() {
+        let (dir, bumped_dir) = (temp_dir("keys-v1"), temp_dir("keys-v2"));
+        let store = BinaryStore::with_code_version(&dir, "v1").unwrap();
+        let bumped = BinaryStore::with_code_version(&bumped_dir, "v2").unwrap();
+        let a = sample_cell();
+        let b = Scenario { replicate: 1, ..a.clone() };
+        let c = Scenario { problem: workload("luby-mis"), ..a.clone() };
+        assert_ne!(store.key(&a, 1), store.key(&b, 1), "replicates must not collide");
+        assert_ne!(store.key(&a, 1), store.key(&c, 1), "problems must not collide");
+        assert_ne!(store.key(&a, 1), store.key(&a, 2), "base seeds must not collide");
+        assert_ne!(store.key(&a, 1), bumped.key(&a, 1), "code versions must not collide");
+        let _ = std::fs::remove_dir_all(&dir);
+        let _ = std::fs::remove_dir_all(&bumped_dir);
     }
 
     #[test]
@@ -442,19 +460,6 @@ mod tests {
         assert_eq!(store.rows_materialized(), 0, "columnar loads must not build rows");
         assert_eq!(ResultStore::load(&store, &cell, 1), Some(sample_result()));
         assert_eq!(store.rows_materialized(), 1);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn the_trait_serves_the_json_cache_too() {
-        let dir = temp_dir("json-trait");
-        let cache = SweepCache::new(&dir);
-        let store: &dyn ResultStore = &cache;
-        let cell = sample_cell();
-        store.store(&cell, 1, &sample_result()).unwrap();
-        assert_eq!(store.load(&cell, 1), Some(sample_result()));
-        assert_eq!(store.load_columns(&cell, 1), Some(CellColumns::from(&sample_result())));
-        assert!(store.describe().starts_with("json-cache:"));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

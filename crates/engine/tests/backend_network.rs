@@ -9,7 +9,9 @@
 //! * an unreachable fleet degrades all the way to in-process rescue;
 //! * hostile requests (a 200 000-deep bracket bomb, a line over the request cap) get an
 //!   error line, not a crash;
-//! * every degradation increments the observable resilience counters.
+//! * every degradation increments the observable resilience counters;
+//! * a malformed number on a `--serve` or `--coordinate` command line exits 1 before the
+//!   mode binds, instead of serving with a default.
 //!
 //! Counter assertions use before/after deltas under one test-local lock, because the obs
 //! counters are process-global and the test harness runs tests concurrently.
@@ -19,8 +21,9 @@ use local_engine::{run_grid, workload, Report, ScenarioGrid, Sweep, SweepConfig}
 use local_graphs::{family, Family};
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
+use std::process::{Command, Stdio};
 use std::sync::Mutex;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 static SERIAL: Mutex<()> = Mutex::new(());
 
@@ -306,4 +309,35 @@ fn a_dead_peer_in_a_fleet_shifts_its_stripe_to_the_living() {
         )
         .run();
     assert_reports_identical(&reference, &candidate, "half-dead fleet");
+}
+
+#[test]
+fn malformed_numbers_stop_serve_and_coordinate_before_they_listen() {
+    for args in [
+        ["--serve", "127.0.0.1:0", "--threads", "abc"],
+        ["--serve", "127.0.0.1:0", "--max-concurrent-shards", "-1"],
+        ["--coordinate", "127.0.0.1:0", "--threads", "abc"],
+        ["--coordinate", "127.0.0.1:0", "--io-deadline-ms", "soon"],
+        ["--coordinate", "127.0.0.1:0", "--stripes-per-peer", "x"],
+    ] {
+        let mut child = Command::new(env!("CARGO_BIN_EXE_sweep"))
+            .args(args)
+            .env_remove("LOCAL_FAULTS")
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("sweep spawns");
+        // A mode that swallowed the bad value would listen forever: bound the wait.
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while child.try_wait().expect("child polls").is_none() && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(20));
+        }
+        let _ = child.kill();
+        let output = child.wait_with_output().expect("child reaps");
+        let stdout = String::from_utf8_lossy(&output.stdout);
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(1), "{args:?} must exit 1: {stderr}");
+        assert!(!stdout.contains("listening on"), "{args:?} bound anyway: {stdout}");
+        assert!(stderr.contains(&format!("bad {}", args[2])), "{args:?}: {stderr}");
+    }
 }

@@ -5,16 +5,19 @@
 //! * a 2-worker process sweep is byte-identical to a single-threaded in-process sweep;
 //! * daemons that never announce an address (dead on arrival, killed, garbage on stdout)
 //!   degrade to in-process re-execution with a byte-identical report;
-//! * the cache, streaming mode, and cost calibration all compose with the process backend.
+//! * streaming through the result store and cost calibration compose with the process
+//!   backend (`store_resweep.rs` covers plain write-through).
 //!
 //! Cut and under-emitting streams are the stream verifier's unit tests (`backend/stream.rs`).
 
 use local_engine::backend::ProcessBackend;
 use local_engine::{
-    run_grid, workload, CellResult, Report, ScenarioGrid, Sweep, SweepCache, SweepConfig,
+    run_grid, workload, BinaryStore, CellResult, Report, ResultStore, ScenarioGrid, Sweep,
+    SweepConfig,
 };
 use local_graphs::{family, Family};
 use std::path::PathBuf;
+use std::sync::Arc;
 
 fn worker_bin() -> String {
     env!("CARGO_BIN_EXE_sweep").to_string()
@@ -128,29 +131,13 @@ fn temp_dir(tag: &str) -> PathBuf {
 }
 
 #[test]
-fn cache_composes_with_the_process_backend() {
-    let dir = temp_dir("cache");
-    let grid = demo_grid();
-    let backend = || ProcessBackend::with_command(2, vec![worker_bin()]);
-    let first = Sweep::over(&grid).backend(backend()).cache(SweepCache::new(&dir)).run();
-    assert_eq!(first.cache_hits, 0, "a cold cache must not hit");
-
-    // The re-sweep serves every worker-produced result from disk, byte-identically —
-    // whether it re-runs in-process or over processes again.
-    let resweep = run_grid(&grid, &SweepConfig::with_threads(2).with_cache(SweepCache::new(&dir)));
-    assert_eq!(resweep.cache_hits, resweep.cell_count, "a re-sweep must be 100% cache hits");
-    assert_eq!(first.to_csv_with(true), resweep.to_csv_with(true));
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
 fn streaming_composes_with_the_process_backend() {
     let dir = temp_dir("stream");
     let grid = demo_grid();
     let collected = run_grid(&grid, &SweepConfig::with_threads(1));
     let streamed = Sweep::over(&grid)
         .backend(ProcessBackend::with_command(2, vec![worker_bin()]))
-        .cache(SweepCache::new(&dir))
+        .store(Arc::new(BinaryStore::open(&dir).expect("store opens")))
         .streaming()
         .run();
     assert!(streamed.cells.is_empty(), "streaming mode must not hold cells in memory");
@@ -160,12 +147,12 @@ fn streaming_composes_with_the_process_backend() {
         s.total_wall_micros = c.total_wall_micros;
         assert_eq!(&s, c, "streamed summary diverges for {}/{}", c.problem, c.family);
     }
-    // Every worker-produced cell is recoverable from the cache at its canonical position.
-    let cache = SweepCache::new(&dir);
+    // Every worker-produced cell is recoverable from the store at its canonical position.
+    let store = BinaryStore::open(&dir).expect("store reopens");
     let reloaded: Vec<CellResult> = grid
         .cells()
         .into_iter()
-        .map(|cell| cache.load(&cell, grid.base_seed).expect("streamed cell must be cached"))
+        .map(|cell| store.load(&cell, grid.base_seed).expect("streamed cell must be stored"))
         .collect();
     for (a, b) in collected.cells.iter().zip(&reloaded) {
         assert_eq!(a.deterministic_view(), b.deterministic_view());

@@ -33,7 +33,7 @@ fn temp_dir(tag: &str) -> PathBuf {
 fn sweep(extra: &[&str]) {
     let output = Command::new(sweep_bin())
         .args(GRID)
-        .args(["--no-cache"])
+        .args(["--no-store"])
         .args(extra)
         .output()
         .expect("sweep runs");

@@ -1,10 +1,11 @@
 //! The registry contracts, end to end: every registered name (workloads and families,
 //! builtin and parameterized) parses back to itself, tags are pairwise distinct, and the
-//! identities derived from them (instance keys, cache keys) separate parameterized
+//! identities derived from them (instance keys, result-store keys) separate parameterized
 //! families that the closed catalog used to collapse.
 
 use local_engine::{
-    default_workloads, parse_workload, render_listing, workload, Scenario, SweepCache, WorkloadSpec,
+    default_workloads, parse_workload, render_listing, run_cell, workload, BinaryStore, Instance,
+    ResultStore, Scenario, WorkloadSpec,
 };
 use local_graphs::{builtin_families, family, parse_family, FamilySpec};
 
@@ -82,19 +83,29 @@ fn parameterized_families_never_share_instance_streams_or_cache_keys() {
         n: 128,
         replicate: 0,
     };
-    let cache = SweepCache::with_code_version("unused", "registry-test");
     let names = ["gnp-d8", "gnp-d16", "regular-4", "regular-8", "forest-2", "forest-4"];
     for (i, a) in names.iter().enumerate() {
         for b in &names[i + 1..] {
-            let (ca, cb) = (cell(a), cell(b));
             assert_ne!(
-                ca.instance_key(5).seed,
-                cb.instance_key(5).seed,
+                cell(a).instance_key(5).seed,
+                cell(b).instance_key(5).seed,
                 "{a} and {b} draw from one instance stream"
             );
-            assert_ne!(cache.key(&ca, 5), cache.key(&cb, 5), "{a} and {b} share a cache key");
         }
     }
+    // One family's stored cell is served to that family only: every other family misses.
+    let dir = std::env::temp_dir().join(format!("registry-keys-test-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let store = BinaryStore::with_code_version(&dir, "registry-test").expect("store opens");
+    let instance = Instance::generate(cell(names[0]).instance_key(5));
+    let stored = run_cell(&cell(names[0]), &instance, 5);
+    store.store(&cell(names[0]), 5, &stored).expect("store appends");
+    assert_eq!(store.load(&cell(names[0]), 5), Some(stored));
+    for other in &names[1..] {
+        assert!(store.load(&cell(other), 5).is_none(), "{other} shares {}'s key", names[0]);
+    }
+    drop(store);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

@@ -1,17 +1,18 @@
-//! Incremental re-sweeps through the segmented binary store (`--store`): a second
-//! identical sweep is 100 % store hits and byte-identical to the first; the store-backed
-//! report is byte-identical (deterministic view) to the JSON cache's; a streamed re-sweep
-//! summarizes through the columnar path without materializing a single `CellResult` row;
-//! `sweep store import` migrates a JSON cache so the store re-serves its exact bytes; and
-//! the process backend writes through the store like the in-process pool does.
+//! Incremental re-sweeps through the result store: a second identical sweep is 100 % store
+//! hits and byte-identical to the first; changing an axis executes only the new cells; a
+//! code-version bump retires every stored cell; a streamed sweep keeps its cells only in
+//! the store and folds the same summaries, and its re-sweep summarizes through the
+//! columnar path without materializing a single `CellResult` row; the process backend
+//! writes through the store like the in-process pool does; and a second `sweep` on a
+//! store directory another process holds exits 1 without touching it.
 
 use local_engine::backend::ProcessBackend;
 use local_engine::{
-    report_from_store, run_grid, workload, BinaryStore, ResultStore, ScenarioGrid, Sweep,
-    SweepCache, SweepConfig,
+    folded_stacks, report_from_store, run_grid, workload, BinaryStore, ResultStore, ScenarioGrid,
+    Sweep, SweepConfig,
 };
 use local_graphs::{family, Family};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::Command;
 use std::sync::Arc;
 
@@ -21,8 +22,7 @@ fn temp_dir(tag: &str) -> PathBuf {
     dir
 }
 
-/// The same grid `cache_resweep.rs` uses, so the two suites pin the same behavior to the
-/// same workload mix: 2 problems × 2 families × 2 sizes × 2 seeds = 16 cells.
+/// 2 problems × 2 families × 2 sizes × 2 seeds = 16 cells.
 fn small_grid() -> ScenarioGrid {
     ScenarioGrid::new()
         .problems([workload("mis"), workload("luby-mis")])
@@ -32,7 +32,7 @@ fn small_grid() -> ScenarioGrid {
         .base_seed(5)
 }
 
-fn open_store(dir: &PathBuf) -> Arc<BinaryStore> {
+fn open_store(dir: &Path) -> Arc<BinaryStore> {
     Arc::new(BinaryStore::open(dir).expect("store opens"))
 }
 
@@ -62,29 +62,122 @@ fn second_sweep_through_the_store_is_all_hits_and_byte_identical() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// The same re-sweep, but across a close and reopen of the store directory: the cells
+/// persist on disk, not only in the open store's memory.
 #[test]
-fn store_and_json_cache_reports_are_byte_identical() {
-    let cache_dir = temp_dir("vs-cache-json");
-    let store_dir = temp_dir("vs-cache-bin");
+fn second_sweep_is_all_hits_and_byte_identical() {
+    let dir = temp_dir("identical-reopened");
     let grid = small_grid();
-    let through_cache =
-        run_grid(&grid, &SweepConfig::with_threads(2).with_cache(SweepCache::new(&cache_dir)));
-    let through_store = run_grid(
-        &grid,
-        &SweepConfig::with_threads(2).with_store(open_store(&store_dir) as Arc<dyn ResultStore>),
-    );
-    // Two live runs differ only in wall clocks; under the deterministic view the two
-    // persistence backends must be indistinguishable down to the output bytes.
+
+    let first = {
+        let cfg = SweepConfig::with_threads(2).with_store(open_store(&dir) as Arc<dyn ResultStore>);
+        run_grid(&grid, &cfg)
+    };
+    assert_eq!(first.cache_hits, 0, "a cold store must not hit");
+    assert!(first.cells.iter().all(|c| c.valid && c.solved));
+
+    let reopened = open_store(&dir);
     assert_eq!(
-        through_cache.deterministic_view().to_json(),
-        through_store.deterministic_view().to_json()
+        reopened.stats().records_indexed,
+        grid.cell_count() as u64,
+        "every cell survives the reopen"
     );
+    let cfg =
+        SweepConfig::with_threads(2).with_store(Arc::clone(&reopened) as Arc<dyn ResultStore>);
+    let second = run_grid(&grid, &cfg);
+    assert_eq!(second.cache_hits, second.cell_count, "a re-sweep must be 100% store hits");
+    assert_eq!(second.distinct_instances, 0, "hits must not regenerate instances");
+    assert_eq!(reopened.stats().records_appended, 0, "hits append nothing");
+    // The merged report is byte-identical: stored cells carry their original measurements.
+    assert_eq!(first.to_csv_with(true), second.to_csv_with(true));
+    assert_eq!(first.summaries, second.summaries);
+    assert_eq!(first.to_folded(), second.to_folded());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn changed_axes_execute_only_the_new_cells() {
+    let dir = temp_dir("partial");
+    let grid = small_grid();
+    let cfg = SweepConfig::with_threads(2).with_store(open_store(&dir));
+    let first = run_grid(&grid, &cfg);
+
+    // Same grid plus one extra size: only the new cells run.
+    let extended = small_grid().sizes([36usize, 48, 60]);
+    let second = run_grid(&extended, &cfg);
+    assert_eq!(second.cache_hits, first.cell_count);
     assert_eq!(
-        through_cache.deterministic_view().to_csv_with(true),
-        through_store.deterministic_view().to_csv_with(true)
+        second.cell_count - second.cache_hits,
+        8,
+        "2 problems x 2 families x 1 new size x 2 seeds"
     );
-    let _ = std::fs::remove_dir_all(&cache_dir);
-    let _ = std::fs::remove_dir_all(&store_dir);
+    // Shared cells are carried over verbatim.
+    for cell in &first.cells {
+        assert!(
+            second.cells.iter().any(|c| c == cell),
+            "stored cell {}/{}/n{} missing from the extended sweep",
+            cell.problem,
+            cell.family,
+            cell.requested_n
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn code_version_bump_retires_the_store() {
+    let dir = temp_dir("codebump");
+    let grid = small_grid();
+    let versioned = |tag: &str| {
+        let store = BinaryStore::with_code_version(&dir, tag).expect("store opens");
+        SweepConfig::with_threads(2).with_store(Arc::new(store))
+    };
+    let cell_count = {
+        let v1 = versioned("resweep-test-v1");
+        let first = run_grid(&grid, &v1);
+        assert_eq!(first.cache_hits, 0);
+        assert_eq!(run_grid(&grid, &v1).cache_hits, first.cell_count);
+        first.cell_count
+    };
+
+    let bumped = run_grid(&grid, &versioned("resweep-test-v2"));
+    assert_eq!(bumped.cell_count, cell_count);
+    assert_eq!(bumped.cache_hits, 0, "a code-version bump must re-execute every cell");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn streaming_mode_matches_collected_summaries_without_holding_cells() {
+    let dir = temp_dir("stream");
+    let grid = small_grid();
+    let collected = run_grid(&grid, &SweepConfig::with_threads(2));
+
+    let streamed =
+        run_grid(&grid, &SweepConfig::with_threads(2).with_store(open_store(&dir)).streaming());
+    assert!(streamed.cells.is_empty(), "streaming mode must not hold cells in memory");
+    assert_eq!(streamed.cell_count, collected.cell_count);
+    // Summaries agree on every deterministic field (wall times differ between two live runs).
+    assert_eq!(streamed.summaries.len(), collected.summaries.len());
+    for (s, c) in streamed.summaries.iter().zip(&collected.summaries) {
+        let mut s = s.clone();
+        s.total_wall_micros = c.total_wall_micros;
+        assert_eq!(&s, c, "streamed summary diverges for {}/{}", c.problem, c.family);
+    }
+
+    // Every cell is recoverable from a reopened store, in canonical order, deterministically
+    // identical to the collected run.
+    let store = open_store(&dir);
+    let reloaded: Vec<_> = grid
+        .cells()
+        .into_iter()
+        .map(|cell| store.load(&cell, grid.base_seed).expect("streamed cell must be stored"))
+        .collect();
+    let reloaded_view: Vec<_> = reloaded.iter().map(|c| c.deterministic_view()).collect();
+    let collected_view: Vec<_> = collected.cells.iter().map(|c| c.deterministic_view()).collect();
+    assert_eq!(reloaded_view, collected_view);
+    let folded = folded_stacks(reloaded);
+    assert!(folded.lines().any(|l| l.starts_with("sweep;mis;")), "folded stacks missing: {folded}");
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -127,47 +220,6 @@ fn streamed_columnar_resweep_materializes_no_rows() {
 }
 
 #[test]
-fn store_import_migrates_a_json_cache_byte_identically() {
-    let cache_dir = temp_dir("import-json");
-    let store_dir = temp_dir("import-bin");
-    let grid = small_grid();
-    let seeded =
-        run_grid(&grid, &SweepConfig::with_threads(2).with_cache(SweepCache::new(&cache_dir)));
-
-    let import = |expect_imported: &str| {
-        let output = Command::new(env!("CARGO_BIN_EXE_sweep"))
-            .args([
-                "store",
-                "import",
-                cache_dir.to_str().expect("utf-8 temp dir"),
-                "--store",
-                store_dir.to_str().expect("utf-8 temp dir"),
-                "--base-seed",
-                "5",
-            ])
-            .output()
-            .expect("sweep store import runs");
-        assert!(output.status.success(), "import failed: {output:?}");
-        let stdout = String::from_utf8(output.stdout).expect("utf-8 output");
-        assert!(stdout.contains(expect_imported), "unexpected import accounting: {stdout}");
-    };
-    import(&format!("store import: {} cells imported", grid.cell_count()));
-    // A second import is a no-op: every entry is already present.
-    import("store import: 0 cells imported");
-
-    // A re-sweep through the migrated store serves the seed run's exact cells.
-    let resweep = run_grid(
-        &grid,
-        &SweepConfig::with_threads(2).with_store(open_store(&store_dir) as Arc<dyn ResultStore>),
-    );
-    assert_eq!(resweep.cache_hits, resweep.cell_count, "migrated cells must all hit");
-    assert_eq!(seeded.to_csv_with(true), resweep.to_csv_with(true));
-    assert_eq!(seeded.summaries, resweep.summaries);
-    let _ = std::fs::remove_dir_all(&cache_dir);
-    let _ = std::fs::remove_dir_all(&store_dir);
-}
-
-#[test]
 fn the_process_backend_writes_through_the_store() {
     let dir = temp_dir("process");
     let grid = small_grid();
@@ -187,4 +239,47 @@ fn the_process_backend_writes_through_the_store() {
     assert_eq!(second.cache_hits, second.cell_count);
     assert_eq!(first.to_csv_with(true), second.to_csv_with(true));
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_second_sweep_on_a_held_store_exits_with_a_hint_and_appends_nothing() {
+    let dir = temp_dir("held");
+    let sweep = || {
+        Command::new(env!("CARGO_BIN_EXE_sweep"))
+            .args(["--problems", "mis", "--families", "sparse-gnp", "--sizes", "36"])
+            .args(["--seeds", "1", "--store", dir.to_str().expect("utf-8 temp dir")])
+            .output()
+            .expect("sweep runs")
+    };
+    let segment_bytes = || std::fs::metadata(dir.join("seg-00000.bin")).expect("segment").len();
+
+    let held = open_store(&dir);
+    let before = segment_bytes();
+    let refused = sweep();
+    assert_eq!(refused.status.code(), Some(1), "a held store must refuse: {refused:?}");
+    let stderr = String::from_utf8_lossy(&refused.stderr);
+    assert!(stderr.contains("one sweep per store directory"), "no hint: {stderr}");
+    assert!(stderr.contains("--no-store"), "no way out named: {stderr}");
+    assert!(!String::from_utf8_lossy(&refused.stdout).contains("from cache"));
+    assert_eq!(segment_bytes(), before, "the refused sweep must append nothing");
+
+    // Once the holder is gone the same sweep runs and appends its cell.
+    drop(held);
+    let ran = sweep();
+    assert!(ran.status.success(), "the released store must open: {ran:?}");
+    assert!(String::from_utf8_lossy(&ran.stdout).contains("1 cells (0 from cache)"));
+    assert!(segment_bytes() > before);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn cost_ordered_execution_is_thread_count_independent() {
+    // The cost model reorders the work queue; results must still land in canonical order
+    // and be byte-identical across thread counts (the determinism contract).
+    let grid = small_grid();
+    let seq = run_grid(&grid, &SweepConfig::with_threads(1));
+    let par = run_grid(&grid, &SweepConfig::with_threads(8));
+    let seq_view: Vec<_> = seq.cells.iter().map(|c| c.deterministic_view()).collect();
+    let par_view: Vec<_> = par.cells.iter().map(|c| c.deterministic_view()).collect();
+    assert_eq!(seq_view, par_view);
 }

@@ -95,11 +95,31 @@ struct State {
 ///
 /// All methods take `&self`; a single internal mutex serializes index updates,
 /// appends, and reads so the handle can be shared across sweep worker threads.
+/// Across handles and processes, an exclusive lock on `DIR/LOCK` admits one
+/// open handle per directory for as long as it lives.
 #[derive(Debug)]
 pub struct SegmentStore {
     dir: PathBuf,
     config: StoreConfig,
     state: Mutex<State>,
+    /// Holds the directory's exclusive lock; closing it on drop releases the lock.
+    _lock: File,
+}
+
+/// Takes the directory's exclusive lock without waiting. The index and the append
+/// offset live in the handle, so a second writer would append at a stale offset
+/// and overwrite the first one's records; it is refused instead.
+fn lock_dir(dir: &Path) -> io::Result<File> {
+    let lock =
+        OpenOptions::new().create(true).truncate(false).write(true).open(dir.join("LOCK"))?;
+    match lock.try_lock() {
+        Ok(()) => Ok(lock),
+        Err(fs::TryLockError::WouldBlock) => Err(io::Error::new(
+            io::ErrorKind::WouldBlock,
+            format!("store {} is locked by another open handle", dir.display()),
+        )),
+        Err(fs::TryLockError::Error(err)) => Err(err),
+    }
 }
 
 fn segment_path(dir: &Path, id: u32) -> PathBuf {
@@ -145,9 +165,13 @@ impl SegmentStore {
     /// reopens cleanly after a crash. A damaged header is tolerated only on
     /// the newest segment (the one a crashed writer could have been creating);
     /// anywhere else it is a hard error.
+    ///
+    /// A directory another handle holds open fails at once with
+    /// [`io::ErrorKind::WouldBlock`] and the store is left untouched.
     pub fn open_with(dir: impl AsRef<Path>, config: StoreConfig) -> io::Result<SegmentStore> {
         let dir = dir.as_ref().to_path_buf();
         fs::create_dir_all(&dir)?;
+        let lock = lock_dir(&dir)?;
         let config =
             StoreConfig { max_segment_bytes: config.max_segment_bytes.clamp(1, u32::MAX as u64) };
 
@@ -231,6 +255,7 @@ impl SegmentStore {
                 readers: HashMap::new(),
                 stats,
             }),
+            _lock: lock,
         })
     }
 
@@ -469,6 +494,20 @@ mod tests {
         store.append(b"same", b"v2").unwrap();
         store.append(b"same", b"v3").unwrap();
         assert_eq!(store.get(b"same").as_deref(), Some(b"v3".as_slice()));
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_held_directory_refuses_a_second_open_until_dropped() {
+        let dir = temp_dir("locked");
+        let store = SegmentStore::open(&dir).unwrap();
+        store.append(b"key", b"value").unwrap();
+        let err = SegmentStore::open(&dir).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::WouldBlock);
+        assert!(err.to_string().contains(&dir.display().to_string()), "{err}");
+        drop(store);
+        let reopened = SegmentStore::open(&dir).unwrap();
+        assert_eq!(reopened.get(b"key").as_deref(), Some(b"value".as_slice()));
         let _ = fs::remove_dir_all(&dir);
     }
 
