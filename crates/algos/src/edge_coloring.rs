@@ -13,7 +13,8 @@
 //! The composite therefore charges the `L(G)` execution's rounds plus one.
 
 use crate::coloring::ReducedColoring;
-use local_runtime::{AlgoRun, GraphAlgorithm, GraphView, Session};
+use local_runtime::line_graph::ID_PACK;
+use local_runtime::{AlgoRun, GraphAlgorithm, GraphView, LineGraph, Session};
 
 /// Proper edge colouring with `2Δ̃ − 1` colours via vertex-colouring the line graph.
 /// Non-uniform in `{Δ, m}`.
@@ -32,9 +33,9 @@ impl LineGraphEdgeColoring {
     }
 
     /// The identity bound used on the line graph (edge identities are packed from the endpoint
-    /// identities; see [`local_runtime::Graph::line_graph`]).
+    /// identities; see [`LineGraph::of`]).
     pub fn line_graph_id_bound(&self) -> u64 {
-        self.id_bound_guess.saturating_mul(1_000_003).saturating_add(self.id_bound_guess).max(1)
+        self.id_bound_guess.saturating_mul(ID_PACK).saturating_add(self.id_bound_guess).max(1)
     }
 
     /// Number of colours used (the palette of the line-graph colouring): `2Δ̃ − 1`.
@@ -64,16 +65,14 @@ impl GraphAlgorithm for LineGraphEdgeColoring {
         inputs: &[()],
         budget: Option<u64>,
         seed: u64,
-        session: &mut Session,
+        _session: &mut Session,
     ) -> AlgoRun<Vec<u64>> {
         if view.is_empty() {
             return AlgoRun::empty();
         }
         debug_assert_eq!(inputs.len(), view.node_count());
-        // The materialized view has the view's live indices and port order, so the line
-        // graph's edge endpoints are live indices too.
-        let (lg, edges) = session.materialized_graph(view).line_graph();
-        if lg.is_empty() {
+        let lg = LineGraph::of(view);
+        if lg.graph.is_empty() {
             // No edges: every node has an empty port-colour vector.
             return AlgoRun {
                 outputs: vec![Vec::new(); view.node_count()],
@@ -84,9 +83,10 @@ impl GraphAlgorithm for LineGraphEdgeColoring {
         }
         // A fresh session for L(G): its arenas scale with Σ deg², and pooling them would keep
         // that much memory alive in the caller's session after this run.
-        let lg_run = self.inner().execute(&lg, &vec![(); lg.node_count()], budget, seed);
+        let lg_run =
+            self.inner().execute(&lg.graph, &vec![(); lg.graph.node_count()], budget, seed);
         AlgoRun {
-            outputs: port_colors(view, &edges, &lg_run.outputs),
+            outputs: port_colors(&lg, &lg_run.outputs),
             rounds: (lg_run.rounds + 1).min(budget.unwrap_or(u64::MAX)),
             messages: lg_run.messages,
             completed: lg_run.completed,
@@ -94,21 +94,11 @@ impl GraphAlgorithm for LineGraphEdgeColoring {
     }
 }
 
-/// Maps a colouring of the line graph back to the ports of `view`. `edges` is the edge list
-/// [`local_runtime::Graph::line_graph`] returns, over `view`'s live indices, and `colors[i]`
-/// is the colour of `edges[i]`; the result holds, per node, the colour on each of its ports.
-pub fn port_colors(
-    view: &GraphView<'_>,
-    edges: &[(usize, usize)],
-    colors: &[u64],
-) -> Vec<Vec<u64>> {
-    let mut edge_color = std::collections::HashMap::new();
-    for (&(u, v), &c) in edges.iter().zip(colors) {
-        edge_color.insert((u.min(v), u.max(v)), c);
-    }
-    (0..view.node_count())
-        .map(|v| view.neighbors(v).map(|w| edge_color[&(v.min(w), v.max(w))]).collect())
-        .collect()
+/// Maps a colouring of the line graph back to the ports of the view `lg` was built from:
+/// `colors[i]` is the colour of line-graph node `i`, and the result holds, per node of the
+/// view, the colour on each of its ports.
+pub fn port_colors(lg: &LineGraph, colors: &[u64]) -> Vec<Vec<u64>> {
+    lg.port_edge_rows().map(|row| row.iter().map(|&e| colors[e]).collect()).collect()
 }
 
 #[cfg(test)]

@@ -5,7 +5,7 @@ use super::{units, MeasuredRun, Workload, WorkloadSpec};
 use crate::scheduler::Instance;
 use local_algos::checkers;
 use local_algos::edge_coloring::{port_colors, LineGraphEdgeColoring};
-use local_runtime::{GraphAlgorithm, GraphView, Session};
+use local_runtime::{GraphAlgorithm, GraphView, LineGraph, Session};
 use local_uniform::catalog;
 
 /// `coloring` / `lambda<λ>-coloring` — the Theorem 5 uniform `λ(Δ+1)`-colouring (`λ = 1`
@@ -109,10 +109,10 @@ impl Workload for EdgeColoring {
         let nu = baseline.execute_view(&full, &units(graph.node_count()), None, seed, session);
         let nu_valid = checkers::check_edge_coloring(graph, &nu.outputs).is_ok();
 
-        let (lg, edges) = graph.line_graph();
+        let lg = LineGraph::of(&full);
         let transformer = catalog::uniform_lambda_coloring(1);
-        let uni = transformer.solve_in(&lg, seed, session);
-        let uni_colors = port_colors(&full, &edges, &uni.colors);
+        let uni = transformer.solve_in(&lg.graph, seed, session);
+        let uni_colors = port_colors(&lg, &uni.colors);
         let uni_valid = checkers::check_edge_coloring(graph, &uni_colors).is_ok();
 
         MeasuredRun {

@@ -12,6 +12,8 @@
 //!   [`Graph::induced_subgraph`], which preserves node identities so that identity-based
 //!   symmetry breaking keeps working across iterations.
 
+use crate::line_graph::LineGraph;
+use crate::view::GraphView;
 use std::collections::BTreeSet;
 use std::fmt;
 
@@ -197,6 +199,30 @@ impl Graph {
         adjacency: Vec<NodeIndex>,
         reverse: Vec<usize>,
     ) -> Result<Self, GraphError> {
+        Self::check_csr(&offsets, &adjacency, &reverse)?;
+        let n = offsets.len() - 1;
+        let ids: Vec<NodeId> = (0..n as u64).collect();
+        Ok(Graph { offsets, adjacency, reverse, ids })
+    }
+
+    /// Wraps CSR arrays built inside this crate (the line-graph builder) with explicit
+    /// identities; the invariants of [`Graph::from_csr`] are checked in debug builds only.
+    pub(crate) fn from_trusted_csr(
+        offsets: Vec<usize>,
+        adjacency: Vec<NodeIndex>,
+        reverse: Vec<usize>,
+        ids: Vec<NodeId>,
+    ) -> Self {
+        debug_assert_eq!(Self::check_csr(&offsets, &adjacency, &reverse), Ok(()));
+        debug_assert_eq!(ids.len() + 1, offsets.len());
+        Graph { offsets, adjacency, reverse, ids }
+    }
+
+    fn check_csr(
+        offsets: &[usize],
+        adjacency: &[NodeIndex],
+        reverse: &[usize],
+    ) -> Result<(), GraphError> {
         let invalid = |detail| Err(GraphError::InvalidCsr { detail });
         if offsets.is_empty() || offsets[0] != 0 {
             return invalid("offsets must start with 0");
@@ -231,8 +257,7 @@ impl Graph {
                 }
             }
         }
-        let ids: Vec<NodeId> = (0..n as u64).collect();
-        Ok(Graph { offsets, adjacency, reverse, ids })
+        Ok(())
     }
 
     fn compute_reverse(offsets: &[usize], adjacency: &[NodeIndex]) -> Vec<usize> {
@@ -400,39 +425,10 @@ impl Graph {
     ///
     /// Returns the line graph and, for each line-graph node, the original edge it represents.
     /// Line-graph node identities are derived deterministically from the endpoint identities
-    /// so that they are unique and reproducible.
+    /// so that they are unique and reproducible; see [`LineGraph`], which this wraps.
     pub fn line_graph(&self) -> (Graph, Vec<(NodeIndex, NodeIndex)>) {
-        let edges: Vec<(NodeIndex, NodeIndex)> = self.edges().collect();
-        let mut edge_index = std::collections::HashMap::new();
-        for (i, &e) in edges.iter().enumerate() {
-            edge_index.insert(e, i);
-        }
-        let mut line_edges = Vec::new();
-        for v in 0..self.node_count() {
-            let nbrs = self.neighbors(v);
-            for a in 0..nbrs.len() {
-                for b in (a + 1)..nbrs.len() {
-                    let e1 = (v.min(nbrs[a]), v.max(nbrs[a]));
-                    let e2 = (v.min(nbrs[b]), v.max(nbrs[b]));
-                    line_edges.push((edge_index[&e1], edge_index[&e2]));
-                }
-            }
-        }
-        // Identity of edge (u, v): pair the endpoint identities (Cantor-style packing keeps
-        // them unique because endpoint identities are unique).
-        let ids: Vec<NodeId> = edges
-            .iter()
-            .map(|&(u, v)| {
-                let (a, b) = (self.ids[u].min(self.ids[v]), self.ids[u].max(self.ids[v]));
-                a.wrapping_mul(1_000_003).wrapping_add(b)
-            })
-            .collect();
-        // Packing could collide for adversarial identities; fall back to index-based ids then.
-        let unique: BTreeSet<_> = ids.iter().collect();
-        let ids = if unique.len() == ids.len() { ids } else { (0..edges.len() as u64).collect() };
-        let lg = Graph::from_edges_with_ids(edges.len(), &line_edges, &ids)
-            .expect("line graph of a valid graph is valid");
-        (lg, edges)
+        let LineGraph { graph, edges, .. } = LineGraph::of(&GraphView::full(self));
+        (graph, edges)
     }
 
     /// Connected components; returns a component label per node and the number of components.

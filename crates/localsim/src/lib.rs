@@ -22,6 +22,8 @@
 //!   pruning shrink a configuration without copying the CSR, and reusable sessions whose
 //!   frontier-driven round loop ([`run_view`]) touches only active nodes and live inboxes —
 //!   byte-identical to [`run`] on the materialized subgraph.
+//! * [`LineGraph`] — the line graph `L(G)` of a view, written straight into CSR, for the
+//!   edge problems the paper solves by colouring `L(G)`.
 //!
 //! ## Example
 //!
@@ -68,6 +70,7 @@
 
 pub mod algorithm;
 pub mod graph;
+pub mod line_graph;
 pub mod program;
 pub mod rng;
 pub mod runner;
@@ -77,6 +80,7 @@ pub mod view;
 
 pub use algorithm::{AlgoRun, DynAlgorithm, GraphAlgorithm};
 pub use graph::{Graph, GraphError, NodeId, NodeIndex};
+pub use line_graph::LineGraph;
 pub use program::{Action, Incoming, NodeInit, NodeProgram, ProgramSpec, RoundCtx};
 pub use rng::{mix_seed, node_rng};
 pub use runner::{run, run_sequence, Execution, RunConfig};

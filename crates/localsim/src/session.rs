@@ -309,29 +309,12 @@ pub struct Session {
     /// The frozen init slab (ids, degrees, flat neighbor-identity arena), keyed by the
     /// topology's content epoch.
     slab: InitSlab,
-    /// Materialized-subgraph cache for composite algorithms that need a standalone copy of
-    /// the configuration, keyed by the view's content epoch (equal epoch ⇒ structurally
-    /// identical view).
-    materialized: Option<(u64, Graph)>,
 }
 
 impl Session {
     /// A fresh session with empty buffers.
     pub fn new() -> Self {
         Session::default()
-    }
-
-    /// The materialization of `view`, cached by content epoch: repeated attempts on an
-    /// unchanged configuration (the common case between prunings) copy the subgraph once, not
-    /// once per attempt. Used by composite algorithms that transform the configuration as a
-    /// whole, such as the line-graph edge colouring.
-    pub fn materialized_graph(&mut self, view: &GraphView<'_>) -> &Graph {
-        let epoch = view.epoch();
-        if self.materialized.as_ref().is_none_or(|&(cached, _)| cached != epoch) {
-            let (graph, _back) = view.materialize();
-            self.materialized = Some((epoch, graph));
-        }
-        &self.materialized.as_ref().expect("cache filled above").1
     }
 
     /// The content epoch the cached init slab was built from, if any — a diagnostics hook

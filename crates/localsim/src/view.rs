@@ -22,7 +22,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Process-wide epoch source: every distinct view *content* gets a unique epoch, so equal
 /// epochs imply structurally identical views (clones share content and epoch; any mutation
-/// assigns a fresh epoch). Used to key materialization caches.
+/// assigns a fresh epoch). Used to key [`crate::session::Session`]'s init-slab cache.
 static NEXT_EPOCH: AtomicU64 = AtomicU64::new(1);
 
 fn fresh_epoch() -> u64 {
@@ -162,7 +162,7 @@ impl<'g> GraphView<'g> {
 
     /// The view's content epoch: equal epochs imply structurally identical views (a clone
     /// shares its source's epoch until either is mutated), so the epoch can key caches of
-    /// derived data such as [`crate::session::Session`]'s materialized-subgraph cache.
+    /// derived data such as [`crate::session::Session`]'s init slab.
     pub fn epoch(&self) -> u64 {
         self.epoch
     }
@@ -351,9 +351,8 @@ impl<'g> GraphView<'g> {
     /// Materializes the view as a standalone [`Graph`], plus the live-index → base-index map.
     ///
     /// The result is exactly what chaining [`Graph::induced_subgraph`] along the same pruning
-    /// history would have produced (same node order, identities, and adjacency), which is what
-    /// lets composite algorithms that transform the whole configuration (the line-graph edge
-    /// colouring) work on a copy.
+    /// history would have produced (same node order, identities, and adjacency), which makes
+    /// it the reference that view-native code is tested against.
     pub fn materialize(&self) -> (Graph, Vec<NodeIndex>) {
         let edges: Vec<(usize, usize)> = self.edges().collect();
         let ids: Vec<NodeId> = self.live_nodes.iter().map(|&b| self.base.id(b)).collect();
