@@ -7,8 +7,8 @@
 //! Usage: `cargo run --release -p local-bench --bin overhead [-- --sizes 64..512 --seeds 4 \
 //!         --problems mis,matching --families gnp-d2,gnp-d8,gnp-d16 --out overhead.csv]`
 
-use local_engine::{parse_sizes, parse_workload, workload, WorkloadSpec};
-use local_graphs::{parse_family, Family, FamilySpec};
+use local_engine::{parse_sizes, parse_workloads, workload, WorkloadSpec};
+use local_graphs::{parse_families, Family, FamilySpec};
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
@@ -39,24 +39,12 @@ fn main() -> ExitCode {
             "--seeds" => value("--seeds").and_then(|v| {
                 v.parse().map(|s| seeds = s).map_err(|e| format!("bad --seeds: {e}"))
             }),
-            "--problems" => value("--problems").and_then(|v| {
-                v.split(',')
-                    .map(|p| {
-                        parse_workload(p.trim())
-                            .ok_or_else(|| format!("unknown problem: {p:?} (see sweep --list)"))
-                    })
-                    .collect::<Result<Vec<_>, _>>()
-                    .map(|p| problems = p)
-            }),
-            "--families" => value("--families").and_then(|v| {
-                v.split(',')
-                    .map(|f| {
-                        parse_family(f.trim())
-                            .ok_or_else(|| format!("unknown family: {f:?} (see sweep --list)"))
-                    })
-                    .collect::<Result<Vec<_>, _>>()
-                    .map(|f| families = f)
-            }),
+            "--problems" => {
+                value("--problems").and_then(|v| parse_workloads(&v).map(|p| problems = p))
+            }
+            "--families" => {
+                value("--families").and_then(|v| parse_families(&v).map(|f| families = f))
+            }
             "--out" => value("--out").map(|v| out = Some(v)),
             other => Err(format!(
                 "unknown flag: {other} (overhead takes --sizes --seeds --problems --families --out)"

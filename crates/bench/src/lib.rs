@@ -16,8 +16,8 @@
 //!   non-uniform algorithms, the figure-style evidence that the overhead does not grow with
 //!   the instance.
 //!
-//! The Criterion benches under `benches/` wrap these same harness entry points so that
-//! `cargo bench` exercises every table and figure.
+//! The `table1`, `scaling`, `overhead` and `alternation_trace` binaries print these
+//! artefacts; end-to-end throughput is measured by `perfbench/`, not here.
 
 use local_engine::{
     pool, workload, CellResult, Instance, Scenario, ScenarioGrid, SweepConfig, WorkloadSpec,
@@ -66,14 +66,20 @@ fn units(n: usize) -> Vec<()> {
     vec![(); n]
 }
 
-/// The λ(Δ+1)-colouring workload at a given λ (λ = 1 is the canonical `coloring`).
-fn lambda_coloring(lambda: u64) -> WorkloadSpec {
-    if lambda == 1 {
-        workload("coloring")
-    } else {
-        workload(&format!("lambda{lambda}-coloring"))
-    }
-}
+/// Table 1's rows: label, workload, canonical family, and the largest instance size the row
+/// runs at (edge colouring works on the line graph, whose size grows with Σ deg²).
+const TABLE1: [(&str, &str, Family, usize); 10] = [
+    ("1 det. MIS O(Δ²+log* m)", "mis", Family::SparseGnp, usize::MAX),
+    ("2 det. MIS 2^O(√log n) [synthetic]", "ps-mis", Family::DenseGnp, usize::MAX),
+    ("3-4 det. MIS arboricity", "arboricity-mis", Family::Forest3, usize::MAX),
+    ("5 det. 1(Δ+1)-coloring", "coloring", Family::SparseGnp, usize::MAX),
+    ("5 det. 4(Δ+1)-coloring", "lambda4-coloring", Family::SparseGnp, usize::MAX),
+    ("6-7 det. O(Δ)-edge-coloring", "edge-coloring", Family::Regular6, 128),
+    ("8 det. maximal matching", "matching", Family::Grid, usize::MAX),
+    ("8 det. MM O(log⁴ n) [synthetic]", "log4-matching", Family::SparseGnp, usize::MAX),
+    ("9 rand. (2,2)-ruling set", "ruling-set-b2", Family::UnitDisk, usize::MAX),
+    ("10 rand. MIS (uniform baseline)", "luby-mis", Family::SparseGnp, usize::MAX),
+];
 
 /// Runs one engine cell: the preset shared by every Table 1 row.
 fn run_single(
@@ -87,76 +93,16 @@ fn run_single(
     local_engine::run_cell(&cell, &instance, seed)
 }
 
-/// Row 1: deterministic MIS (and (Δ+1)-colouring) with parameters `{Δ, m}`.
-pub fn row_mis_delta(n: usize, seed: u64) -> Table1Row {
-    let cell = run_single(workload("mis"), Family::SparseGnp, n, seed);
-    Table1Row::from_cell("1 det. MIS O(Δ²+log* m)", &cell)
-}
-
-/// Row 2: deterministic MIS with the `2^{O(√log n)}` (synthetic) bound, parameter `{n}`.
-pub fn row_mis_sqrt_log(n: usize, seed: u64) -> Table1Row {
-    let cell = run_single(workload("ps-mis"), Family::DenseGnp, n, seed);
-    Table1Row::from_cell("2 det. MIS 2^O(√log n) [synthetic]", &cell)
-}
-
-/// Rows 3–4: deterministic MIS on bounded-arboricity graphs, parameters `{a, n, m}`.
-pub fn row_mis_arboricity(n: usize, seed: u64) -> Table1Row {
-    let cell = run_single(workload("arboricity-mis"), Family::Forest3, n, seed);
-    Table1Row::from_cell("3-4 det. MIS arboricity", &cell)
-}
-
-/// Row 5: λ(Δ+1)-colouring via Theorem 5.
-pub fn row_lambda_coloring(n: usize, lambda: u64, seed: u64) -> Table1Row {
-    let cell = run_single(lambda_coloring(lambda), Family::SparseGnp, n, seed);
-    Table1Row::from_cell(&format!("5 det. {lambda}(Δ+1)-coloring"), &cell)
-}
-
-/// Rows 6–7: O(Δ)-edge-colouring via the line graph + Theorem 5.
-pub fn row_edge_coloring(n: usize, seed: u64) -> Table1Row {
-    let cell = run_single(workload("edge-coloring"), Family::Regular6, n, seed);
-    Table1Row::from_cell("6-7 det. O(Δ)-edge-coloring", &cell)
-}
-
-/// Row 8: deterministic maximal matching.
-pub fn row_matching(n: usize, seed: u64) -> Table1Row {
-    let cell = run_single(workload("matching"), Family::Grid, n, seed);
-    Table1Row::from_cell("8 det. maximal matching", &cell)
-}
-
-/// Row 8 (exact time shape): the synthetic `O(log⁴ n)` matching black box.
-pub fn row_matching_log4(n: usize, seed: u64) -> Table1Row {
-    let cell = run_single(workload("log4-matching"), Family::SparseGnp, n, seed);
-    Table1Row::from_cell("8 det. MM O(log⁴ n) [synthetic]", &cell)
-}
-
-/// Row 9: randomized (2, 2(c+1))-ruling set (weak Monte-Carlo → Las Vegas).
-pub fn row_ruling_set(n: usize, beta: usize, seed: u64) -> Table1Row {
-    let cell = run_single(workload(&format!("ruling-set-b{beta}")), Family::UnitDisk, n, seed);
-    Table1Row::from_cell(&format!("9 rand. (2,{beta})-ruling set"), &cell)
-}
-
-/// Row 10: Luby's uniform randomized MIS (the already-uniform baseline of the last row).
-pub fn row_uniform_luby(n: usize, seed: u64) -> Table1Row {
-    let cell = run_single(workload("luby-mis"), Family::SparseGnp, n, seed);
-    Table1Row::from_cell("10 rand. MIS (uniform baseline)", &cell)
+/// Row `row` of [`TABLE1`] at instance size `n` (capped by the row): one engine cell.
+fn table1_row(row: usize, n: usize, seed: u64) -> Table1Row {
+    let (label, problem, family, max_n) = TABLE1[row];
+    Table1Row::from_cell(label, &run_single(workload(problem), family, n.min(max_n), seed))
 }
 
 /// The whole Table 1 reproduction at a given instance size, executed in parallel over the
 /// engine's worker pool (one cell per row).
 pub fn table1_rows(n: usize, seed: u64) -> Vec<Table1Row> {
-    let rows: Vec<Box<dyn Fn() -> Table1Row + Sync>> = vec![
-        Box::new(move || row_mis_delta(n, seed)),
-        Box::new(move || row_mis_sqrt_log(n, seed)),
-        Box::new(move || row_mis_arboricity(n, seed)),
-        Box::new(move || row_lambda_coloring(n, 1, seed)),
-        Box::new(move || row_lambda_coloring(n, 4, seed)),
-        Box::new(move || row_edge_coloring(n.min(128), seed)),
-        Box::new(move || row_matching(n, seed)),
-        Box::new(move || row_matching_log4(n, seed)),
-        Box::new(move || row_ruling_set(n, 2, seed)),
-        Box::new(move || row_uniform_luby(n, seed)),
-    ];
-    pool::run_indexed(rows.len(), pool::default_threads(), |i| rows[i]())
+    pool::run_indexed(TABLE1.len(), pool::default_threads(), |row| table1_row(row, n, seed))
 }
 
 /// Renders rows as an aligned text table (the shape of the paper's Table 1, with measured
@@ -467,8 +413,9 @@ mod tests {
     #[test]
     fn rows_are_presets_over_engine_cells() {
         // A row and the engine cell it wraps must agree exactly.
-        let row = row_matching(64, 9);
+        let row = table1_row(6, 64, 9);
         let cell = run_single(workload("matching"), Family::Grid, 64, 9);
+        assert_eq!(row.row, "8 det. maximal matching");
         assert_eq!(row.uniform_rounds, cell.uniform_rounds);
         assert_eq!(row.nonuniform_rounds, cell.nonuniform_rounds);
         assert_eq!(row.valid, cell.valid);

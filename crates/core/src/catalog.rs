@@ -119,8 +119,7 @@ pub fn uniform_ps_mis() -> UniformTransformer<MisProblem, RulingSetPruning> {
 }
 
 /// A uniform deterministic MIS algorithm from the arboricity black box (Theorem 1 + the
-/// product set-sequence; the Theorem 3 route `Γ = {a, n}` weakly dominated by `Λ = {n}` is
-/// exercised separately in the benches).
+/// product set-sequence).
 pub fn uniform_arboricity_mis() -> UniformTransformer<MisProblem, RulingSetPruning> {
     UniformTransformer::new(arboricity_mis_black_box(), RulingSetPruning::mis(), false)
 }

@@ -2,99 +2,20 @@
 //!
 //! This is the pre-session execution strategy: every sub-iteration materializes the surviving
 //! subgraph with [`Graph::induced_subgraph`] and runs the black box through a fresh
-//! [`GraphAlgorithm::execute`] call. It is kept — verbatim in behaviour — for two reasons:
-//!
-//! 1. **Equivalence oracle.** The zero-rebuild path of [`crate::transform`] (live
-//!    [`GraphView`] + reusable session) promises byte-identical [`UniformRun`]s; the property
-//!    tests drive both paths over scenario grids and compare outputs, rounds, messages, and
-//!    traces field by field.
-//! 2. **Benchmark baseline.** The `alternation_hotpath` bench in `local-bench` measures the
-//!    throughput of the session path against this rebuild path on doubling-budget MIS runs.
+//! [`GraphAlgorithm::execute`] call. It is kept — verbatim in behaviour — as the
+//! **equivalence oracle**: the zero-rebuild path of [`crate::transform`] (live
+//! [`GraphView`] + reusable session) promises byte-identical [`UniformRun`]s, and the
+//! property tests drive both paths over scenario grids and compare outputs, rounds,
+//! messages, and traces field by field.
 //!
 //! The timing fields of the returned [`UniformRun`]s are left at zero — this path exists to
 //! be compared against, not profiled.
 
 use crate::nonuniform::Determinism;
-use crate::problem::{MisProblem, Problem, RulingSetProblem};
-use crate::pruning::{Pruned, PruningAlgorithm};
+use crate::problem::Problem;
+use crate::pruning::PruningAlgorithm;
 use crate::transform::{FastestOfTransformer, SubIterationTrace, UniformRun, UniformTransformer};
 use local_runtime::{Graph, GraphAlgorithm, GraphView};
-
-/// The seed implementation of the (2, β)-ruling-set pruning, kept verbatim in *cost profile*:
-/// every covered-node check materializes a ball via a BFS whose distance array spans the whole
-/// configuration — `O(n)` per node, `O(n²)` per pruning invocation. The pruning *decisions*
-/// are identical to [`crate::pruning::RulingSetPruning`] (the property tests compare the two
-/// drivers output-for-output); only the work profile differs.
-///
-/// This type exists for the `alternation_hotpath` bench, whose baseline must reproduce the
-/// pre-refactor execution costs. Don't use it outside benchmarks.
-#[derive(Debug, Clone, Copy)]
-pub struct SeedRulingSetPruning {
-    /// The domination radius β ≥ 1.
-    pub beta: usize,
-}
-
-impl SeedRulingSetPruning {
-    /// The seed's ball computation: a full-size distance array per call (the pre-refactor
-    /// `Graph::ball`), BFS to depth `r`, sorted output.
-    fn ball(view: &GraphView<'_>, v: usize, r: usize) -> Vec<usize> {
-        let mut dist = vec![usize::MAX; view.node_count()];
-        let mut queue = std::collections::VecDeque::new();
-        let mut out = vec![v];
-        dist[v] = 0;
-        queue.push_back(v);
-        while let Some(u) = queue.pop_front() {
-            if dist[u] == r {
-                continue;
-            }
-            for w in view.neighbors(u) {
-                if dist[w] == usize::MAX {
-                    dist[w] = dist[u] + 1;
-                    out.push(w);
-                    queue.push_back(w);
-                }
-            }
-        }
-        out.sort_unstable();
-        out
-    }
-
-    fn prune_bools(&self, view: &GraphView<'_>, tentative: &[bool]) -> Vec<bool> {
-        let n = view.node_count();
-        let good: Vec<bool> =
-            (0..n).map(|v| tentative[v] && !view.neighbors(v).any(|w| tentative[w])).collect();
-        (0..n)
-            .map(|u| {
-                if tentative[u] {
-                    good[u]
-                } else {
-                    Self::ball(view, u, self.beta).iter().any(|&v| good[v])
-                }
-            })
-            .collect()
-    }
-}
-
-impl PruningAlgorithm<MisProblem> for SeedRulingSetPruning {
-    fn rounds(&self) -> u64 {
-        2
-    }
-
-    fn prune(&self, view: &GraphView<'_>, input: &[()], tentative: &[bool]) -> Pruned<()> {
-        let rule = SeedRulingSetPruning { beta: 1 };
-        Pruned { pruned: rule.prune_bools(view, tentative), new_inputs: input.to_vec() }
-    }
-}
-
-impl PruningAlgorithm<RulingSetProblem> for SeedRulingSetPruning {
-    fn rounds(&self) -> u64 {
-        1 + self.beta as u64
-    }
-
-    fn prune(&self, view: &GraphView<'_>, input: &[()], tentative: &[bool]) -> Pruned<()> {
-        Pruned { pruned: self.prune_bools(view, tentative), new_inputs: input.to_vec() }
-    }
-}
 
 /// The rebuild-per-prune twin of `AlternationState`.
 struct RebuildState<P: Problem> {
@@ -375,27 +296,6 @@ mod tests {
         assert_eq!(fast.messages, reference.messages);
         assert_eq!(fast.trace, reference.trace);
         crate::problem::MisProblem.validate(&g, &units(n), &fast.outputs).unwrap();
-    }
-
-    #[test]
-    fn seed_pruning_reproduces_fast_pruning_decisions() {
-        // The bench baseline (rebuild driver + seed ball-based pruning) must stay
-        // output-identical to the optimized path, or the throughput comparison is meaningless.
-        let black_box = catalog::coloring_mis_black_box();
-        let fast = catalog::uniform_coloring_mis();
-        let reference = crate::transform::UniformTransformer::new(
-            black_box,
-            super::SeedRulingSetPruning { beta: 1 },
-            false,
-        );
-        for seed in 0..3u64 {
-            let g = gnp(70, 0.09, seed);
-            let a = fast.solve(&g, &units(70), seed);
-            let b = reference.solve_rebuild(&g, &units(70), seed);
-            assert_eq!(a.outputs, b.outputs);
-            assert_eq!(a.rounds, b.rounds);
-            assert_eq!(a.trace, b.trace);
-        }
     }
 
     #[test]

@@ -77,7 +77,7 @@ impl Default for CoordinatorConfig {
         CoordinatorConfig {
             fleet: Vec::new(),
             rescue_threads: 0,
-            io_deadline_ms: 600_000,
+            io_deadline_ms: super::DEFAULT_IO_DEADLINE_MS,
             connect_timeout_ms: 5_000,
             retry_base_ms: 100,
             retry_cap_ms: 5_000,

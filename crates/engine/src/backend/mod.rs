@@ -44,6 +44,11 @@ use crate::scenario::Scenario;
 use serde::{Deserialize, Serialize, Value};
 use std::sync::Mutex;
 
+/// Default read/write liveness deadline of every remote backend and the coordinator:
+/// generous enough for the largest single cells when no heartbeats flow (telemetry shrinks
+/// the effective window via [`liveness_window`]).
+pub const DEFAULT_IO_DEADLINE_MS: u64 = 600_000;
+
 /// A batch of cells dispatched to a backend as one unit of work, in execution (LPT) order.
 ///
 /// The shard is the wire unit of the daemon protocol: the client serializes it into one
@@ -162,8 +167,6 @@ pub struct BackendEntry {
     pub name: &'static str,
     /// One-line description.
     pub summary: &'static str,
-    /// The CLI flags that configure it.
-    pub flags: &'static str,
 }
 
 /// Every available execution backend, in `--backend` name order of preference.
@@ -171,25 +174,21 @@ pub const BACKEND_ENTRIES: &[BackendEntry] = &[
     BackendEntry {
         name: "in-process",
         summary: "work-stealing thread pool inside the sweep process (default)",
-        flags: "--threads",
     },
     BackendEntry {
         name: "process",
         summary: "launches local `sweep --serve` daemons and drives them like `network`; a \
                   daemon that never starts has its cells rescued in-process",
-        flags: "--workers, --threads, --io-deadline-ms, --faults",
     },
     BackendEntry {
         name: "network",
         summary: "persistent `sweep --serve` TCP daemons; reconnect with capped backoff, \
                   heartbeat liveness, re-dispatch to healthy peers, in-process rescue",
-        flags: "--connect, --threads, --io-deadline-ms, --faults",
     },
     BackendEntry {
         name: "coordinator",
         summary: "submits the sweep to a `sweep --coordinate` service that schedules many \
                   clients fairly over a shared daemon fleet (same verify/rescue discipline)",
-        flags: "--submit, --client, --io-deadline-ms, --faults",
     },
 ];
 
@@ -197,7 +196,7 @@ pub const BACKEND_ENTRIES: &[BackendEntry] = &[
 pub fn render_backend_listing() -> String {
     let mut out = String::from("backends (--backend):\n");
     for entry in BACKEND_ENTRIES {
-        out.push_str(&format!("  {:<28} {} [{}]\n", entry.name, entry.summary, entry.flags));
+        out.push_str(&format!("  {:<28} {}\n", entry.name, entry.summary));
     }
     out
 }

@@ -96,7 +96,7 @@ impl NetworkBackend {
             observed: Mutex::new(CostModel::new()),
             progress: None,
             heartbeat_ms: 500,
-            io_deadline_ms: 600_000,
+            io_deadline_ms: super::DEFAULT_IO_DEADLINE_MS,
             connect_timeout_ms: DEFAULT_CONNECT_TIMEOUT_MS,
             retry_base_ms: 100,
             retry_cap_ms: 5_000,

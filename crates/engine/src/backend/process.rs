@@ -32,11 +32,6 @@ use std::process::{Child, Command, Stdio};
 use std::sync::{mpsc, Mutex};
 use std::time::Duration;
 
-/// Default read/write liveness deadline: generous enough for the largest single cells when
-/// no heartbeats flow (telemetry shrinks the effective window via
-/// [`super::liveness_window`]).
-const DEFAULT_IO_DEADLINE_MS: u64 = 600_000;
-
 /// A child process that is *always* killed and reaped when dropped — on the normal path and
 /// when the owning thread unwinds (a panicking emit, an early error return). Without this,
 /// an abandoned child outlives the backend, as a zombie once it exits.
@@ -152,7 +147,7 @@ impl ProcessBackend {
             observed: Mutex::new(CostModel::new()),
             progress: None,
             heartbeat_ms: 500,
-            io_deadline_ms: DEFAULT_IO_DEADLINE_MS,
+            io_deadline_ms: super::DEFAULT_IO_DEADLINE_MS,
             faults: FaultPlan::from_env_lossy(),
         }
     }

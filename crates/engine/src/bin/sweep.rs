@@ -6,67 +6,65 @@
 //!       --seeds 32 --backend process --workers 8 --out results.json [--csv results.csv]
 //! ```
 //!
-//! * `--problems`  comma list of registered workloads (`mis`, `matching`,
-//!   `ruling-set[-bB]`, `lambdaL-coloring`, …), or `all`. `sweep --list` prints the full
-//!   registry.
-//! * `--families`  comma list of graph families — canonical names, aliases like
-//!   `sparse-gnp`/`tree`, or *parameterized* generators (`gnp-d16`, `regular-8`,
-//!   `forest-5`, `pa-2`, `unit-disk-r75`) — or `all` (the builtin catalog).
-//! * `--list`      print every registered workload and family (name, parameters, one-line
-//!   description) straight from the registry, then exit.
-//! * `--sizes`     comma list (`200,400`) or doubling ladder (`100..10000`).
-//! * `--seeds`     replicates per cell (default 2).
-//! * `--backend`   execution backend: `in-process` (default; the work-stealing thread pool),
-//!   `process` (launch local `sweep --serve` daemons and drive them like `network`), or
-//!   `network` (stripe over persistent `sweep --serve` TCP daemons named by `--connect`).
-//! * `--threads`   worker threads (0 = available parallelism). Under `--backend process`
-//!   this is each daemon's thread count (default 1).
-//! * `--workers`   local daemons for `--backend process` (0 = available parallelism).
-//! * `--connect`   comma list of daemon addresses for `--backend network`.
-//! * `--io-deadline-ms`  liveness deadline for worker I/O; heartbeats shrink the window.
-//! * `--faults`    deterministic fault-injection script (also read from `LOCAL_FAULTS`).
-//! * `--out`       write the JSON report here; `--csv` additionally writes per-cell CSV.
-//! * `--dry-run`   print the cost model's predicted per-cell micros and the LPT execution
-//!   order (calibrated from the result store's hits) without running anything.
-//! * `--deterministic`  zero every wall-clock field in the outputs, so reports produced by
-//!   different backends or parallelism levels compare byte-for-byte.
-//! * `--profile`   emit per-phase timings (attempt / pruning / instance generation) as extra
-//!   CSV columns and a printed summary; the JSON report always carries them per cell.
-//! * `--folded F`  write the sweep's phase times as folded stacks (flamegraph format) to `F`.
-//! * `--store D`   result store location (default `target/sweep-store`): every finished
-//!   cell lands in CRC-checked append-only segment files, so a re-sweep executes only the
-//!   cells whose inputs changed. One sweep per store directory at a time; a second one
-//!   exits 1. `--no-store` turns the store off. `sweep store bench` measures it on a
-//!   synthetic grid.
-//! * `--stream`    stream cells to the result store instead of holding them in memory
-//!   (large grids); per-cell CSV is then produced by reading the store back. Requires the
-//!   store.
-//! * `--trace F`   enable the observability layer and write a Chrome trace-event JSON of
-//!   the sweep (phase spans, counters, one track per thread/worker) to `F` — loadable in
-//!   Perfetto or `chrome://tracing`.
-//! * `--trace-events F`  append the same events as an NDJSON log to `F`.
-//! * `--progress`  live stderr status line: cells done/total, cache hits, per-worker
-//!   throughput, and an ETA from the cost model's predictions for the outstanding cells.
-//!
-//! There is also a `--serve ADDR` mode — a persistent TCP daemon, the receiving end of
-//! `--backend network` and of the daemons `--backend process` launches — and a
-//! `--coordinate ADDR` mode that schedules many clients' submissions
-//! (`--submit`) fairly over a `--connect` daemon fleet; see `local_engine::backend` for
-//! the framing and `local_engine::backend::coordinator` for the job protocol.
+//! The binary has four modes: a sweep (above); `--serve ADDR`, a persistent TCP worker
+//! daemon — the receiving end of `--backend network` and of the daemons `--backend process`
+//! launches; `--coordinate ADDR`, a service that schedules many clients' `--submit`ted
+//! sweeps fairly over a daemon fleet; and `store bench`. Every flag of every mode is one row
+//! of [`FLAGS`], which drives both the parser and `sweep --help` — run that for the list.
+//! See `local_engine::backend` for the framing and `local_engine::backend::coordinator` for
+//! the job protocol.
 
 use local_engine::backend::{
     coordinate_forever, serve_forever, CoordinatorBackend, CoordinatorConfig, FaultPlan,
-    InProcessBackend, NetworkBackend, ProcessBackend,
+    InProcessBackend, NetworkBackend, ProcessBackend, DEFAULT_IO_DEADLINE_MS,
 };
 use local_engine::{
-    default_workloads, parse_sizes, parse_workload, render_listing, BinaryStore, CellResult,
-    CostModel, ProgressMeter, ResultStore, Scenario, ScenarioGrid, Sweep, WorkloadSpec,
+    folded_stacks, parse_sizes, parse_workload, parse_workloads, render_listing, BinaryStore,
+    CellResult, CostModel, ProgressMeter, Report, ResultStore, Scenario, ScenarioGrid,
+    WorkloadSpec,
 };
-use local_graphs::{builtin_families, parse_family, FamilySpec};
+use local_graphs::{parse_families, parse_family, FamilySpec};
 use std::process::ExitCode;
 use std::sync::Arc;
 
-#[derive(Clone, PartialEq)]
+/// The binary's modes. Every row of [`FLAGS`] names the mode it is valid in.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Mode {
+    Sweep,
+    Serve,
+    Coordinate,
+    StoreBench,
+}
+
+use Mode::{Coordinate, Serve, StoreBench, Sweep};
+
+impl Mode {
+    const ALL: [Mode; 4] = [Sweep, Serve, Coordinate, StoreBench];
+
+    /// The mode `argv` selects and the arguments its flags are parsed from; `None` for a
+    /// `store` command without the `bench` subcommand.
+    fn select(argv: &[String]) -> (Mode, Option<&[String]>) {
+        let has = |flag: &str| argv.iter().any(|a| a == flag);
+        match argv.first().map(String::as_str) {
+            Some("store") => (StoreBench, argv.get(2..).filter(|_| argv[1] == "bench")),
+            _ if has("--serve") => (Serve, Some(argv)),
+            _ if has("--coordinate") => (Coordinate, Some(argv)),
+            _ => (Sweep, Some(argv)),
+        }
+    }
+
+    /// The mode's command line (also the prefix of its error messages) and what it does.
+    fn usage(self) -> (&'static str, &'static str) {
+        match self {
+            Sweep => ("sweep", "run a scenario grid and write a report"),
+            Serve => ("sweep --serve ADDR", "run a persistent worker daemon"),
+            Coordinate => ("sweep --coordinate ADDR", "schedule many clients' sweeps over a fleet"),
+            StoreBench => ("sweep store bench", "benchmark the result store on a synthetic grid"),
+        }
+    }
+}
+
+#[derive(Clone, Copy, Debug, PartialEq)]
 enum BackendKind {
     InProcess,
     Process,
@@ -74,22 +72,26 @@ enum BackendKind {
     Coordinator,
 }
 
+/// Every mode's settings, each filled in by the [`FLAGS`] rows of the mode being parsed.
+#[derive(Default)]
 struct Args {
     problems: Vec<WorkloadSpec>,
     families: Vec<FamilySpec>,
     sizes: Vec<usize>,
     seeds: u64,
-    backend: BackendKind,
+    base_seed: u64,
+    /// `--backend` as given; [`sweep_backend`] resolves it against `--submit`.
+    backend: Option<BackendKind>,
     threads: Option<usize>,
     workers: usize,
     connect: Vec<String>,
     submit: Option<String>,
     client: Option<String>,
-    io_deadline_ms: Option<u64>,
+    io_deadline_ms: u64,
     faults: Option<FaultPlan>,
-    base_seed: u64,
     out: Option<String>,
     csv: Option<String>,
+    list: bool,
     dry_run: bool,
     deterministic: bool,
     profile: bool,
@@ -99,268 +101,301 @@ struct Args {
     trace: Option<String>,
     trace_events: Option<String>,
     progress: bool,
+    help: bool,
+    /// The `--serve` / `--coordinate` bind address.
+    addr: String,
+    max_concurrent_shards: usize,
+    stripes_per_peer: Option<usize>,
+    cells: usize,
+    dir: String,
+    json: Option<String>,
+}
+
+impl Args {
+    fn new(mode: Mode) -> Args {
+        Args {
+            problems: vec![local_engine::workload("mis")],
+            families: vec![local_graphs::Family::SparseGnp.into()],
+            sizes: vec![64, 128],
+            seeds: 2,
+            io_deadline_ms: DEFAULT_IO_DEADLINE_MS,
+            // Sweeps use the store unless told otherwise; a coordinator only when given one.
+            store_dir: (mode == Sweep).then(|| "target/sweep-store".to_string()),
+            cells: 10_000,
+            dir: "target/store-bench".to_string(),
+            ..Args::default()
+        }
+    }
+}
+
+/// One command-line flag of one mode: its name, its value's placeholder (`None` for a
+/// switch), how it fills [`Args`] (a switch is passed `""`), and its help. A flag several
+/// modes take has a row in each, with help that fits the mode.
+struct Flag {
+    name: &'static str,
+    metavar: Option<&'static str>,
+    mode: Mode,
+    set: fn(&mut Args, &str) -> Result<(), String>,
+    help: &'static str,
+}
+
+/// A [`Flag`] row, positional so that [`FLAGS`] reads as a table.
+const fn flag(
+    name: &'static str,
+    metavar: Option<&'static str>,
+    mode: Mode,
+    set: fn(&mut Args, &str) -> Result<(), String>,
+    help: &'static str,
+) -> Flag {
+    Flag { name, metavar, mode, set, help }
+}
+
+/// Stores a flag's parsed value.
+fn set<T>(slot: &mut T, value: T) -> Result<(), String> {
+    *slot = value;
+    Ok(())
 }
 
 /// Parses a worker/thread count. The semantics live in
 /// [`local_engine::pool::resolve_worker_count`] — `0` means "use the machine's available
 /// parallelism" — so the flags, `SweepConfig`, and both backends cannot drift apart; here
 /// we only reject text that is not a count at all.
-fn parse_count(flag: &str, text: &str) -> Result<usize, String> {
-    text.parse().map_err(|e| format!("bad {flag}: {e} (0 means available parallelism)"))
+fn parse_count(text: &str) -> Result<usize, String> {
+    text.parse().map_err(|e| format!("{e} (0 means available parallelism)"))
 }
 
 /// Parses any other numeric flag value.
-fn parse_number<T: std::str::FromStr>(flag: &str, text: &str) -> Result<T, String>
+fn parse_number<T: std::str::FromStr>(text: &str) -> Result<T, String>
 where
     T::Err: std::fmt::Display,
 {
-    text.parse().map_err(|e| format!("bad {flag}: {e}"))
+    text.parse().map_err(|e: T::Err| e.to_string())
 }
 
-fn parse_args() -> Result<Args, String> {
-    let mut args = Args {
-        problems: vec![local_engine::workload("mis")],
-        families: vec![local_graphs::Family::SparseGnp.into()],
-        sizes: vec![64, 128],
-        seeds: 2,
-        backend: BackendKind::InProcess,
-        threads: None,
-        workers: 0,
-        connect: Vec::new(),
-        submit: None,
-        client: None,
-        io_deadline_ms: None,
-        faults: None,
-        base_seed: 0,
-        out: None,
-        csv: None,
-        dry_run: false,
-        deterministic: false,
-        profile: false,
-        folded: None,
-        store_dir: Some("target/sweep-store".to_string()),
-        stream: false,
-        trace: None,
-        trace_events: None,
-        progress: false,
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(flag) = it.next() {
-        let mut value = |flag: &str| it.next().ok_or_else(|| format!("missing value for {flag}"));
-        match flag.as_str() {
-            "--problems" => {
-                let v = value("--problems")?;
-                args.problems = if v == "all" {
-                    default_workloads()
+fn parse_backend(name: &str) -> Result<BackendKind, String> {
+    match name {
+        "in-process" => Ok(BackendKind::InProcess),
+        "process" => Ok(BackendKind::Process),
+        "network" => Ok(BackendKind::Network),
+        "coordinator" => Ok(BackendKind::Coordinator),
+        other => Err(format!(
+            "unknown backend: {other:?} (expected in-process, process, network, or \
+             coordinator — sweep --list enumerates them)"
+        )),
+    }
+}
+
+fn parse_addrs(list: &str) -> Vec<String> {
+    list.split(',').map(|a| a.trim().to_string()).collect()
+}
+
+/// Every flag of every mode, in `--help` order: the one source of the parser ([`parse`])
+/// and of `--help` ([`render_help`]). Laid out by hand as a table: one row per flag — name,
+/// metavar, mode, setter — with its help text below.
+#[rustfmt::skip]
+const FLAGS: &[Flag] = &[
+    flag("--problems", Some("WORKLOADS"), Sweep, |a, v| set(&mut a.problems, parse_workloads(v)?),
+        "comma list of registered workloads (see --list), or all; default mis"),
+    flag("--families", Some("FAMILIES"), Sweep, |a, v| set(&mut a.families, parse_families(v)?),
+        "comma list of graph families (see --list), parameterized ones such as gnp-d16 \
+         included, or all; default sparse-gnp"),
+    flag("--sizes", Some("SIZES"), Sweep, |a, v| set(&mut a.sizes, parse_sizes(v)?),
+        "comma list (200,400) or doubling ladder (100..10000); default 64,128"),
+    flag("--seeds", Some("N"), Sweep, |a, v| set(&mut a.seeds, parse_number(v)?),
+        "replicates per cell (default 2)"),
+    flag("--base-seed", Some("SEED"), Sweep, |a, v| set(&mut a.base_seed, parse_number(v)?),
+        "the seed every cell's seed is derived from (default 0)"),
+    flag("--list", None, Sweep, |a, _| set(&mut a.list, true),
+        "print every registered workload, family and backend, then exit"),
+    flag("--backend", Some("KIND"), Sweep, |a, v| set(&mut a.backend, Some(parse_backend(v)?)),
+        "in-process (default), process, network or coordinator (sweep --list describes them); \
+         the report is byte-identical on every backend"),
+    flag("--threads", Some("N"), Sweep, |a, v| set(&mut a.threads, Some(parse_count(v)?)),
+        "worker threads; 0 = available parallelism (default). Under --backend process, each \
+         daemon's thread count (default 1); under network and coordinator, the in-process \
+         rescue path's"),
+    flag("--workers", Some("N"), Sweep, |a, v| set(&mut a.workers, parse_count(v)?),
+        "local daemons for --backend process; 0 = available parallelism (default)"),
+    flag("--connect", Some("ADDRS"), Sweep, |a, v| set(&mut a.connect, parse_addrs(v)),
+        "comma list of sweep --serve daemon addresses (host:port) for --backend network"),
+    flag("--submit", Some("ADDR"), Sweep, |a, v| set(&mut a.submit, Some(v.to_string())),
+        "run the sweep on the sweep --coordinate service at ADDR (implies --backend \
+         coordinator)"),
+    flag("--client", Some("NAME"), Sweep, |a, v| set(&mut a.client, Some(v.to_string())),
+        "this client's name for the coordinator's fairness and accounting (default: its \
+         address)"),
+    flag("--io-deadline-ms", Some("MS"), Sweep, |a, v| set(&mut a.io_deadline_ms, parse_number(v)?),
+        "liveness deadline for worker I/O (default 600000): a stream silent this long is \
+         declared dead and its cells rescued; heartbeats shrink the window"),
+    flag("--faults", Some("SCRIPT"), Sweep, |a, v| set(&mut a.faults, Some(FaultPlan::parse(v)?)),
+        "deterministic fault-injection script (also read from LOCAL_FAULTS), e.g. \
+         \"w0:kill@5 w1:refuse*2\": kill@K, truncate@K, garble@K, dup@K and delay@K=MS act \
+         on a worker's K-th result line, refuse*N refuses its first N connects, w<i>: \
+         scopes a clause to worker i"),
+    flag("--out", Some("FILE"), Sweep, |a, v| set(&mut a.out, Some(v.to_string())),
+        "write the JSON report to FILE"),
+    flag("--csv", Some("FILE"), Sweep, |a, v| set(&mut a.csv, Some(v.to_string())),
+        "write one CSV row per cell to FILE"),
+    flag("--dry-run", None, Sweep, |a, _| set(&mut a.dry_run, true),
+        "print the cost model's predicted micros per cell and the LPT execution order, \
+         without running cells"),
+    flag("--deterministic", None, Sweep, |a, _| set(&mut a.deterministic, true),
+        "zero every wall-clock field, so the outputs of any two backends or thread counts \
+         compare byte-for-byte"),
+    flag("--profile", None, Sweep, |a, _| set(&mut a.profile, true),
+        "add per-phase wall-time columns to the CSV and print a phase-time summary"),
+    flag("--folded", Some("FILE"), Sweep, |a, v| set(&mut a.folded, Some(v.to_string())),
+        "write phase times as folded stacks (flamegraph.pl / inferno format) to FILE"),
+    flag("--store", Some("DIR"), Sweep, |a, v| set(&mut a.store_dir, Some(v.to_string())),
+        "result store directory (default target/sweep-store); a re-sweep executes only the \
+         cells not in it. One sweep per directory at a time"),
+    flag("--no-store", None, Sweep, |a, _| set(&mut a.store_dir, None),
+        "run without the result store"),
+    flag("--stream", None, Sweep, |a, _| set(&mut a.stream, true),
+        "keep cells in the result store only, not in memory (for very large grids)"),
+    flag("--trace", Some("FILE"), Sweep, |a, v| set(&mut a.trace, Some(v.to_string())),
+        "write a Chrome trace-event JSON (open it in Perfetto) to FILE"),
+    flag("--trace-events", Some("FILE"), Sweep,
+        |a, v| set(&mut a.trace_events, Some(v.to_string())),
+        "append the recorded events to FILE as NDJSON"),
+    flag("--progress", None, Sweep, |a, _| set(&mut a.progress, true),
+        "live stderr status line: cells done, cache hits, per-worker throughput, ETA"),
+    flag("--help", None, Sweep, |a, _| set(&mut a.help, true),
+        "print this help, then exit (also -h)"),
+
+    flag("--serve", Some("ADDR"), Serve, |a, v| set(&mut a.addr, v.to_string()),
+        "bind ADDR (host:port; port 0 picks one), print `listening on <addr>` and serve \
+         shard requests until killed"),
+    flag("--threads", Some("N"), Serve, |a, v| set(&mut a.threads, Some(parse_count(v)?)),
+        "threads per shard; 0 = available parallelism (default)"),
+    flag("--max-concurrent-shards", Some("N"), Serve,
+        |a, v| set(&mut a.max_concurrent_shards, parse_count(v)?),
+        "plain shard requests served at once (default 0 = thread budget / --threads); \
+         fault-scripted and telemetry requests still run alone"),
+
+    flag("--coordinate", Some("ADDR"), Coordinate, |a, v| set(&mut a.addr, v.to_string()),
+        "bind ADDR, print `listening on <addr>` and schedule every client's submissions \
+         fairly over the --connect fleet until killed"),
+    flag("--connect", Some("ADDRS"), Coordinate, |a, v| set(&mut a.connect, parse_addrs(v)),
+        "comma list of the fleet's sweep --serve daemon addresses"),
+    flag("--threads", Some("N"), Coordinate, |a, v| set(&mut a.threads, Some(parse_count(v)?)),
+        "threads of the in-process rescue path; 0 = available parallelism (default)"),
+    flag("--io-deadline-ms", Some("MS"), Coordinate,
+        |a, v| set(&mut a.io_deadline_ms, parse_number(v)?),
+        "liveness deadline for the fleet's I/O (default 600000)"),
+    flag("--stripes-per-peer", Some("N"), Coordinate,
+        |a, v| set(&mut a.stripes_per_peer, Some(parse_number(v)?)),
+        "stripes per fleet peer each job is split into (default 4)"),
+    flag("--faults", Some("SCRIPT"), Coordinate,
+        |a, v| set(&mut a.faults, Some(FaultPlan::parse(v)?)),
+        "refuse*N clauses towards the fleet (also read from LOCAL_FAULTS)"),
+    flag("--store", Some("DIR"), Coordinate, |a, v| set(&mut a.store_dir, Some(v.to_string())),
+        "serve repeat submissions from the result store at DIR and write fresh results \
+         back (off unless given)"),
+
+    flag("--cells", Some("N"), StoreBench, |a, v| set(&mut a.cells, parse_number(v)?),
+        "synthetic cells to append and scan (default 10000)"),
+    flag("--dir", Some("DIR"), StoreBench, |a, v| set(&mut a.dir, v.to_string()),
+        "where to put the scratch store (default target/store-bench)"),
+    flag("--json", Some("FILE"), StoreBench, |a, v| set(&mut a.json, Some(v.to_string())),
+        "also write the measured throughputs to FILE as JSON"),
+];
+
+/// Parses `argv` for `mode` in one walk over [`FLAGS`]. A flag that is not a row valid in
+/// `mode`, a value-taking flag without a value, or a value its row rejects is an error.
+fn parse(mode: Mode, argv: &[String]) -> Result<Args, String> {
+    let mut args = Args::new(mode);
+    let mut argv = argv.iter();
+    while let Some(arg) = argv.next() {
+        let name = if arg == "-h" { "--help" } else { arg.as_str() };
+        let flag = FLAGS
+            .iter()
+            .find(|flag| flag.name == name && flag.mode == mode)
+            .ok_or_else(|| format!("unknown flag: {arg} (try sweep --help)"))?;
+        let value = match flag.metavar {
+            None => "",
+            Some(_) => argv
+                .next()
+                .filter(|value| !value.starts_with("--"))
+                .ok_or_else(|| format!("missing value for {name}"))?,
+        };
+        (flag.set)(&mut args, value).map_err(|e| format!("bad {name}: {e}"))?;
+    }
+    Ok(args)
+}
+
+/// Where `--help` starts each flag's text, and the width it wraps at.
+const HELP_COLUMN: usize = 24;
+const HELP_WIDTH: usize = 92;
+
+/// `sweep --help`, rendered from [`FLAGS`]: every mode's usage, then each mode's flags.
+fn render_help() -> String {
+    let mut out = String::from(
+        "sweep — parallel batched experiment engine for uniform LOCAL algorithms\n\nUSAGE:\n",
+    );
+    for mode in Mode::ALL {
+        let (command, purpose) = mode.usage();
+        out.push_str(&format!("  {:<34}{purpose}\n", format!("{command} [FLAGS]")));
+    }
+    for mode in Mode::ALL {
+        out.push_str(&format!("\nFLAGS of {}:\n", mode.usage().0));
+        for flag in FLAGS.iter().filter(|flag| flag.mode == mode) {
+            let mut line = match flag.metavar {
+                Some(metavar) => format!("  {} {metavar}", flag.name),
+                None => format!("  {}", flag.name),
+            };
+            if line.len() >= HELP_COLUMN {
+                out.push_str(&line);
+                out.push('\n');
+                line.clear();
+            }
+            for word in flag.help.split_whitespace() {
+                if line.len() > HELP_COLUMN && line.len() + 1 + word.len() > HELP_WIDTH {
+                    out.push_str(&line);
+                    out.push('\n');
+                    line.clear();
+                }
+                if line.len() < HELP_COLUMN {
+                    line = format!("{line:<HELP_COLUMN$}");
                 } else {
-                    v.split(',')
-                        .map(|p| {
-                            parse_workload(p.trim())
-                                .ok_or_else(|| format!("unknown problem: {p:?} (see sweep --list)"))
-                        })
-                        .collect::<Result<_, _>>()?
-                };
+                    line.push(' ');
+                }
+                line.push_str(word);
             }
-            "--families" => {
-                let v = value("--families")?;
-                args.families = if v == "all" {
-                    builtin_families()
-                } else {
-                    v.split(',')
-                        .map(|f| {
-                            parse_family(f.trim())
-                                .ok_or_else(|| format!("unknown family: {f:?} (see sweep --list)"))
-                        })
-                        .collect::<Result<_, _>>()?
-                };
-            }
-            "--sizes" => args.sizes = parse_sizes(&value("--sizes")?)?,
-            "--seeds" => args.seeds = parse_number("--seeds", &value("--seeds")?)?,
-            "--backend" => {
-                args.backend = match value("--backend")?.as_str() {
-                    "in-process" => BackendKind::InProcess,
-                    "process" => BackendKind::Process,
-                    "network" => BackendKind::Network,
-                    "coordinator" => BackendKind::Coordinator,
-                    other => {
-                        return Err(format!(
-                            "unknown backend: {other:?} (expected in-process, process, \
-                             network, or coordinator — sweep --list enumerates them)"
-                        ))
-                    }
-                };
-            }
-            "--threads" => args.threads = Some(parse_count("--threads", &value("--threads")?)?),
-            "--workers" => args.workers = parse_count("--workers", &value("--workers")?)?,
-            "--connect" => {
-                args.connect =
-                    value("--connect")?.split(',').map(|a| a.trim().to_string()).collect();
-            }
-            "--submit" => {
-                args.submit = Some(value("--submit")?);
-                args.backend = BackendKind::Coordinator;
-            }
-            "--client" => args.client = Some(value("--client")?),
-            "--io-deadline-ms" => {
-                args.io_deadline_ms =
-                    Some(parse_number("--io-deadline-ms", &value("--io-deadline-ms")?)?);
-            }
-            "--faults" => {
-                args.faults = Some(
-                    FaultPlan::parse(&value("--faults")?)
-                        .map_err(|e| format!("bad --faults: {e}"))?,
-                );
-            }
-            "--base-seed" => args.base_seed = parse_number("--base-seed", &value("--base-seed")?)?,
-            "--out" => args.out = Some(value("--out")?),
-            "--csv" => args.csv = Some(value("--csv")?),
-            "--list" => {
-                print!("{}", render_listing());
-                std::process::exit(0);
-            }
-            "--dry-run" => args.dry_run = true,
-            "--deterministic" => args.deterministic = true,
-            "--profile" => args.profile = true,
-            "--folded" => args.folded = Some(value("--folded")?),
-            "--store" => args.store_dir = Some(value("--store")?),
-            "--no-store" => args.store_dir = None,
-            "--stream" => args.stream = true,
-            "--trace" => args.trace = Some(value("--trace")?),
-            "--trace-events" => args.trace_events = Some(value("--trace-events")?),
-            "--progress" => args.progress = true,
-            "--help" | "-h" => {
-                println!("{HELP}");
-                std::process::exit(0);
-            }
-            other => return Err(format!("unknown flag: {other} (try --help)")),
+            out.push_str(&line);
+            out.push('\n');
         }
     }
+    out
+}
+
+/// The backend a sweep runs on, checked against the flags that only make sense with it.
+fn sweep_backend(args: &Args) -> Result<BackendKind, String> {
+    let backend = match (args.backend, &args.submit) {
+        (None | Some(BackendKind::Coordinator), Some(_)) => BackendKind::Coordinator,
+        (Some(_), Some(_)) => {
+            return Err("--submit runs the sweep on --backend coordinator: drop the other \
+                        --backend"
+                .to_string())
+        }
+        (backend, None) => backend.unwrap_or(BackendKind::InProcess),
+    };
     if args.stream && args.store_dir.is_none() {
         return Err("--stream needs the result store (drop --no-store): streamed cells live \
                     on disk, not in memory"
             .to_string());
     }
-    if args.backend == BackendKind::Network && args.connect.is_empty() {
+    if backend == BackendKind::Network && args.connect.is_empty() {
         return Err("--backend network needs --connect host:port[,host:port…] (start daemons \
                     with sweep --serve ADDR)"
             .to_string());
     }
-    if args.backend == BackendKind::Coordinator && args.submit.is_none() {
+    if backend == BackendKind::Coordinator && args.submit.is_none() {
         return Err("--backend coordinator needs --submit host:port (start one with sweep \
                     --coordinate ADDR --connect …)"
             .to_string());
     }
-    Ok(args)
-}
-
-const HELP: &str = "\
-sweep — parallel batched experiment engine for uniform LOCAL algorithms
-
-USAGE:
-  sweep [--problems LIST|all] [--families LIST|all] [--sizes 200,400 | 100..10000]
-        [--seeds N] [--backend in-process|process|network|coordinator] [--threads N]
-        [--workers N] [--connect HOST:PORT,…] [--submit HOST:PORT] [--client NAME]
-        [--io-deadline-ms MS] [--faults SCRIPT]
-        [--base-seed S] [--out report.json] [--csv cells.csv] [--list] [--dry-run]
-        [--deterministic] [--profile] [--folded stacks.folded]
-        [--store DIR | --no-store] [--stream]
-        [--trace trace.json] [--trace-events events.ndjson] [--progress]
-  sweep --serve ADDR [--threads N] [--max-concurrent-shards N]
-                                            run a persistent worker daemon
-  sweep --coordinate ADDR --connect HOST:PORT,… [--threads N] [--io-deadline-ms MS]
-        [--stripes-per-peer N] [--faults SCRIPT] [--store DIR]
-                                            run a multi-client coordinator over a fleet
-  sweep store bench [--cells N] [--dir DIR] [--json PATH]
-                                            benchmark the result store on a synthetic grid
-
-  --list       print every registered workload, family, and execution backend (with the
-               flags that configure it) straight from the registries, then exit.
-
-  --backend    in-process (default): the work-stealing thread pool. network: stripe the
-               sweep over persistent `sweep --serve ADDR` daemons (--connect) with
-               reconnect backoff, heartbeat liveness, re-dispatch to healthy peers, and an
-               in-process rescue of last resort. process: launch --workers local
-               `sweep --serve` daemons and run the sweep over them exactly like network; a
-               daemon that never starts has its cells re-run in-process. Byte-identical
-               reports either way.
-  --threads    worker threads; 0 = available parallelism. Under --backend process, each
-               daemon's thread count (default 1); under --backend network, the
-               in-process rescue path's thread count (default 0).
-  --workers    local daemons for --backend process; 0 = available parallelism.
-  --connect    comma list of daemon addresses for --backend network (one stripe per peer).
-  --submit     submit the sweep to a `sweep --coordinate` service at HOST:PORT (implies
-               --backend coordinator); verified results stream back cell by cell and the
-               report is byte-identical (--deterministic) to an in-process run.
-  --client     name this client in coordinator submissions, for the coordinator's
-               per-client fairness and accounting (default: anonymous, by source address).
-  --serve      bind ADDR (host:port; port 0 picks one), print `listening on <addr>`, and
-               serve shard requests forever; --threads caps each shard's parallelism.
-  --max-concurrent-shards
-               how many plain shard requests a daemon serves concurrently (default 0 =
-               thread budget / per-shard threads). Fault-scripted and telemetry requests
-               still run exclusively, keeping their ordering deterministic.
-  --coordinate bind ADDR, print `listening on <addr>`, and schedule job submissions from
-               any number of clients over the --connect fleet: deficit-round-robin fair by
-               predicted cost between clients, LPT within a job, dead peers' stripes
-               re-queued to survivors and rescued in-process as the last resort.
-  --stripes-per-peer
-               stripes each job is decomposed into per fleet peer (default 4): finer
-               stripes interleave clients more fairly, coarser amortize dispatch overhead.
-  --io-deadline-ms
-               liveness deadline for worker I/O (default 600000): a stream silent this
-               long is declared dead and its cells rescued. When heartbeats flow the
-               effective window shrinks to a few heartbeat intervals.
-  --faults     deterministic fault-injection script (also read from LOCAL_FAULTS), e.g.
-               \"w0:kill@5 w1:refuse*2\"; clauses scoped w<i>: apply to worker/peer i.
-               kill@K / truncate@K / garble@K / dup@K / delay@K=MS act on a worker's K-th
-               result line; refuse*N refuses its first N connects, which are retried with
-               backoff. Injected faults surface on the `resilience:` line.
-  --dry-run    print the cost model's predicted per-cell micros and the LPT execution order
-               (calibrated from the store's hits) without running cells.
-  --deterministic
-               zero every wall-clock field in reports/CSV, so outputs from different
-               backends and parallelism levels compare byte-for-byte.
-  --profile    emit per-phase wall-time columns (attempt / pruning / instance generation)
-               in the CSV output and print a phase-time summary.
-  --folded F   write phase times as folded stacks (flamegraph.pl / inferno format) to F.
-  --store      result store directory (default target/sweep-store): append-only
-               CRC-checked segment files with an index rebuilt by one sequential scan on
-               open, torn tails truncated on recovery. A re-sweep executes only changed
-               cells and serves the rest from disk, byte-identically. One sweep per store
-               directory at a time: a second one exits 1. On a coordinator (off unless
-               given), a shared store serves repeat submissions and accumulates every
-               client's fresh results.
-  --no-store   run without the result store.
-  --stream     fold cells into summaries as they complete and keep them only in the
-               result store (flat memory for very large grids). The re-sweep summary path
-               is fully columnar: no CellResult rows are materialized for stored cells (the
-               summary line prints `rows materialized 0`).
-  --trace F    enable observability and write a Chrome trace-event JSON (phase spans,
-               counters, one track per thread/worker) to F; open it in Perfetto or
-               chrome://tracing. Under --backend process and network, daemons stream their
-               spans home.
-  --trace-events F
-               append the recorded events to F as an NDJSON log (one JSON object per line).
-  --progress   live stderr status line: cells done/total, cache hits, per-worker
-               throughput, and an ETA from cost-model predictions of outstanding cells.
-
-EXAMPLE:
-  sweep --problems mis,matching --families sparse-gnp,tree --sizes 100..1600 \\
-        --seeds 32 --backend process --workers 8 --out results.json";
-
-/// The value of `flag` on a `--serve`, `--coordinate` or `store bench` command line, parsed
-/// by `parse`; `None` when the flag is absent. A flag without a value, or with one `parse`
-/// rejects, is an error, never a silent default.
-fn mode_flag<T>(
-    raw: &[String],
-    flag: &str,
-    parse: impl Fn(&str, &str) -> Result<T, String>,
-) -> Result<Option<T>, String> {
-    let Some(i) = raw.iter().position(|a| a == flag) else {
-        return Ok(None);
-    };
-    let text = raw.get(i + 1).ok_or_else(|| format!("missing value for {flag}"))?;
-    parse(flag, text).map(Some)
+    Ok(backend)
 }
 
 /// Opens the result store at `dir`. A directory another process holds gets a hint naming
@@ -377,56 +412,27 @@ fn open_store(dir: &str, no_store: &str) -> Result<BinaryStore, String> {
 
 /// The `--serve` mode: a persistent worker daemon on a TCP address, the receiving end of
 /// `--backend network` (and of `--backend process`, which launches such daemons locally).
-/// Honours `--threads N` and `--max-concurrent-shards N` (telemetry is per-request). Runs
-/// until killed.
-fn serve_main(raw: &[String], addr: &str) -> ExitCode {
-    let served = mode_flag(raw, "--threads", parse_count).and_then(|threads| {
-        let max_concurrent = mode_flag(raw, "--max-concurrent-shards", parse_count)?;
-        serve_forever(addr, threads.unwrap_or(0), max_concurrent.unwrap_or(0))
-    });
-    match served {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(message) => {
-            eprintln!("sweep --serve: {message}");
-            ExitCode::FAILURE
-        }
-    }
-}
-
-/// The `--coordinate` flags as a [`CoordinatorConfig`]: `--connect`, `--threads`,
-/// `--io-deadline-ms`, `--stripes-per-peer`, `--faults` and `--store`.
-fn coordinator_config(raw: &[String]) -> Result<CoordinatorConfig, String> {
-    let mut config = CoordinatorConfig::default();
-    let fleet = |_: &str, v: &str| Ok(v.split(',').map(|a| a.trim().to_string()).collect());
-    if let Some(fleet) = mode_flag(raw, "--connect", fleet)? {
-        config.fleet = fleet;
-    }
-    if let Some(n) = mode_flag(raw, "--threads", parse_count)? {
-        config.rescue_threads = n;
-    }
-    if let Some(ms) = mode_flag(raw, "--io-deadline-ms", parse_number)? {
-        config.io_deadline_ms = ms;
-    }
-    if let Some(n) = mode_flag(raw, "--stripes-per-peer", parse_number::<usize>)? {
-        config.stripes_per_peer = n.max(1);
-    }
-    let faults = |flag: &str, v: &str| FaultPlan::parse(v).map_err(|e| format!("bad {flag}: {e}"));
-    config.faults = mode_flag(raw, "--faults", faults)?.unwrap_or_else(FaultPlan::from_env_lossy);
-    if let Some(dir) = mode_flag(raw, "--store", |_, v| Ok(v.to_string()))? {
-        config.store = Some(Arc::new(open_store(&dir, "drop --store")?));
-    }
-    Ok(config)
+/// Telemetry is per-request. Runs until killed.
+fn serve(args: Args) -> Result<(), String> {
+    serve_forever(&args.addr, args.threads.unwrap_or(0), args.max_concurrent_shards)
 }
 
 /// The `--coordinate` mode: a multi-client scheduling service over a `--connect` daemon
 /// fleet. Runs until killed.
-fn coordinate_main(raw: &[String], addr: &str) -> ExitCode {
-    let config = match coordinator_config(raw) {
-        Ok(config) => config,
-        Err(message) => {
-            eprintln!("sweep --coordinate: {message}");
-            return ExitCode::FAILURE;
-        }
+fn coordinate(args: Args) -> Result<(), String> {
+    let defaults = CoordinatorConfig::default();
+    let store = match &args.store_dir {
+        Some(dir) => Some(Arc::new(open_store(dir, "drop --store")?) as Arc<dyn ResultStore>),
+        None => None,
+    };
+    let config = CoordinatorConfig {
+        fleet: args.connect,
+        rescue_threads: args.threads.unwrap_or(defaults.rescue_threads),
+        io_deadline_ms: args.io_deadline_ms,
+        stripes_per_peer: args.stripes_per_peer.map_or(defaults.stripes_per_peer, |n| n.max(1)),
+        faults: args.faults.unwrap_or_else(FaultPlan::from_env_lossy),
+        store,
+        ..defaults
     };
     // The coordinator always arms observability: per-client accounting gauges are part of
     // its contract, not an opt-in.
@@ -438,13 +444,7 @@ fn coordinate_main(raw: &[String], addr: &str) -> ExitCode {
              in-process"
         );
     }
-    match coordinate_forever(addr, config) {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(message) => {
-            eprintln!("sweep --coordinate: {message}");
-            ExitCode::FAILURE
-        }
-    }
+    coordinate_forever(&args.addr, config)
 }
 
 /// A deterministic synthetic result for `sweep store bench` — realistic field shapes
@@ -562,37 +562,10 @@ fn store_bench(cells: usize, dir: &str, json: Option<&str>) -> Result<(), String
     Ok(())
 }
 
-/// `sweep store bench`, the one `store` subcommand.
-fn store_main(raw: &[String]) -> ExitCode {
-    if raw.first().map(String::as_str) != Some("bench") {
-        eprintln!(
-            "sweep store: expected a subcommand — bench [--cells N] [--dir DIR] [--json PATH]"
-        );
-        return ExitCode::FAILURE;
-    }
-    let text = |_: &str, v: &str| Ok(v.to_string());
-    let benched = mode_flag(raw, "--cells", parse_number::<usize>).and_then(|cells| {
-        let dir = mode_flag(raw, "--dir", text)?;
-        let json = mode_flag(raw, "--json", text)?;
-        store_bench(
-            cells.unwrap_or(10_000).max(1),
-            dir.as_deref().unwrap_or("target/store-bench"),
-            json.as_deref(),
-        )
-    });
-    match benched {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(message) => {
-            eprintln!("sweep store: {message}");
-            ExitCode::FAILURE
-        }
-    }
-}
-
 /// `--dry-run`: predict, order, print — execute nothing. The printed plan mirrors a real
 /// sweep exactly: stored cells are served from disk (and calibrate the model), so only the
 /// *missed* cells appear in the LPT execution order.
-fn dry_run(grid: &ScenarioGrid, store: Option<&BinaryStore>) -> ExitCode {
+fn dry_run(grid: &ScenarioGrid, store: Option<&BinaryStore>) {
     let cells = grid.cells();
     let mut model = CostModel::new();
     let mut missed = Vec::new();
@@ -629,39 +602,41 @@ fn dry_run(grid: &ScenarioGrid, store: Option<&BinaryStore>) -> ExitCode {
         println!("{:>5} {:>16.0}  {}", rank + 1, predicted, cells[i].label());
     }
     println!("total predicted work: {total:.0} us-equivalents (nothing was executed)");
-    ExitCode::SUCCESS
 }
 
 fn main() -> ExitCode {
-    // The serve and coordinate modes are not regular flags: they must not drag the full
-    // sweep arg surface into the protocol, so they are dispatched before normal parsing
-    // (`serve_main` and `coordinator_config` list the flags each honours).
-    let raw: Vec<String> = std::env::args().skip(1).collect();
-    if raw.first().map(String::as_str) == Some("store") {
-        return store_main(&raw[1..]);
-    }
-    if let Some(i) = raw.iter().position(|a| a == "--serve") {
-        let Some(addr) = raw.get(i + 1).filter(|a| !a.starts_with("--")) else {
-            eprintln!("sweep --serve: missing bind address (try --serve 127.0.0.1:0)");
-            return ExitCode::FAILURE;
-        };
-        return serve_main(&raw, addr);
-    }
-    if let Some(i) = raw.iter().position(|a| a == "--coordinate") {
-        let Some(addr) = raw.get(i + 1).filter(|a| !a.starts_with("--")) else {
-            eprintln!("sweep --coordinate: missing bind address (try --coordinate 127.0.0.1:0)");
-            return ExitCode::FAILURE;
-        };
-        return coordinate_main(&raw, addr);
-    }
-
-    let args = match parse_args() {
-        Ok(args) => args,
-        Err(message) => {
-            eprintln!("sweep: {message}");
-            return ExitCode::FAILURE;
-        }
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let (mode, flags) = Mode::select(&argv);
+    let outcome = match flags {
+        None => Err("the store command has one subcommand: sweep store bench [FLAGS]".into()),
+        Some(flags) => parse(mode, flags).and_then(|args| match mode {
+            Sweep => sweep(args),
+            Serve => serve(args),
+            Coordinate => coordinate(args),
+            StoreBench => store_bench(args.cells.max(1), &args.dir, args.json.as_deref()),
+        }),
     };
+    match outcome {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(message) => {
+            // Errors are prefixed with the mode's command: `sweep`, `sweep --serve`, ….
+            eprintln!("{}: {message}", mode.usage().0.trim_end_matches(" ADDR"));
+            ExitCode::FAILURE
+        }
+    }
+}
+
+/// The sweep mode: run the grid, print the summaries and write the requested outputs.
+fn sweep(args: Args) -> Result<(), String> {
+    if args.help {
+        print!("{}", render_help());
+        return Ok(());
+    }
+    if args.list {
+        print!("{}", render_listing());
+        return Ok(());
+    }
+    let backend = sweep_backend(&args)?;
 
     // Tracing flags arm the global recorder before anything runs; it stays a no-op
     // otherwise, so the deterministic outputs of an untraced sweep are untouched. The
@@ -673,8 +648,8 @@ fn main() -> ExitCode {
     };
     if args.trace.is_some()
         || args.trace_events.is_some()
-        || args.backend == BackendKind::Network
-        || args.backend == BackendKind::Coordinator
+        || backend == BackendKind::Network
+        || backend == BackendKind::Coordinator
         || !fault_plan.is_empty()
     {
         local_obs::enable();
@@ -688,26 +663,17 @@ fn main() -> ExitCode {
         .replicates(args.seeds)
         .base_seed(args.base_seed);
     // The result store, held (and its directory locked) for the whole sweep.
-    let store: Option<Arc<BinaryStore>> =
-        match args.store_dir.as_deref().map(|dir| open_store(dir, "--no-store")) {
-            Some(Ok(store)) => Some(Arc::new(store)),
-            Some(Err(message)) => {
-                eprintln!("sweep: {message}");
-                return ExitCode::FAILURE;
-            }
-            None => None,
-        };
+    let store: Option<Arc<BinaryStore>> = match &args.store_dir {
+        Some(dir) => Some(Arc::new(open_store(dir, "--no-store")?)),
+        None => None,
+    };
 
     if args.dry_run {
-        let code = dry_run(&grid, store.as_deref());
-        if let Err(message) = write_trace_outputs(&args.trace, &args.trace_events) {
-            eprintln!("sweep: {message}");
-            return ExitCode::FAILURE;
-        }
-        return code;
+        dry_run(&grid, store.as_deref());
+        return write_trace_outputs(&args.trace, &args.trace_events);
     }
 
-    let backend_label = match args.backend {
+    let backend_label = match backend {
         BackendKind::InProcess => format!(
             "{} threads in-process",
             local_engine::pool::resolve_worker_count(args.threads.unwrap_or(0))
@@ -749,16 +715,14 @@ fn main() -> ExitCode {
             )
         }));
     }
-    let mut sweep = Sweep::over(&grid);
-    sweep = match args.backend {
+    let mut sweep = local_engine::Sweep::over(&grid);
+    sweep = match backend {
         BackendKind::InProcess => sweep.backend(InProcessBackend::new(args.threads.unwrap_or(0))),
         BackendKind::Process => {
             let mut backend = ProcessBackend::new(args.workers)
                 .worker_threads(args.threads.unwrap_or(1))
+                .io_deadline_ms(args.io_deadline_ms)
                 .faults(fault_plan.clone());
-            if let Some(ms) = args.io_deadline_ms {
-                backend = backend.io_deadline_ms(ms);
-            }
             if let Some(meter) = &meter {
                 backend = backend.progress(meter.clone());
             }
@@ -767,10 +731,8 @@ fn main() -> ExitCode {
         BackendKind::Network => {
             let mut backend = NetworkBackend::new(args.connect.clone())
                 .rescue_threads(args.threads.unwrap_or(0))
+                .io_deadline_ms(args.io_deadline_ms)
                 .faults(fault_plan.clone());
-            if let Some(ms) = args.io_deadline_ms {
-                backend = backend.io_deadline_ms(ms);
-            }
             if let Some(meter) = &meter {
                 backend = backend.progress(meter.clone());
             }
@@ -780,12 +742,10 @@ fn main() -> ExitCode {
             let mut backend =
                 CoordinatorBackend::new(args.submit.clone().expect("--submit checked at parse"))
                     .rescue_threads(args.threads.unwrap_or(0))
+                    .io_deadline_ms(args.io_deadline_ms)
                     .faults(fault_plan.clone());
             if let Some(name) = &args.client {
                 backend = backend.client(name.clone());
-            }
-            if let Some(ms) = args.io_deadline_ms {
-                backend = backend.io_deadline_ms(ms);
             }
             if let Some(meter) = &meter {
                 backend = backend.progress(meter.clone());
@@ -806,28 +766,18 @@ fn main() -> ExitCode {
     let report = if args.deterministic { report.deterministic_view() } else { report };
 
     println!("{}", report.render_summaries());
+    let streamed = store.as_deref().filter(|_| args.stream);
     if args.profile {
-        // In streaming mode the report holds no cells; read them back from the store one at
-        // a time (they were just written) so the phase summary is printed either way.
         let mut attempt = 0u64;
         let mut prune = 0u64;
         // Instance generation is shared across the cells of one instance (identified within a
         // sweep by family × size × replicate); count each distinct instance exactly once.
         let mut instances = std::collections::BTreeMap::new();
-        let mut fold = |c: &local_engine::CellResult| {
+        for c in cells(&report, &grid, streamed) {
+            let c = c?;
             attempt += c.attempt_micros;
             prune += c.prune_micros;
-            instances.insert((c.family.clone(), c.requested_n, c.replicate), c.instance_micros);
-        };
-        if args.stream {
-            for cell in grid.cells() {
-                if let Some(c) = store.as_ref().and_then(|store| store.load(&cell, grid.base_seed))
-                {
-                    fold(&c);
-                }
-            }
-        } else {
-            report.cells.iter().for_each(&mut fold);
+            instances.insert((c.family, c.requested_n, c.replicate), c.instance_micros);
         }
         let instance_gen: u64 = instances.values().sum();
         println!(
@@ -863,8 +813,8 @@ fn main() -> ExitCode {
             store.rows_materialized()
         );
     }
-    if args.backend == BackendKind::Network
-        || args.backend == BackendKind::Coordinator
+    if backend == BackendKind::Network
+        || backend == BackendKind::Coordinator
         || !fault_plan.is_empty()
     {
         // The resilience counters: how the sweep degraded and recovered. Printed whenever
@@ -894,35 +844,17 @@ fn main() -> ExitCode {
     }
 
     if let Some(path) = &args.out {
-        if let Err(e) = std::fs::write(path, report.to_json()) {
-            eprintln!("sweep: cannot write {path}: {e}");
-            return ExitCode::FAILURE;
-        }
+        std::fs::write(path, report.to_json()).map_err(|e| format!("cannot write {path}: {e}"))?;
         println!("wrote JSON report to {path}");
     }
     if let Some(path) = &args.csv {
-        let csv = if args.stream {
-            // Streamed cells live in the result store only: rebuild the rows in canonical
-            // order.
-            match streamed_csv(
-                &grid,
-                store.as_deref().expect("--stream implies a store"),
-                args.profile,
-                args.deterministic,
-            ) {
-                Ok(csv) => csv,
-                Err(message) => {
-                    eprintln!("sweep: {message}");
-                    return ExitCode::FAILURE;
-                }
-            }
-        } else {
-            report.to_csv_with(args.profile)
-        };
-        if let Err(e) = std::fs::write(path, csv) {
-            eprintln!("sweep: cannot write {path}: {e}");
-            return ExitCode::FAILURE;
+        let mut csv = CellResult::csv_header(args.profile) + "\n";
+        for c in cells(&report, &grid, streamed) {
+            let c = if args.deterministic { c?.deterministic_view() } else { c? };
+            csv.push_str(&c.csv_row(args.profile));
+            csv.push('\n');
         }
+        std::fs::write(path, csv).map_err(|e| format!("cannot write {path}: {e}"))?;
         println!("wrote per-cell CSV to {path}");
     }
     if let Some(path) = &args.folded {
@@ -931,32 +863,20 @@ fn main() -> ExitCode {
         // reconstructed from per-cell timing fields.
         let folded = if local_obs::is_enabled() {
             local_obs::snapshot().to_folded()
-        } else if args.stream {
-            match streamed_folded(&grid, store.as_deref().expect("--stream implies a store")) {
-                Ok(folded) => folded,
-                Err(message) => {
-                    eprintln!("sweep: {message}");
-                    return ExitCode::FAILURE;
-                }
-            }
         } else {
-            report.to_folded()
+            let mut missing = Ok(());
+            let cells = cells(&report, &grid, streamed);
+            let folded = folded_stacks(cells.map_while(|c| c.map_err(|e| missing = Err(e)).ok()));
+            missing.map(|()| folded)?
         };
-        if let Err(e) = std::fs::write(path, folded) {
-            eprintln!("sweep: cannot write {path}: {e}");
-            return ExitCode::FAILURE;
-        }
+        std::fs::write(path, folded).map_err(|e| format!("cannot write {path}: {e}"))?;
         println!("wrote folded phase stacks to {path}");
     }
-    if let Err(message) = write_trace_outputs(&args.trace, &args.trace_events) {
-        eprintln!("sweep: {message}");
-        return ExitCode::FAILURE;
-    }
+    write_trace_outputs(&args.trace, &args.trace_events)?;
     if invalid > 0 {
-        eprintln!("sweep: {invalid} cells failed validation");
-        return ExitCode::FAILURE;
+        return Err(format!("{invalid} cells failed validation"));
     }
-    ExitCode::SUCCESS
+    Ok(())
 }
 
 /// Writes the `--trace` / `--trace-events` outputs from one snapshot of the global
@@ -988,41 +908,152 @@ fn write_trace_outputs(
     Ok(())
 }
 
-/// Reads every cell of `grid` back from the result store (a streamed sweep just wrote
-/// them) and renders CSV rows in canonical order, never holding more than one cell.
-fn streamed_csv(
-    grid: &ScenarioGrid,
-    store: &dyn ResultStore,
-    profile: bool,
-    deterministic: bool,
-) -> Result<String, String> {
-    let mut out = local_engine::CellResult::csv_header(profile);
-    out.push('\n');
-    for cell in grid.cells() {
-        let mut result = store.load(&cell, grid.base_seed).ok_or_else(|| {
+/// The sweep's cells in canonical order: the report's or, for a streamed sweep, whose cells
+/// live only in the result store, each read back from `streamed` in turn — as stored, so
+/// not yet put through `--deterministic` like the report's.
+fn cells<'a>(
+    report: &'a Report,
+    grid: &'a ScenarioGrid,
+    streamed: Option<&'a BinaryStore>,
+) -> Box<dyn Iterator<Item = Result<CellResult, String>> + 'a> {
+    let Some(store) = streamed else {
+        return Box::new(report.cells.iter().cloned().map(Ok));
+    };
+    Box::new(grid.cells().into_iter().map(move |cell| {
+        store.load(&cell, grid.base_seed).ok_or_else(|| {
             format!("{} is missing streamed cell {}", store.describe(), cell.label())
-        })?;
-        if deterministic {
-            result = result.deterministic_view();
-        }
-        out.push_str(&result.csv_row(profile));
-        out.push('\n');
-    }
-    Ok(out)
+        })
+    }))
 }
 
-/// Folded stacks for a streamed sweep, reading cells back from the store one at a time.
-fn streamed_folded(grid: &ScenarioGrid, store: &dyn ResultStore) -> Result<String, String> {
-    let mut missing = None;
-    let folded = local_engine::report::folded_stacks(grid.cells().into_iter().filter_map(|cell| {
-        let loaded = store.load(&cell, grid.base_seed);
-        if loaded.is_none() && missing.is_none() {
-            missing = Some(cell.label());
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn words(argv: &[&str]) -> Vec<String> {
+        argv.iter().map(|word| word.to_string()).collect()
+    }
+
+    /// A value the rows with this metavar accept.
+    fn sample(metavar: &str) -> &'static str {
+        match metavar {
+            "WORKLOADS" => "mis,matching",
+            "FAMILIES" => "sparse-gnp,gnp-d16",
+            "SIZES" => "64..256",
+            "KIND" => "network",
+            "SCRIPT" => "w0:refuse*2",
+            "ADDR" | "ADDRS" => "127.0.0.1:1",
+            _ => "7",
         }
-        loaded
-    }));
-    match missing {
-        Some(label) => Err(format!("{} is missing streamed cell {label}", store.describe())),
-        None => Ok(folded),
+    }
+
+    fn error(mode: Mode, argv: &[&str]) -> String {
+        parse(mode, &words(argv)).err().unwrap_or_else(|| panic!("{mode:?} accepted {argv:?}"))
+    }
+
+    #[test]
+    fn every_row_parses_in_its_mode_and_is_unknown_in_the_others() {
+        for flag in FLAGS {
+            let mut argv = vec![flag.name];
+            argv.extend(flag.metavar.map(sample));
+            if let Err(e) = parse(flag.mode, &words(&argv)) {
+                panic!("{:?} rejected {argv:?}: {e}", flag.mode);
+            }
+            for mode in Mode::ALL {
+                // A flag several modes take has a row of its own in each.
+                if !FLAGS.iter().any(|row| row.name == flag.name && row.mode == mode) {
+                    assert!(error(mode, &argv).starts_with("unknown flag: "), "{mode:?} {argv:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn each_mode_takes_exactly_its_flags() {
+        let flags = |mode: Mode| {
+            let mut names: Vec<&str> =
+                FLAGS.iter().filter(|flag| flag.mode == mode).map(|flag| flag.name).collect();
+            names.sort_unstable();
+            names.join(" ")
+        };
+        assert_eq!(
+            flags(Sweep),
+            "--backend --base-seed --client --connect --csv --deterministic --dry-run --families \
+             --faults --folded --help --io-deadline-ms --list --no-store --out --problems \
+             --profile --progress --seeds --sizes --store --stream --submit --threads --trace \
+             --trace-events --workers"
+        );
+        assert_eq!(flags(Serve), "--max-concurrent-shards --serve --threads");
+        assert_eq!(
+            flags(Coordinate),
+            "--connect --coordinate --faults --io-deadline-ms --store --stripes-per-peer --threads"
+        );
+        assert_eq!(flags(StoreBench), "--cells --dir --json");
+    }
+
+    #[test]
+    fn unknown_flags_and_missing_values_fail_in_every_mode() {
+        for mode in Mode::ALL {
+            assert_eq!(error(mode, &["--bogus"]), "unknown flag: --bogus (try sweep --help)");
+            let valued = FLAGS.iter().find(|flag| flag.mode == mode && flag.metavar.is_some());
+            let name = valued.expect("every mode has a valued flag").name;
+            let missing = format!("missing value for {name}");
+            assert_eq!(error(mode, &[name]), missing);
+            assert_eq!(error(mode, &[name, "--bogus"]), missing);
+        }
+        assert!(parse(Sweep, &words(&["-h"])).expect("-h is --help").help);
+        assert!(error(Serve, &["-h"]).starts_with("unknown flag: -h"));
+    }
+
+    #[test]
+    fn bad_values_name_their_flag() {
+        assert!(error(Sweep, &["--seeds", "x"]).starts_with("bad --seeds: "));
+        assert!(error(Serve, &["--threads", "abc"]).starts_with("bad --threads: "));
+        assert!(error(Sweep, &["--problems", "nope"]).contains("(see sweep --list)"));
+        assert!(error(Sweep, &["--backend", "nope"]).starts_with("bad --backend: "));
+        assert!(error(Coordinate, &["--faults", "boom"]).starts_with("bad --faults: "));
+    }
+
+    #[test]
+    fn modes_are_selected_by_their_command() {
+        let mode = |argv: &[&str]| Mode::select(&words(argv)).0;
+        assert_eq!(mode(&["--threads", "2", "--serve", "127.0.0.1:0"]), Serve);
+        assert_eq!(mode(&["--coordinate", "127.0.0.1:0"]), Coordinate);
+        assert_eq!(mode(&["store", "bench", "--cells", "5"]), StoreBench);
+        assert_eq!(mode(&["--problems", "mis"]), Sweep);
+        let argv = words(&["store", "bench", "--cells", "5"]);
+        assert_eq!(Mode::select(&argv).1, Some(&argv[2..]));
+        assert_eq!(Mode::select(&words(&["store"])).1, None);
+        assert_eq!(Mode::select(&words(&["store", "import"])).1, None);
+    }
+
+    #[test]
+    fn submit_conflicts_with_any_other_explicit_backend() {
+        let backend = |argv: &[&str]| sweep_backend(&parse(Sweep, &words(argv)).unwrap());
+        assert_eq!(backend(&["--submit", "a:1"]), Ok(BackendKind::Coordinator));
+        assert_eq!(
+            backend(&["--submit", "a:1", "--backend", "coordinator"]),
+            Ok(BackendKind::Coordinator)
+        );
+        for other in ["in-process", "process", "network"] {
+            for argv in
+                [["--backend", other, "--submit", "a:1"], ["--submit", "a:1", "--backend", other]]
+            {
+                assert!(backend(&argv).unwrap_err().starts_with("--submit "), "{argv:?}");
+            }
+        }
+        assert_eq!(backend(&[]), Ok(BackendKind::InProcess));
+    }
+
+    #[test]
+    fn the_readme_shows_the_rendered_help() {
+        let readme = include_str!("../../../../README.md");
+        assert!(
+            readme.contains(&format!("```text\n{}```\n", render_help())),
+            "README.md's sweep --help block is stale: paste the output of `sweep --help`"
+        );
+        for line in render_help().lines() {
+            assert!(line.chars().count() <= HELP_WIDTH, "help line too wide: {line}");
+        }
     }
 }

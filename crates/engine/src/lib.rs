@@ -74,7 +74,8 @@ pub use backend::{
 pub use cost::CostModel;
 pub use progress::ProgressMeter;
 pub use registry::{
-    default_workloads, parse_workload, render_listing, workload, WorkloadEntry, WORKLOAD_ENTRIES,
+    default_workloads, parse_workload, parse_workloads, render_listing, workload, WorkloadEntry,
+    WORKLOAD_ENTRIES,
 };
 pub use report::{
     folded_stacks, summarize, CellColumns, CellResult, GroupSummary, Report, SummaryAccumulator,

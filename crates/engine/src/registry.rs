@@ -136,6 +136,20 @@ pub fn parse_workload(name: &str) -> Option<WorkloadSpec> {
     WORKLOAD_ENTRIES.iter().find_map(|entry| (entry.parse)(name))
 }
 
+/// Resolves a comma list of workload names, or `all` for [`default_workloads`] — the
+/// `--problems` value of the CLIs.
+pub fn parse_workloads(list: &str) -> Result<Vec<WorkloadSpec>, String> {
+    if list == "all" {
+        return Ok(default_workloads());
+    }
+    list.split(',')
+        .map(|name| {
+            parse_workload(name.trim())
+                .ok_or_else(|| format!("unknown problem: {name:?} (see sweep --list)"))
+        })
+        .collect()
+}
+
 /// The default workload catalog (`--problems all`): one representative per entry, in
 /// report order.
 pub fn default_workloads() -> Vec<WorkloadSpec> {

@@ -459,6 +459,20 @@ pub fn parse_family(name: &str) -> Option<FamilySpec> {
     FAMILY_ENTRIES.iter().find_map(|entry| (entry.parse)(name))
 }
 
+/// Resolves a comma list of family names, or `all` for [`builtin_families`] — the
+/// `--families` value of the CLIs.
+pub fn parse_families(list: &str) -> Result<Vec<FamilySpec>, String> {
+    if list == "all" {
+        return Ok(builtin_families());
+    }
+    list.split(',')
+        .map(|name| {
+            parse_family(name.trim())
+                .ok_or_else(|| format!("unknown family: {name:?} (see sweep --list)"))
+        })
+        .collect()
+}
+
 /// The default family catalog (`--families all`): every builtin family, in stable order.
 pub fn builtin_families() -> Vec<FamilySpec> {
     FAMILY_ENTRIES.iter().flat_map(|entry| (entry.defaults)()).collect()
