@@ -202,7 +202,7 @@ mod tests {
         NonUniformAlgorithm::deterministic(
             "coloring-MIS",
             vec![Parameter::MaxDegree, Parameter::MaxId],
-            TimeBound::Additive(vec![
+            TimeBound::additive(vec![
                 monotone(|d| {
                     let algo = ColoringMis { delta_guess: d, id_bound_guess: 1 };
                     algo.round_bound() as f64

@@ -15,11 +15,20 @@
 //! run in a constant number of rounds, hence are monotone with respect to every non-decreasing
 //! parameter (Observation 3.1).
 //!
-//! The SLC pruning only ever *removes* colours: a survivor loses the colours of its pruned
-//! neighbours, at most `deg(v)` over a whole alternation. [`SlcInput`] therefore stores a list
-//! as the full `[1, K] × [1, Δ̂ + 1]` rectangle minus a sorted vector of removed colours, and
-//! a survivor costs O(deg(v)·r) at worst, where `r ≤ deg(v)` counts the colours it has lost
-//! so far — never the `(Δ̂ + 1)·K` size of the list.
+//! Simulating one invocation costs time linear in the configuration, like the constant-round
+//! LOCAL algorithm it stands for:
+//!
+//! * `P_(2,β)`: O(n + m) for every β — one scan of every arc finds the "good" set nodes, and
+//!   one multi-source BFS from them, cut at depth β, visits each node and arc at most once;
+//! * `P_MM`: O(n + m) — a claim is resolved by scanning the claimant's ports for the named
+//!   identity, and [`PruningAlgorithm::normalize_and_prune`] computes the matched set once per
+//!   attempt;
+//! * SLC: O(n + m) plus the survivors' list copies. The SLC pruning only ever *removes*
+//!   colours: a survivor loses the colours of its pruned neighbours, at most `deg(v)` over a
+//!   whole alternation. [`SlcInput`] therefore stores a list as the full
+//!   `[1, K] × [1, Δ̂ + 1]` rectangle minus a sorted vector of removed colours, and a survivor
+//!   costs O(deg(v)·r) at worst, where `r ≤ deg(v)` counts the colours it has lost so far —
+//!   never the `(Δ̂ + 1)·K` size of the list.
 
 use crate::problem::{
     MatchingProblem, MisProblem, Problem, RulingSetProblem, SlcColor, SlcInput, SlcProblem,
@@ -66,16 +75,22 @@ pub trait PruningAlgorithm<P: Problem>: Send + Sync {
         tentative: &[P::Output],
     ) -> Pruned<P::Input>;
 
-    /// Normalises a tentative output vector *in place* before the outputs of pruned nodes are
-    /// frozen by the alternating driver.
+    /// Normalises a tentative output vector *in place*, then runs the pruning rule on it: the
+    /// alternating drivers' one call per attempt, before they freeze the outputs of pruned
+    /// nodes.
     ///
-    /// The default is the identity (a no-op, so the alternation hot path pays neither a copy
-    /// nor an allocation per attempt). The matching pruning overrides it to clear dangling
-    /// partner claims: in the paper's output encoding (`y(u) = y(v)` marks a matched pair) an
-    /// unreciprocated value simply means "unmatched", but with the explicit partner encoding
-    /// used here it must be cleared for the glued vector to be well-formed.
-    fn normalize(&self, view: &GraphView<'_>, tentative: &mut [P::Output]) {
-        let _ = (view, tentative);
+    /// The default normalisation is the identity (so the alternation hot path pays neither a
+    /// copy nor an allocation per attempt). The matching pruning overrides it to clear
+    /// dangling partner claims: in the paper's output encoding (`y(u) = y(v)` marks a matched
+    /// pair) an unreciprocated value simply means "unmatched", but with the explicit partner
+    /// encoding used here it must be cleared for the glued vector to be well-formed.
+    fn normalize_and_prune(
+        &self,
+        view: &GraphView<'_>,
+        input: &[P::Input],
+        tentative: &mut [P::Output],
+    ) -> Pruned<P::Input> {
+        self.prune(view, input, tentative)
     }
 }
 
@@ -101,22 +116,33 @@ impl RulingSetPruning {
         // "Good" set nodes: in the set with no set neighbour.
         let good: Vec<bool> =
             (0..n).map(|v| tentative[v] && !view.neighbors(v).any(|w| tentative[w])).collect();
-        if self.beta == 1 {
-            // MIS fast path: the ball of radius 1 is the closed neighbourhood, and a non-set
-            // node is never "good", so a per-node BFS would be pure overhead on the hot path.
-            return (0..n)
-                .map(|u| if tentative[u] { good[u] } else { view.neighbors(u).any(|v| good[v]) })
-                .collect();
-        }
-        (0..n)
-            .map(|u| {
-                if tentative[u] {
-                    good[u]
-                } else {
-                    view.ball(u, self.beta).iter().any(|&v| good[v])
+        // One multi-source BFS from the good nodes, cut at depth β: afterwards `near[u]` holds
+        // iff some good node lies within distance β of `u`.
+        let mut near = good.clone();
+        let mut frontier: Vec<usize> = (0..n).filter(|&v| good[v]).collect();
+        let mut next = Vec::new();
+        for _ in 0..self.beta {
+            if frontier.is_empty() {
+                break;
+            }
+            for &u in &frontier {
+                for w in view.neighbors(u) {
+                    if !near[w] {
+                        near[w] = true;
+                        next.push(w);
+                    }
                 }
-            })
-            .collect()
+            }
+            std::mem::swap(&mut frontier, &mut next);
+            next.clear();
+        }
+        // A set node is pruned iff it is good itself, whatever lies around it.
+        for (u, pruned) in near.iter_mut().enumerate() {
+            if tentative[u] {
+                *pruned = good[u];
+            }
+        }
+        near
     }
 }
 
@@ -150,23 +176,24 @@ impl PruningAlgorithm<MisProblem> for RulingSetPruning {
 #[derive(Debug, Clone, Copy, Default)]
 pub struct MatchingPruning;
 
-fn is_matched_pair(view: &GraphView<'_>, partner: &[Option<NodeId>], u: usize, v: usize) -> bool {
-    view.has_edge(u, v) && partner[u] == Some(view.id(v)) && partner[v] == Some(view.id(u))
-}
-
 impl MatchingPruning {
+    /// `matched[u]` iff `u` claims a neighbour that claims `u` back: found by scanning `u`'s
+    /// ports for the claimed identity.
     fn matched_nodes(view: &GraphView<'_>, tentative: &[Option<NodeId>]) -> Vec<bool> {
-        let n = view.node_count();
-        let mut id_to_index = std::collections::HashMap::new();
-        for v in 0..n {
-            id_to_index.insert(view.id(v), v);
-        }
-        (0..n)
+        (0..view.node_count())
             .map(|u| {
-                tentative[u]
-                    .and_then(|pid| id_to_index.get(&pid).copied())
-                    .is_some_and(|p| is_matched_pair(view, tentative, u, p))
+                tentative[u].is_some_and(|claim| {
+                    let me = Some(view.id(u));
+                    view.neighbors(u).any(|v| view.id(v) == claim && tentative[v] == me)
+                })
             })
+            .collect()
+    }
+
+    /// A node is pruned iff it is matched or all its neighbours are.
+    fn pruned_nodes(view: &GraphView<'_>, matched: &[bool]) -> Vec<bool> {
+        (0..view.node_count())
+            .map(|u| matched[u] || view.neighbors(u).all(|v| matched[v]))
             .collect()
     }
 }
@@ -183,19 +210,24 @@ impl PruningAlgorithm<MatchingProblem> for MatchingPruning {
         tentative: &[Option<NodeId>],
     ) -> Pruned<()> {
         let matched = Self::matched_nodes(view, tentative);
-        let n = view.node_count();
-        let pruned: Vec<bool> =
-            (0..n).map(|u| matched[u] || view.neighbors(u).all(|v| matched[v])).collect();
-        Pruned { pruned, new_inputs: input.to_vec() }
+        Pruned { pruned: Self::pruned_nodes(view, &matched), new_inputs: input.to_vec() }
     }
 
-    fn normalize(&self, view: &GraphView<'_>, tentative: &mut [Option<NodeId>]) {
+    /// Clears every claim outside a matched pair. That keeps every matched pair, so the
+    /// matched set is the same before and after: it is computed once and serves both halves.
+    fn normalize_and_prune(
+        &self,
+        view: &GraphView<'_>,
+        input: &[()],
+        tentative: &mut [Option<NodeId>],
+    ) -> Pruned<()> {
         let matched = Self::matched_nodes(view, tentative);
-        for (claim, matched) in tentative.iter_mut().zip(matched) {
+        for (claim, &matched) in tentative.iter_mut().zip(&matched) {
             if !matched {
                 *claim = None;
             }
         }
+        Pruned { pruned: Self::pruned_nodes(view, &matched), new_inputs: input.to_vec() }
     }
 }
 
@@ -443,7 +475,7 @@ mod tests {
             let (sub, back) = g.induced_subgraph(&keep);
             let sub_solution = local_algos::synthetic::central_greedy_matching(&sub);
             let mut combined = tentative.clone();
-            MatchingPruning.normalize(&view(&g), &mut combined);
+            MatchingPruning.normalize_and_prune(&view(&g), &units(n), &mut combined);
             for (i, &orig) in back.iter().enumerate() {
                 combined[orig] = sub_solution[i];
             }

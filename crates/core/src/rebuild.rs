@@ -69,8 +69,7 @@ impl<P: Problem> RebuildState<P> {
 
         let full = GraphView::full(&self.graph);
         let mut tentative = run.outputs;
-        pruning.normalize(&full, &mut tentative);
-        let pruned = pruning.prune(&full, &self.inputs, &tentative);
+        let pruned = pruning.normalize_and_prune(&full, &self.inputs, &mut tentative);
         drop(full);
         let pruned_count = pruned.pruned_count();
         if self.record_trace {

@@ -149,8 +149,7 @@ impl<'g, 's, P: Problem> AlternationState<'g, 's, P> {
 
         let prune_started = Instant::now();
         let mut tentative = run.outputs;
-        pruning.normalize(&self.view, &mut tentative);
-        let pruned = pruning.prune(&self.view, &self.inputs, &tentative);
+        let pruned = pruning.normalize_and_prune(&self.view, &self.inputs, &mut tentative);
         let pruned_count = pruned.pruned_count();
         if self.record_trace {
             self.trace.push(SubIterationTrace {
@@ -306,9 +305,7 @@ impl<P: Problem, Pr: PruningAlgorithm<P>> UniformTransformer<P, Pr> {
             }
             iterations = i;
             let budget = c.saturating_mul(1u64 << i.min(62));
-            for (j, guesses) in
-                self.algorithm.time_bound.set_sequence(1u64 << i.min(62)).iter().enumerate()
-            {
+            for (j, guesses) in self.algorithm.time_bound.set_sequence_pow2(i).iter().enumerate() {
                 if state.alive() == 0 {
                     break;
                 }
@@ -352,7 +349,7 @@ impl<P: Problem, Pr: PruningAlgorithm<P>> UniformTransformer<P, Pr> {
                 }
                 let budget = c.saturating_mul(1u64 << j.min(62));
                 for (k, guesses) in
-                    self.algorithm.time_bound.set_sequence(1u64 << j.min(62)).iter().enumerate()
+                    self.algorithm.time_bound.set_sequence_pow2(j).iter().enumerate()
                 {
                     if state.alive() == 0 {
                         break 'outer;
@@ -507,7 +504,7 @@ mod tests {
         NonUniformAlgorithm::deterministic(
             "coloring-MIS",
             vec![Parameter::MaxDegree, Parameter::MaxId],
-            TimeBound::Additive(vec![
+            TimeBound::additive(vec![
                 monotone(|d| {
                     let d = d as f64;
                     4.0 * (d + 2.0) * (d + 2.0) + d + 6.0
@@ -603,7 +600,7 @@ mod tests {
         let black_box: NonUniformAlgorithm<MatchingProblem> = NonUniformAlgorithm::deterministic(
             "edge-coloring-MM",
             vec![Parameter::MaxDegree, Parameter::MaxId],
-            TimeBound::Additive(vec![
+            TimeBound::additive(vec![
                 monotone(|d| {
                     let d = d as f64;
                     4.0 * (2.0 * d + 2.0) * (2.0 * d + 2.0) + 2.0 * d + 8.0

@@ -397,29 +397,6 @@ impl Graph {
         dist
     }
 
-    /// The set of nodes at distance at most `r` from `v` (the ball `B_G(v, r)`), including `v`.
-    pub fn ball(&self, v: NodeIndex, r: usize) -> Vec<NodeIndex> {
-        let mut dist = vec![usize::MAX; self.node_count()];
-        let mut queue = std::collections::VecDeque::new();
-        let mut out = vec![v];
-        dist[v] = 0;
-        queue.push_back(v);
-        while let Some(u) = queue.pop_front() {
-            if dist[u] == r {
-                continue;
-            }
-            for &w in self.neighbors(u) {
-                if dist[w] == usize::MAX {
-                    dist[w] = dist[u] + 1;
-                    out.push(w);
-                    queue.push_back(w);
-                }
-            }
-        }
-        out.sort_unstable();
-        out
-    }
-
     /// Builds the line graph `L(G)`: one node per edge of `G`, two line-graph nodes adjacent
     /// when the corresponding edges share an endpoint.
     ///
@@ -593,14 +570,6 @@ mod tests {
     fn bfs_distances_on_path() {
         let g = Graph::from_edges(4, &[(0, 1), (1, 2), (2, 3)]).unwrap();
         assert_eq!(g.bfs_distances(0), vec![0, 1, 2, 3]);
-    }
-
-    #[test]
-    fn ball_on_path() {
-        let g = Graph::from_edges(5, &[(0, 1), (1, 2), (2, 3), (3, 4)]).unwrap();
-        assert_eq!(g.ball(2, 1), vec![1, 2, 3]);
-        assert_eq!(g.ball(2, 2), vec![0, 1, 2, 3, 4]);
-        assert_eq!(g.ball(0, 0), vec![0]);
     }
 
     #[test]

@@ -262,32 +262,6 @@ impl<'g> GraphView<'g> {
             .flat_map(move |u| self.neighbors(u).filter(move |&v| u < v).map(move |v| (u, v)))
     }
 
-    /// The live nodes at distance at most `r` from live node `l` (the ball `B(v, r)` in the
-    /// view), including `l`, as sorted live indices.
-    pub fn ball(&self, l: usize, r: usize) -> Vec<usize> {
-        let mut dist = std::collections::HashMap::new();
-        let mut queue = std::collections::VecDeque::new();
-        let mut out = vec![l];
-        dist.insert(l, 0usize);
-        queue.push_back(l);
-        while let Some(u) = queue.pop_front() {
-            let du = dist[&u];
-            if du == r {
-                continue;
-            }
-            for &wb in self.slot_neighbors(self.live_nodes[u]) {
-                let w = self.live_index[wb as usize] as usize;
-                if let std::collections::hash_map::Entry::Vacant(e) = dist.entry(w) {
-                    e.insert(du + 1);
-                    out.push(w);
-                    queue.push_back(w);
-                }
-            }
-        }
-        out.sort_unstable();
-        out
-    }
-
     /// Removes every live node `l` with `keep[l] == false` (live-indexed mask, matching the
     /// output of a pruning algorithm).
     ///
@@ -486,7 +460,7 @@ mod tests {
     }
 
     #[test]
-    fn ball_and_has_edge_on_view() {
+    fn has_edge_on_view() {
         let g = sample();
         // Drop node 2: path becomes 0-1, 3-4 components (chord 0-2 also gone).
         let mut v = GraphView::full(&g);
@@ -494,8 +468,7 @@ mod tests {
         // Live indices: 0->0, 1->1, 3->2, 4->3.
         assert!(v.has_edge(0, 1));
         assert!(!v.has_edge(1, 2));
-        assert_eq!(v.ball(0, 2), vec![0, 1]);
-        assert_eq!(v.ball(2, 1), vec![2, 3]);
+        assert!(v.has_edge(2, 3));
     }
 
     #[test]

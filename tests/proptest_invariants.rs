@@ -50,7 +50,7 @@ proptest! {
         y0 in 1u64..10_000,
         y1 in 1u64..10_000,
     ) {
-        let bound = TimeBound::Additive(vec![
+        let bound = TimeBound::additive(vec![
             monotone(|x| (x as f64).sqrt()),
             monotone(|x| (x.max(2) as f64).log2()),
         ]);
@@ -63,7 +63,7 @@ proptest! {
         y0 in 1u64..500,
         y1 in 2u64..100_000,
     ) {
-        let bound = TimeBound::Product(
+        let bound = TimeBound::product(
             monotone(|x| x.max(1) as f64),
             monotone(|x| (x.max(2) as f64).log2().max(1.0)),
         );
@@ -117,7 +117,7 @@ proptest! {
         let (sub, back) = g.induced_subgraph(&keep);
         let sub_solution = localkit::algos::synthetic::central_greedy_matching(&sub);
         let mut combined = tentative.clone();
-        MatchingPruning.normalize(&localkit::runtime::GraphView::full(&g), &mut combined);
+        MatchingPruning.normalize_and_prune(&localkit::runtime::GraphView::full(&g), &vec![(); n], &mut combined);
         for (i, &orig) in back.iter().enumerate() {
             combined[orig] = sub_solution[i];
         }
