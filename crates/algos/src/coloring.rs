@@ -352,12 +352,9 @@ impl RecolorScratch {
     }
 
     /// Stages the received colours for the next [`RecolorScratch::recolor`] call.
-    /// `for_each` (internal iteration) lets stamp-mask message iterators run their tight
-    /// fold loop instead of the per-item `next()` state machine.
     fn stage(&mut self, colors: impl Iterator<Item = u64>) {
         self.neighbor_colors.clear();
-        let buf = &mut self.neighbor_colors;
-        colors.for_each(|c| buf.push(c));
+        self.neighbor_colors.extend(colors);
     }
 }
 

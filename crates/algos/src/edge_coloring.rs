@@ -81,8 +81,9 @@ impl GraphAlgorithm for LineGraphEdgeColoring {
                 completed: true,
             };
         }
-        // A fresh session for L(G): its arenas scale with Σ deg², and pooling them would keep
-        // that much memory alive in the caller's session after this run.
+        // A fresh session for L(G): its init slab (identities and routing columns per arc)
+        // scales with Σ deg², and pooling it would keep that much memory alive in the
+        // caller's session after this run.
         let lg_run =
             self.inner().execute(&lg.graph, &vec![(); lg.graph.node_count()], budget, seed);
         AlgoRun {

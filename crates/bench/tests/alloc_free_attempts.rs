@@ -2,11 +2,13 @@
 //!
 //! A counting global allocator asserts that repeated attempts (`execute_view` runs) on an
 //! unchanged configuration, with their outputs recycled into the session, perform *zero* heap
-//! allocations: the init slab, program/output buffers, message arenas, and RNG tables are all
-//! served from the session's caches. Two attempt shapes are covered — a gossip spec that steps
-//! every node every round, and the (Δ+1)-colouring whose elimination phase sleeps nodes with
-//! `Action::Idle` (so the wake queue and the standing-broadcast list must be pooled too) — once
-//! with the observability layer off and once with it armed.
+//! allocations: the init slab, program/output buffers, message cells, and RNG tables are all
+//! served from the session's caches. Three attempt shapes are covered — a gossip spec that
+//! steps every node every round, once by broadcast and once by point-to-point sends (so the
+//! per-arc cells grown on a run's first send must be pooled), and the (Δ+1)-colouring whose
+//! elimination phase sleeps nodes with `Action::Idle` (so the wake queue and the
+//! standing-broadcast list must be pooled too) — once with the observability layer off and
+//! once with it armed.
 
 use local_algos::coloring::ReducedColoring;
 use local_graphs::GraphParams;
@@ -72,13 +74,15 @@ fn count_allocations<R>(f: impl FnOnce() -> R) -> (u64, R) {
 
 /// A heap-free gossip spec standing in for a budgeted black-box attempt: flood the maximum
 /// identity for `radius` rounds (every node broadcasts every round — the message-heavy shape
-/// of the colouring attempts), then halt with it.
+/// of the colouring attempts — or, with `sends`, sends it on every port), then halt with it.
 struct MaxIdAttempt {
     radius: u64,
+    sends: bool,
 }
 
 struct MaxIdProg {
     radius: u64,
+    sends: bool,
     best: u64,
 }
 
@@ -92,7 +96,13 @@ impl NodeProgram for MaxIdProg {
         if ctx.round() == self.radius {
             return Action::Halt(self.best);
         }
-        ctx.broadcast(self.best);
+        if self.sends {
+            for port in 0..ctx.degree() {
+                ctx.send(port, self.best);
+            }
+        } else {
+            ctx.broadcast(self.best);
+        }
         Action::Continue
     }
 }
@@ -103,7 +113,7 @@ impl ProgramSpec for MaxIdAttempt {
     type Output = u64;
     type Prog = MaxIdProg;
     fn build(&self, init: &NodeInit<()>) -> MaxIdProg {
-        MaxIdProg { radius: self.radius, best: init.id }
+        MaxIdProg { radius: self.radius, sends: self.sends, best: init.id }
     }
     fn default_output(&self, init: &NodeInit<()>) -> u64 {
         init.id
@@ -120,7 +130,7 @@ fn assert_steady_state_allocation_free<S: ProgramSpec<Input = ()>>(
 ) {
     let inputs = vec![(); view.node_count()];
     let mut session = Session::new();
-    // Warm-up: the first attempt builds the init slab, the message arenas, and the pooled
+    // Warm-up: the first attempt builds the init slab, the message cells, and the pooled
     // program/output buffers (and, with obs armed, registers this thread's track);
     // recycling hands the output vector back.
     for _ in 0..2 {
@@ -144,12 +154,15 @@ fn assert_steady_state_allocation_free<S: ProgramSpec<Input = ()>>(
     );
 }
 
-/// Both attempt shapes: the gossip spec under a budget, and the idling (Δ+1)-colouring run
-/// to completion.
+/// All attempt shapes: the broadcasting and the sending gossip spec under a budget, and the
+/// idling (Δ+1)-colouring run to completion.
 fn assert_attempts_allocation_free(view: &GraphView<'_>, label: &str) {
     let params = GraphParams::of(view.base());
     let coloring = ReducedColoring::delta_plus_one(params.max_degree, params.max_id);
-    assert_steady_state_allocation_free(&MaxIdAttempt { radius: 8 }, view, Some(16), label);
+    for sends in [false, true] {
+        let gossip = MaxIdAttempt { radius: 8, sends };
+        assert_steady_state_allocation_free(&gossip, view, Some(16), label);
+    }
     assert_steady_state_allocation_free(&coloring, view, None, label);
 }
 

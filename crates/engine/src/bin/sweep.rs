@@ -835,7 +835,7 @@ fn sweep(args: Args) -> Result<(), String> {
         let arena = local_obs::counter_value(local_obs::metrics::ARENA_ARCS);
         if arena > 0 {
             println!(
-                "peak RSS {:.1} MiB, arena high-water {arena} live message arcs",
+                "peak RSS {:.1} MiB, arena high-water {arena} point-to-point message arcs",
                 peak_kb as f64 / 1024.0
             );
         } else {

@@ -115,28 +115,66 @@ pub struct Incoming<M> {
     pub msg: M,
 }
 
+/// One message cell: a "valid through" tick stamp and the payload. A broadcast slot holds
+/// a node's broadcast for all of its ports; a point-to-point cell holds one port's send.
+pub(crate) type Cell<M> = (u64, Option<M>);
+
+/// Where a node's arrivals of one round live: the broadcast slots of the read parity, and
+/// its own point-to-point cells.
+///
+/// Port `p` carries a message if its point-to-point cell is fresh (stamped at or after the
+/// read tick); otherwise it carries the neighbour's broadcast if that neighbour's slot is
+/// fresh. A send therefore overrides a broadcast of the same round on its port.
+pub(crate) struct Arrivals<'a, M> {
+    /// Dense index of the neighbour behind each port.
+    pub(crate) neighbors: &'a [u32],
+    /// The read parity's broadcast slots, one per node.
+    pub(crate) slots: &'a [Cell<M>],
+    /// The node's point-to-point cells, one per port; empty while the run has made no
+    /// point-to-point send.
+    pub(crate) arcs: &'a [Cell<M>],
+    /// Tick of the previous round: cells stamped at or after it hold this round's arrivals.
+    pub(crate) read_tick: u64,
+}
+
+impl<M> Clone for Arrivals<'_, M> {
+    fn clone(&self) -> Self {
+        *self
+    }
+}
+
+impl<M> Copy for Arrivals<'_, M> {}
+
+impl<'a, M> Arrivals<'a, M> {
+    /// The message that arrived on `port`, if any.
+    #[inline]
+    fn on(self, port: usize) -> Option<&'a M> {
+        let fresh =
+            |(stamp, msg): &'a Cell<M>| if *stamp >= self.read_tick { msg.as_ref() } else { None };
+        if let Some(msg) = self.arcs.get(port).and_then(fresh) {
+            return Some(msg);
+        }
+        fresh(&self.slots[self.neighbors[port] as usize])
+    }
+}
+
 /// The per-round view a node has of the world: its inbox, an outbox, its clock and its
 /// private randomness.
 ///
-/// The inbox is staged *lazily*: the runtime hands the context the node's raw dense-arc
-/// stamp/payload segments, and the first call to [`RoundCtx::inbox`] (or
-/// [`RoundCtx::received_on`]) scans the stamps and clones out the matching payloads. Nodes
-/// that skip their inbox in a round (e.g. a colour class waiting its turn) pay nothing for
-/// the messages they ignore.
+/// The inbox is staged *lazily*: the runtime hands the context where the node's arrivals
+/// live (its neighbours' broadcast slots and its own point-to-point cells), and the first
+/// call to [`RoundCtx::inbox`] (or [`RoundCtx::received_on`]) reads them port by port and
+/// clones out the messages. Nodes that skip their inbox in a round (e.g. a colour class
+/// waiting its turn) pay nothing for the messages they ignore.
 pub struct RoundCtx<'a, M> {
     pub(crate) round: u64,
     pub(crate) degree: usize,
     pub(crate) neighbor_ids: &'a [NodeId],
     /// Staging buffer for the inbox; valid only once `staged` is set.
     pub(crate) inbox: &'a mut Vec<Incoming<M>>,
-    /// Whether `inbox` already reflects this node's segment for this round.
+    /// Whether `inbox` already reflects this node's arrivals for this round.
     pub(crate) staged: &'a mut bool,
-    /// The node's dense-arc stamp segment in the read arena (one cell per port).
-    pub(crate) stamps: &'a [u64],
-    /// Message payloads parallel to `stamps`.
-    pub(crate) payloads: &'a [Option<M>],
-    /// Tick of the previous round: cells stamped at or after it hold this round's arrivals.
-    pub(crate) read_tick: u64,
+    pub(crate) arrivals: Arrivals<'a, M>,
     pub(crate) outbox: &'a mut Vec<(usize, M)>,
     pub(crate) broadcast: &'a mut Option<M>,
     /// Lazily-drawn private random stream: the slot belongs to the run whose tick stamp
@@ -175,25 +213,17 @@ impl<'a, M: Clone> RoundCtx<'a, M> {
     }
 
     /// Iterates `(port, message)` over this round's arrivals, port-ascending, **without
-    /// staging**: the iterator walks the raw stamp segment (64-arc match masks) and
-    /// borrows payloads in place — no clone, no buffer. Same arrivals in the same order as
-    /// [`RoundCtx::inbox`] (the staged buffer is just a materialization of the same
-    /// segment, so mixing the two within a round agrees); prefer this in hot per-round
-    /// loops.
+    /// staging**: one cell lookup per port, payloads borrowed in place — no clone, no
+    /// buffer. Same arrivals in the same order as [`RoundCtx::inbox`] (the staged buffer is
+    /// just a materialization of the same lookups, so mixing the two within a round
+    /// agrees); prefer this in hot per-round loops.
     pub fn messages(&self) -> Messages<'_, M> {
-        Messages {
-            stamps: self.stamps,
-            payloads: self.payloads,
-            read_tick: self.read_tick,
-            chunk: 0,
-            next_chunk: 0,
-            mask: 0,
-        }
+        Messages { arrivals: self.arrivals, port: 0 }
     }
 
-    /// Number of messages received this round — one stamp-count pass, no staging.
+    /// Number of messages received this round — one lookup per port, no staging.
     pub fn received_count(&self) -> usize {
-        self.stamps.iter().filter(|&&s| s >= self.read_tick).count()
+        self.messages().count()
     }
 
     /// Convenience: the message received on `port` this round, if any.
@@ -202,26 +232,17 @@ impl<'a, M: Clone> RoundCtx<'a, M> {
         self.inbox.iter().find(|m| m.port == port).map(|m| &m.msg)
     }
 
-    /// Fills the staging buffer from the raw stamp/payload segments on first access: a
-    /// 64-arc-chunked stamp-match mask, then one clone per set bit.
+    /// Fills the staging buffer on first access: one clone per arrival.
     fn stage(&mut self) {
         if *self.staged {
             return;
         }
         *self.staged = true;
-        // The segment refs live for 'a, independent of this borrow of self, so the raw
-        // iterator and the staging pushes don't conflict.
-        let raw = Messages {
-            stamps: self.stamps,
-            payloads: self.payloads,
-            read_tick: self.read_tick,
-            chunk: 0,
-            next_chunk: 0,
-            mask: 0,
-        };
-        let inbox = &mut *self.inbox;
-        inbox.clear();
-        raw.fold((), |(), (port, msg)| inbox.push(Incoming { port, msg: msg.clone() }));
+        // The arrivals borrow for 'a, independent of this borrow of self, so the lookups
+        // and the staging pushes don't conflict.
+        let arrivals = Messages { arrivals: self.arrivals, port: 0 };
+        self.inbox.clear();
+        self.inbox.extend(arrivals.map(|(port, msg)| Incoming { port, msg: msg.clone() }));
     }
 
     /// Queues a message to the neighbor on `port`, delivered before that neighbor's next round.
@@ -240,8 +261,9 @@ impl<'a, M: Clone> RoundCtx<'a, M> {
 
     /// Queues the same message to every neighbor.
     ///
-    /// Handled by the runtime as a single staged value fanned out at delivery time, so a
-    /// broadcast costs one write per neighbor and no outbox traffic. A node delivers at most
+    /// Handled by the runtime as one write into the node's broadcast slot, which every
+    /// neighbor reads, so a broadcast costs one write and no outbox traffic (messages are
+    /// still counted per neighbor). A node delivers at most
     /// one message per port per round: a later [`RoundCtx::send`] to a port overrides a
     /// broadcast queued in the same round, and a repeated broadcast replaces the previous
     /// one.
@@ -271,32 +293,10 @@ impl<'a, M: Clone> RoundCtx<'a, M> {
 }
 
 /// Iterator over one round's arrivals, see [`RoundCtx::messages`].
-///
-/// Walks the stamp segment one 64-arc chunk at a time, building a match mask per chunk
-/// and peeling set bits. `fold` is overridden with the tight two-level loop, so
-/// internal-iteration consumers (`for_each` and adapters over it) skip the per-item state
-/// machine of [`Messages::next`].
 pub struct Messages<'b, M> {
-    stamps: &'b [u64],
-    payloads: &'b [Option<M>],
-    read_tick: u64,
-    /// Base port of the chunk `mask` refers to.
-    chunk: usize,
-    /// Base port of the next chunk to scan.
-    next_chunk: usize,
-    mask: u64,
-}
-
-/// Bit `i` is set iff `stamps[i] >= tick` (the cell is valid through the read tick or
-/// later); `stamps` holds at most 64 cells.
-#[inline]
-fn match_mask64(stamps: &[u64], tick: u64) -> u64 {
-    debug_assert!(stamps.len() <= 64);
-    let mut mask = 0u64;
-    for (i, &s) in stamps.iter().enumerate() {
-        mask |= u64::from(s >= tick) << i;
-    }
-    mask
+    arrivals: Arrivals<'b, M>,
+    /// The next port to look at.
+    port: usize,
 }
 
 impl<'b, M> Iterator for Messages<'b, M> {
@@ -304,46 +304,14 @@ impl<'b, M> Iterator for Messages<'b, M> {
 
     #[inline]
     fn next(&mut self) -> Option<(usize, &'b M)> {
-        loop {
-            while self.mask != 0 {
-                let port = self.chunk + self.mask.trailing_zeros() as usize;
-                self.mask &= self.mask - 1;
-                if let Some(msg) = &self.payloads[port] {
-                    return Some((port, msg));
-                }
+        while self.port < self.arrivals.neighbors.len() {
+            let port = self.port;
+            self.port += 1;
+            if let Some(msg) = self.arrivals.on(port) {
+                return Some((port, msg));
             }
-            if self.next_chunk >= self.stamps.len() {
-                return None;
-            }
-            let end = (self.next_chunk + 64).min(self.stamps.len());
-            self.mask = match_mask64(&self.stamps[self.next_chunk..end], self.read_tick);
-            self.chunk = self.next_chunk;
-            self.next_chunk = end;
         }
-    }
-
-    #[inline]
-    fn fold<B, F>(mut self, init: B, mut f: F) -> B
-    where
-        F: FnMut(B, (usize, &'b M)) -> B,
-    {
-        let mut acc = init;
-        loop {
-            while self.mask != 0 {
-                let port = self.chunk + self.mask.trailing_zeros() as usize;
-                self.mask &= self.mask - 1;
-                if let Some(msg) = &self.payloads[port] {
-                    acc = f(acc, (port, msg));
-                }
-            }
-            if self.next_chunk >= self.stamps.len() {
-                return acc;
-            }
-            let end = (self.next_chunk + 64).min(self.stamps.len());
-            self.mask = match_mask64(&self.stamps[self.next_chunk..end], self.read_tick);
-            self.chunk = self.next_chunk;
-            self.next_chunk = end;
-        }
+        None
     }
 }
 
@@ -353,10 +321,11 @@ mod tests {
 
     #[test]
     fn round_ctx_send_and_broadcast() {
-        // Raw arena segments: only port 1 carries a message stamped with the read tick
-        // (port 0 holds a stale stamp from an earlier round, port 2 was never written).
-        let stamps = [3u64, 5, 0];
-        let payloads: [Option<u32>; 3] = [Some(13), Some(42), None];
+        // Ports 0, 1, 2 lead to dense nodes 2, 0, 1. Only node 0's broadcast slot is fresh
+        // (node 2's is stale, node 1's was never written); port 2's point-to-point cell is
+        // fresh, port 0's is stale.
+        let slots: [Cell<u32>; 3] = [(5, Some(42)), (0, None), (3, Some(13))];
+        let arcs: [Cell<u32>; 3] = [(3, Some(1)), (0, None), (5, Some(77))];
         let mut inbox: Vec<Incoming<u32>> = Vec::new();
         let mut staged = false;
         let mut outbox = Vec::new();
@@ -369,9 +338,7 @@ mod tests {
             neighbor_ids: &neighbor_ids,
             inbox: &mut inbox,
             staged: &mut staged,
-            stamps: &stamps,
-            payloads: &payloads,
-            read_tick: 5,
+            arrivals: Arrivals { neighbors: &[2, 0, 1], slots: &slots, arcs: &arcs, read_tick: 5 },
             outbox: &mut outbox,
             broadcast: &mut bcast,
             rng_slot: &mut rng_slot,
@@ -380,9 +347,12 @@ mod tests {
         assert_eq!(ctx.round(), 3);
         assert_eq!(ctx.degree(), 3);
         assert_eq!(ctx.neighbor_ids(), &[7, 8, 9]);
+        assert_eq!(ctx.received_count(), 2);
+        assert_eq!(ctx.messages().collect::<Vec<_>>(), vec![(1, &42), (2, &77)]);
         assert_eq!(ctx.received_on(1), Some(&42));
         assert_eq!(ctx.received_on(0), None);
-        assert_eq!(ctx.inbox().len(), 1);
+        assert_eq!(ctx.received_on(2), Some(&77));
+        assert_eq!(ctx.inbox().len(), 2);
         ctx.send(2, 7);
         ctx.broadcast(9);
         {
@@ -395,7 +365,7 @@ mod tests {
         }
         assert_eq!(outbox, vec![(2, 7)]);
         assert_eq!(bcast, Some(9));
-        assert!(staged, "first inbox access must mark the segment staged");
+        assert!(staged, "first inbox access must mark the arrivals staged");
         assert!(rng_slot.is_some(), "rng access must fill the slot");
     }
 
@@ -413,9 +383,7 @@ mod tests {
             neighbor_ids: &[4],
             inbox: &mut inbox,
             staged: &mut staged,
-            stamps: &[0],
-            payloads: &[None],
-            read_tick: 1,
+            arrivals: Arrivals { neighbors: &[0], slots: &[(0, None)], arcs: &[], read_tick: 1 },
             outbox: &mut outbox,
             broadcast: &mut bcast,
             rng_slot: &mut rng_slot,

@@ -8,16 +8,22 @@
 //!
 //! The round loop itself is frontier-driven: it iterates an *active worklist* of the nodes
 //! that take a step this round — every non-halted node, except those sleeping through an
-//! [`Action::Idle`] — and touches only the inboxes that actually received messages, instead
-//! of scanning all `n` nodes and `n` inboxes per round. Sleeping nodes wait in a wake queue;
-//! their standing broadcasts stay valid in the message arenas and are charged per round
-//! without stepping anyone, so a phase in which only a few nodes act per round (colour
-//! elimination) costs time in proportion to those actions, not to rounds × arcs. Iteration
-//! order is ascending node index — identical to the dense scan — so executions are
+//! [`Action::Idle`] — instead of scanning all `n` nodes per round. Sleeping nodes wait in a
+//! wake queue; their standing broadcasts stay valid in their broadcast slots and are charged
+//! per round without stepping anyone, so a phase in which only a few nodes act per round
+//! (colour elimination) costs time in proportion to those actions, not to rounds × arcs.
+//! Iteration order is ascending node index — identical to the dense scan — so executions are
 //! byte-identical to the classic [`crate::runner::run`] loop.
+//!
+//! Messages live in one broadcast slot per node (see [`MsgBuffers`]): a broadcast is one
+//! write, whatever the degree, and receivers read their neighbours' slots. Per-arc cells
+//! exist only for point-to-point sends and are allocated on a run's first one, so the
+//! simulation memory of programs that only broadcast grows with `n`, not with the arc count.
 
 use crate::graph::{Graph, NodeId};
-use crate::program::{Action, Incoming, NodeInit, NodeProgram, ProgramSpec, RoundCtx};
+use crate::program::{
+    Action, Arrivals, Cell, Incoming, NodeInit, NodeProgram, ProgramSpec, RoundCtx,
+};
 
 use crate::runner::{Execution, RunConfig};
 use crate::trace::{ExecutionTrace, RoundTrace};
@@ -121,12 +127,13 @@ impl Topology for GraphView<'_> {
 }
 
 /// Frozen per-node init data of one topology content: identities, degrees, one flat arena
-/// of neighbor identities, and the precomputed message-routing table
+/// of neighbor identities, and the precomputed message-routing columns
 /// (`offsets[v]..offsets[v + 1]` is node `v`'s port-ordered *dense arc* segment). Built once
 /// per `(session, content epoch)`; repeated attempts on an unchanged [`GraphView`] hand out
 /// `NodeInit`s that *borrow* these slabs instead of allocating one `neighbor_ids` vector per
-/// node per attempt, and the round loop routes every message through `arrival_arc` without
-/// touching the topology at all.
+/// node per attempt, and the round loop routes every message through `neighbor_index` and
+/// `arrival_arc` without touching the topology at all. `arrival_arc` serves only
+/// point-to-point sends, so it is filled on the first run over this content that sends.
 #[derive(Debug, Default)]
 struct InitSlab {
     /// The content epoch the slab was built from; `None` marks an epoch-less build that is
@@ -138,9 +145,12 @@ struct InitSlab {
     /// (rebuild asserts the arc count fits), halving the slab's routing footprint.
     offsets: Vec<u32>,
     neighbor_ids: Vec<NodeId>,
-    /// Per arc `offsets[v] + p`: the arc cell a message sent by `v` on port `p` lands in
-    /// (the receiver's segment base plus the arrival port) — message routing becomes one
-    /// contiguous read and one indexed write.
+    /// Per arc `offsets[v] + p`: the dense index of the neighbor behind `v`'s port `p` —
+    /// the broadcast slot `v` reads on that port.
+    neighbor_index: Vec<u32>,
+    /// Per arc `offsets[v] + p`: the point-to-point cell a message sent by `v` on port `p`
+    /// lands in (the receiver's segment base plus the arrival port) — a send becomes one
+    /// contiguous read and one indexed write. Empty until [`InitSlab::route_sends`].
     arrival_arc: Vec<u32>,
 }
 
@@ -151,30 +161,42 @@ impl InitSlab {
         self.ids.clear();
         self.offsets.clear();
         self.neighbor_ids.clear();
+        self.neighbor_index.clear();
+        self.arrival_arc.clear();
         self.offsets.push(0);
+        // `neighbor_index` stores node indices as `u32`.
+        u32::try_from(topo.node_count()).expect("node count exceeds the u32 slab limit");
         for v in 0..topo.node_count() {
             let s = topo.slot(v);
             let degree = topo.slot_degree(s);
             self.ids.push(topo.id(v));
             for port in 0..degree {
-                self.neighbor_ids.push(topo.slot_id(topo.slot_neighbor(s, port)));
+                let neighbor = topo.slot_neighbor(s, port);
+                self.neighbor_ids.push(topo.slot_id(neighbor));
+                self.neighbor_index.push(topo.slot_node(neighbor) as u32);
             }
             let arcs = u32::try_from(self.neighbor_ids.len())
                 .expect("arc count exceeds the u32 arena limit");
             self.offsets.push(arcs);
         }
-        // Second pass (offsets are complete now): freeze the routing table.
-        self.arrival_arc.clear();
+    }
+
+    /// Fills the send routing column `arrival_arc` for `topo` (the content the slab was
+    /// built from) unless it is already filled.
+    fn route_sends<T: Topology>(&mut self, topo: &T) {
+        if self.arrival_arc.len() == self.arc_count() {
+            return;
+        }
         for v in 0..topo.node_count() {
             let s = topo.slot(v);
             for port in 0..self.degree(v) {
-                let w = topo.slot_node(topo.slot_neighbor(s, port));
+                let w = self.neighbor_index[self.offsets[v] as usize + port] as usize;
                 self.arrival_arc.push(self.offsets[w] + topo.slot_reverse_port(s, port) as u32);
             }
         }
     }
 
-    /// Total number of (live) arcs — the message arenas' length.
+    /// Total number of (live) arcs — the point-to-point arenas' length.
     fn arc_count(&self) -> usize {
         *self.offsets.last().unwrap_or(&0) as usize
     }
@@ -190,84 +212,58 @@ impl InitSlab {
     }
 }
 
-/// The flat, tick-stamped message arena for one message type, pooled across runs by
-/// [`Session`].
+/// The tick-stamped message cells for one message type, pooled across runs by [`Session`].
 ///
-/// One cell per *arc* of the (base) graph, split structure-of-arrays into a stamp plane and
-/// a payload plane: a message sent to slot `w`'s port `p` in round `r` writes `tick(r)` and
-/// the payload into cell `arc_base(w) + p` of the round's write arena; the receiver reads
-/// its contiguous cell segment in round `r + 1` and accepts the cells stamped `>= tick(r)`
-/// (a dense `u64` scan). Two arenas alternate by round parity so a same-round
-/// send can never overwrite a message the receiver has not read yet (each arc
-/// has one sender, so a cell is rewritten at the earliest two rounds after it was written —
-/// strictly after its read round). Ticks grow monotonically across rounds *and runs* (with
-/// a gap between runs), so stale cells never match and nothing is ever cleared or swapped —
-/// the per-message cost drops to one indexed write, and the per-round bookkeeping of the
-/// previous inbox design (touched lists, buffer swaps, clears) disappears entirely.
+/// Each node owns one *broadcast slot* per round parity: a broadcast by `v` in round `r`
+/// writes `(tick(r), msg)` into `v`'s slot of the round's write parity, once, whatever the
+/// degree. Point-to-point sends get a cell per *arc*: a send to slot `w`'s port `p` writes
+/// cell `arc_base(w) + p` of the write parity's arc arena. The arc arenas are grown on the
+/// first send of a run, so programs that only broadcast never allocate them. In round
+/// `r + 1` a receiver reads port `p` from its own arc cell if that cell is stamped
+/// `>= tick(r)`, and otherwise from the slot of the neighbour behind `p` if that slot is —
+/// so a send overrides a broadcast of the same round on its port. The two parities
+/// alternate so that a write never clobbers a cell a receiver has not read yet (a cell is
+/// rewritten at the earliest two rounds after it was written, strictly after its read
+/// round). Ticks grow monotonically across rounds *and runs* (with a gap between runs), so
+/// stale cells never match and nothing is ever cleared or swapped.
 ///
 /// A stamp means "valid through". A node that broadcasts and then sleeps until round `u`
-/// ([`Action::Idle`]) stamps its cells `tick(u - 1)`, so every read up to round `u` accepts
-/// them. The round's write arena gets the cells at once; the other arena is being read in
-/// that same round, so the copy into it waits in [`MsgBuffers::standing`] until the round
-/// ends. A point-to-point send made alongside overrides its port's cell for one round only,
-/// so such a broadcast is written into each arena once more at the end of the next round.
-/// Standing stamps never pass the run's last round, so the next run's ticks stay above them.
+/// ([`Action::Idle`]) stamps its slot `tick(u - 1)`, so every read up to round `u` accepts
+/// it. The round's write parity gets the slot at once; the other parity's slot is being read
+/// in that same round, so it is copied over when the round ends ([`Session::standing`]). A
+/// point-to-point send made alongside stamps its arc cell `tick(r)` and so overrides the
+/// standing broadcast on its port for one round only. Standing stamps never pass the run's
+/// last round, so the next run's ticks stay above them.
 struct MsgBuffers<M> {
-    /// Tick stamp per arc, one arena per round parity; `stamp == 0` marks a never-written
-    /// cell (every read tick is at least 1). Kept separate from the payloads so the per-node
-    /// inbox scan is a dense `u64` pass instead of a strided walk over `(u64, Option<M>)`
-    /// pairs.
-    stamps: [Vec<u64>; 2],
-    /// Message payload per arc, parallel to `stamps`.
-    payloads: [Vec<Option<M>>; 2],
+    /// One broadcast slot per node and parity; stamp 0 marks a never-written cell (every
+    /// read tick is at least 1).
+    slots: [Vec<Cell<M>>; 2],
+    /// One point-to-point cell per arc and parity; empty until a run sends.
+    arcs: [Vec<Cell<M>>; 2],
     /// The inbox staging buffer served to the running node (port-ascending).
     inbox: Vec<Incoming<M>>,
     /// The outbox staging buffer handed to the running node.
     outbox: Vec<(usize, M)>,
-    /// Standing broadcasts still to be copied into the arena read this round; see above.
-    standing: Vec<Standing<M>>,
 }
 
-/// A sleeping node's broadcast awaiting its end-of-round copy into the other parity arena.
-struct Standing<M> {
-    /// The sleeping node.
-    node: usize,
-    /// Its "valid through" stamp, `tick(until - 1)`.
-    stamp: u64,
-    /// The standing broadcast.
-    msg: M,
-    /// Whether a point-to-point send overrode some cell of the first write, so the copy
-    /// must be made at the end of the next round as well.
-    again: bool,
+/// Grows `cells` to `len` never-written cells (never shrinks — capacities stay warm).
+/// Stale cells need no reset: their stamps can never match a fresh tick.
+fn grow<M>(cells: &mut [Vec<Cell<M>>; 2], len: usize) {
+    for parity in cells {
+        if parity.len() < len {
+            parity.resize_with(len, || (0, None));
+        }
+    }
 }
 
 impl<M> MsgBuffers<M> {
     fn new() -> Self {
         MsgBuffers {
-            stamps: [Vec::new(), Vec::new()],
-            payloads: [Vec::new(), Vec::new()],
+            slots: [Vec::new(), Vec::new()],
+            arcs: [Vec::new(), Vec::new()],
             inbox: Vec::new(),
             outbox: Vec::new(),
-            standing: Vec::new(),
         }
-    }
-
-    /// Grows the arenas to `arcs` cells (never shrinks — capacities stay warm) and clears the
-    /// staging buffers. Stale cells need no reset: their stamps can never match a fresh tick.
-    fn reset(&mut self, arcs: usize) {
-        for arena in &mut self.stamps {
-            if arena.len() < arcs {
-                arena.resize(arcs, 0);
-            }
-        }
-        for arena in &mut self.payloads {
-            if arena.len() < arcs {
-                arena.resize_with(arcs, || None);
-            }
-        }
-        self.inbox.clear();
-        self.outbox.clear();
-        self.standing.clear();
     }
 }
 
@@ -294,10 +290,13 @@ pub struct Session {
     /// Sleeping nodes as `(wake-up round, node, arcs its standing broadcast covers)`,
     /// earliest first.
     wake: BinaryHeap<Reverse<(u64, usize, u64)>>,
-    /// Monotone round-tick source shared by every run of this session; the message arenas'
+    /// The nodes that began a standing broadcast this round: their slot is copied into the
+    /// other parity once every read of the round is done (see [`MsgBuffers`]).
+    standing: Vec<usize>,
+    /// Monotone round-tick source shared by every run of this session; the message cells'
     /// stamps are drawn from it, which is what lets stale cells persist unswept.
     next_tick: u64,
-    /// Message arena + staging buffers per message type (boxed once, reused forever).
+    /// Message cells + staging buffers per message type (boxed once, reused forever).
     msg_pool: HashMap<TypeId, Box<dyn Any>>,
     /// Spare `Vec<S::Prog>` stacks per program type.
     program_pool: HashMap<TypeId, Box<dyn Any>>,
@@ -387,7 +386,7 @@ impl Session {
             .remove(&TypeId::of::<M>())
             .and_then(|b| b.downcast::<MsgBuffers<M>>().ok())
             .unwrap_or_else(|| Box::new(MsgBuffers::new()));
-        buffers.reset(n);
+        grow(&mut buffers.slots, n);
         buffers
     }
 
@@ -463,10 +462,13 @@ pub(crate) fn run_core<T: Topology, S: ProgramSpec>(
     // every stamp of the previous runs (at most `next_tick - 1`) and above the never-written
     // stamp 0, so a fresh session's round 0 counts no phantom arrivals either.
     let tick_base = session.next_tick + 2;
-    let mut msgs = session.take_msgs::<S::Msg>(slab.arc_count());
+    let mut msgs = session.take_msgs::<S::Msg>(n);
     let mut outbox: Vec<(usize, S::Msg)> = std::mem::take(&mut msgs.outbox);
     let mut inbox: Vec<Incoming<S::Msg>> = std::mem::take(&mut msgs.inbox);
     let mut bcast: Option<S::Msg>;
+    // Whether this run has made a point-to-point send, i.e. whether the arc arenas are
+    // grown and worth reading.
+    let mut sends = false;
 
     let mut messages: u64 = 0;
     let mut trace = cfg.record_trace.then(ExecutionTrace::default);
@@ -475,9 +477,6 @@ pub(crate) fn run_core<T: Topology, S: ProgramSpec>(
     // per-round calls are allocation-free: counters are atomics, the value event lands in
     // a preallocated fixed-capacity buffer.
     let obs_on = local_obs::is_enabled();
-    if obs_on {
-        local_obs::gauge_max(local_obs::metrics::ARENA_ARCS, slab.arc_count() as u64);
-    }
 
     // An explicit budget is honoured as given; the hard cap only bounds unbudgeted runs.
     let limit = cfg.max_rounds.unwrap_or(cfg.hard_cap);
@@ -485,9 +484,9 @@ pub(crate) fn run_core<T: Topology, S: ProgramSpec>(
     let mut active_count = n;
 
     // Sleeping nodes: the wake queue holds them off the worklist, and the arcs their
-    // standing broadcasts cover are re-sent, and charged, every round they sleep.
+    // standing broadcasts cover are charged every round they sleep.
     session.wake.clear();
-    let mut standing: Vec<Standing<S::Msg>> = std::mem::take(&mut msgs.standing);
+    session.standing.clear();
     let mut sticky_arcs = 0u64;
 
     let mut round: u64 = 0;
@@ -508,16 +507,8 @@ pub(crate) fn run_core<T: Topology, S: ProgramSpec>(
         if awake > 0 && session.active.len() > awake {
             session.active.sort_unstable();
         }
-        // Split the parity arenas into this round's read half (shared, scanned lazily by
-        // the contexts) and write half (delivery target) — disjoint borrows, no swap.
-        let read_parity = (read_tick % 2) as usize;
-        let [stamps_even, stamps_odd] = &mut msgs.stamps;
-        let [payloads_even, payloads_odd] = &mut msgs.payloads;
-        let (read_stamps, read_payloads, send_stamps, send_payloads) = if read_parity == 0 {
-            (&*stamps_even, &*payloads_even, stamps_odd, payloads_odd)
-        } else {
-            (&*stamps_odd, &*payloads_odd, stamps_even, payloads_even)
-        };
+        let read = (read_tick % 2) as usize;
+        let write = 1 - read;
         let mut delivered_this_round = sticky_arcs;
         // Nodes that keep running are compacted to the front of the worklist in place.
         let mut kept = 0;
@@ -527,8 +518,8 @@ pub(crate) fn run_core<T: Topology, S: ProgramSpec>(
             let degree = slab.degree(v);
             outbox.clear();
             bcast = None;
-            // The inbox is staged lazily: the context gets the node's raw dense-arc
-            // segment and materializes the port-ascending inbox only if the program asks.
+            // The inbox is staged lazily: the context gets where the node's arrivals live
+            // and materializes the port-ascending inbox only if the program asks.
             let mut staged = false;
             let action = {
                 let mut ctx = RoundCtx {
@@ -537,9 +528,12 @@ pub(crate) fn run_core<T: Topology, S: ProgramSpec>(
                     neighbor_ids: slab.neighbors(v),
                     inbox: &mut inbox,
                     staged: &mut staged,
-                    stamps: &read_stamps[base..base + degree],
-                    payloads: &read_payloads[base..base + degree],
-                    read_tick,
+                    arrivals: Arrivals {
+                        neighbors: &slab.neighbor_index[base..base + degree],
+                        slots: &msgs.slots[read],
+                        arcs: if sends { &msgs.arcs[read][base..base + degree] } else { &[] },
+                        read_tick,
+                    },
                     outbox: &mut outbox,
                     broadcast: &mut bcast,
                     rng_slot: &mut session.rngs[v],
@@ -554,25 +548,29 @@ pub(crate) fn run_core<T: Topology, S: ProgramSpec>(
                 _ => 0,
             };
             let sleeps = until > round + 1;
-            let stamp = if sleeps { tick_base + until - 1 } else { send_tick };
             let mut standing_arcs = 0;
-            // Deliver: `arrival_arc` holds the receiving cell of each port, so a message is
-            // one contiguous read plus two indexed writes — no topology access.
+            // Deliver: a broadcast is one slot write; each send is one arc cell, found
+            // through `arrival_arc` without touching the topology.
             if let Some(msg) = bcast.take() {
-                for &arc in &slab.arrival_arc[base..base + degree] {
-                    send_stamps[arc as usize] = stamp;
-                    send_payloads[arc as usize] = Some(msg.clone());
-                }
+                let stamp = if sleeps { tick_base + until - 1 } else { send_tick };
+                msgs.slots[write][v] = (stamp, Some(msg));
                 delivered_this_round += degree as u64;
                 if sleeps {
                     standing_arcs = degree as u64;
-                    standing.push(Standing { node: v, stamp, msg, again: !outbox.is_empty() });
+                    session.standing.push(v);
+                }
+            }
+            if !outbox.is_empty() && !sends {
+                sends = true;
+                slab.route_sends(topo);
+                grow(&mut msgs.arcs, slab.arc_count());
+                if obs_on {
+                    local_obs::gauge_max(local_obs::metrics::ARENA_ARCS, slab.arc_count() as u64);
                 }
             }
             for (port, msg) in outbox.drain(..) {
                 let arc = slab.arrival_arc[base + port] as usize;
-                send_stamps[arc] = send_tick;
-                send_payloads[arc] = Some(msg);
+                msgs.arcs[write][arc] = (send_tick, Some(msg));
                 delivered_this_round += 1;
             }
             match action {
@@ -594,18 +592,14 @@ pub(crate) fn run_core<T: Topology, S: ProgramSpec>(
             }
         }
         session.active.truncate(kept);
-        // Every read of this round is done: the standing broadcasts take their cells in the
-        // arena this round read from, which the next round writes to.
-        let copy_stamps = &mut msgs.stamps[read_parity];
-        let copy_payloads = &mut msgs.payloads[read_parity];
-        standing.retain_mut(|s| {
-            let base = slab.offsets[s.node] as usize;
-            for &arc in &slab.arrival_arc[base..base + slab.degree(s.node)] {
-                copy_stamps[arc as usize] = s.stamp;
-                copy_payloads[arc as usize] = Some(s.msg.clone());
-            }
-            std::mem::take(&mut s.again)
-        });
+        // Every read of this round is done: the standing broadcasts take their slots in the
+        // parity this round read from, which the next round writes to and the one after
+        // reads.
+        let [even, odd] = &mut msgs.slots;
+        let (copy, written) = if read == 0 { (even, odd) } else { (odd, even) };
+        for v in session.standing.drain(..) {
+            copy[v] = written[v].clone();
+        }
         messages += delivered_this_round;
         round += 1;
         rounds_executed = round;
@@ -649,7 +643,6 @@ pub(crate) fn run_core<T: Topology, S: ProgramSpec>(
     session.next_tick = tick_base + rounds_executed;
     msgs.outbox = outbox;
     msgs.inbox = inbox;
-    msgs.standing = standing;
     session.put_msgs(msgs);
     session.slab = slab;
 

@@ -1,12 +1,11 @@
 //! The runtime's flat-buffer scans, checked through the public API against plain reference
-//! models: the per-node inbox scan (64-arc stamp masks in `RoundCtx::messages`, the stamp
-//! count in `RoundCtx::received_count`, the staged `RoundCtx::inbox`) and the live-list
-//! compaction of `GraphView::retain`.
+//! models: the per-node inbox reads (`RoundCtx::messages`, `RoundCtx::received_count`, the
+//! staged `RoundCtx::inbox`) and the live-list compaction of `GraphView::retain`.
 //!
-//! Shapes covered: empty inputs, single elements, all-dead and all-live masks, rows just
-//! below, at, and above the 64-arc chunk boundary the inbox scanner walks, max-degree rows
-//! where every arc carries a message, stale stamps left in the same arena two rounds
-//! earlier, and proptest-generated arbitrary inputs.
+//! Shapes covered: empty inputs, single elements, all-dead and all-live masks, rows of 63 to
+//! 65 and 127 to 129 arcs, max-degree rows where every arc carries a message, stale stamps
+//! left in the same point-to-point cells two rounds earlier, and proptest-generated
+//! arbitrary inputs.
 
 use local_runtime::{
     run, Action, Graph, GraphView, NodeInit, NodeProgram, ProgramSpec, RoundCtx, RunConfig,

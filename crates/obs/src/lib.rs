@@ -70,7 +70,9 @@ pub mod metrics {
     pub const ROUNDS: MetricId = MetricId(6);
     /// Value: nodes still active at the end of a round.
     pub const ACTIVE_NODES: MetricId = MetricId(7);
-    /// Gauge (max): high-water mark of live message arcs in the session arena.
+    /// Gauge (max): high-water mark of the session's point-to-point message cells (one per
+    /// arc and round parity), recorded only by runs that send point-to-point. Broadcasts
+    /// use one slot per node and are not counted, so a broadcast-only sweep leaves it at 0.
     pub const ARENA_ARCS: MetricId = MetricId(8);
     /// Counter: sweep cells completed.
     pub const CELLS_DONE: MetricId = MetricId(9);
