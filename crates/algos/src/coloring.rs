@@ -23,8 +23,9 @@
 //! into an MIS in (number of colours) extra rounds, and is *uniform* given the colouring.
 
 use local_runtime::{Action, NodeInit, NodeProgram, ProgramSpec, RoundCtx};
-use std::cell::RefCell;
-use std::sync::Arc;
+use std::cell::{Cell, RefCell};
+use std::collections::HashMap;
+use std::sync::{Mutex, OnceLock};
 
 /// Returns the smallest prime `>= x` (trial division; fine for the palette sizes involved).
 pub fn smallest_prime_at_least(x: u64) -> u64 {
@@ -113,14 +114,12 @@ fn push_poly_digits(color: u64, d: u32, q: u64, out: &mut Vec<u64>) {
 }
 
 /// [`push_poly_digits`] with a caller-supplied reciprocal context, so per-neighbour digit
-/// splits inside one recolouring share a single `ModQ::new`. The reciprocal divisions are
-/// exact (same digits as `%`/`/`) within the `ModQ` operand bound; anything else falls back
-/// to hardware division.
+/// splits inside one recolouring share a single `ModQ::new`; `None` divides in hardware.
 fn push_poly_digits_with(color: u64, d: u32, q: u64, modq: Option<ModQ>, out: &mut Vec<u64>) {
     let mut rest = color;
     let mut produced = 0u32;
     match modq {
-        Some(m) if color < ModQ::MAX_OPERAND => {
+        Some(m) => {
             while rest > 0 && produced <= d {
                 let (k, r) = m.div_rem(rest);
                 out.push(r);
@@ -169,18 +168,21 @@ fn eval_poly(coeffs: &[u64], a: u64, q: u64) -> u64 {
     acc as u64
 }
 
-/// Precomputed reciprocal for **exact** arithmetic mod a small `q`, replacing each hardware
-/// division (~20–40 cycles) with a multiply and one fix-up.
+/// Precomputed reciprocals for **exact** arithmetic mod a small `q`, replacing each hardware
+/// division (~20–40 cycles) with multiplications.
 ///
-/// Exactness: for `q <` [`ModQ::MAX_Q`] and an operand `c <` [`ModQ::MAX_OPERAND`], the
-/// rounded `f64` product `c · (1/q)` is within ±1 of `⌊c / q⌋`, so the remainder computed
-/// from that estimate is off by at most one `q` and a single correction step lands on the
-/// exact `%`/`/` results. Every Horner step `acc·a + c` with `acc, c < q` and `a < q + 8`
-/// stays below `MAX_OPERAND`, which is what lets [`ModQ::eval_poly`] reduce after each
-/// step instead of dividing.
+/// Operands below 2^32 take Lemire's fastmod: with `m = ⌊(2^64 − 1)/q⌋ + 1 = ⌈2^64/q⌉`,
+/// `⌊m·c / 2^64⌋` is `⌊c / q⌋` exactly, because the rounding error `c·(m − 2^64/q)/2^64` stays
+/// below `2^-32 < 1/q`, the smallest gap between `c/q` and the next integer. Operands below
+/// [`ModQ::MAX_OPERAND`] take an `f64` reciprocal: the rounded product `c · (1/q)` is within ±1
+/// of `⌊c / q⌋`, and a single correction step lands on the exact quotient. Larger operands
+/// divide in hardware. Every Horner step `acc·a + c` with `acc, c < q` and `a < q + 8` stays
+/// below `MAX_OPERAND`, which is what lets [`ModQ::eval_poly`] reduce after each step.
 #[derive(Debug, Clone, Copy)]
 pub struct ModQ {
     q: u64,
+    /// `⌊(2^64 − 1)/q⌋ + 1`, the fastmod multiplier.
+    m: u64,
     inv: f64,
 }
 
@@ -188,18 +190,18 @@ impl ModQ {
     /// Modulus bound (exclusive) under which [`ModQ`] is exact.
     pub const MAX_Q: u64 = 1 << 25;
 
-    /// Operand bound (exclusive) under which [`ModQ::div_rem`] is exact.
+    /// Operand bound (exclusive) of the `f64` reciprocal path of [`ModQ::div_rem`].
     pub const MAX_OPERAND: u64 = 1 << 51;
 
     /// Modulus bound (exclusive) under which two Horner steps can share one reduction:
     /// `q·(q+8)² + (q+8)·q + q < 2^51` holds for every `q < 2^16`.
     pub const PAIR_MAX_Q: u64 = 1 << 16;
 
-    /// Precomputes the reciprocal of `q` (`2 <= q <` [`ModQ::MAX_Q`]).
+    /// Precomputes the reciprocals of `q` (`2 <= q <` [`ModQ::MAX_Q`]).
     #[inline]
     pub fn new(q: u64) -> ModQ {
         debug_assert!((2..ModQ::MAX_Q).contains(&q));
-        ModQ { q, inv: 1.0 / q as f64 }
+        ModQ { q, m: u64::MAX / q + 1, inv: 1.0 / q as f64 }
     }
 
     /// The reciprocal context for `q`, or `None` when `q` is too large for it to be exact.
@@ -214,10 +216,16 @@ impl ModQ {
         self.q
     }
 
-    /// Exact `(c / q, c % q)` for `c <` [`ModQ::MAX_OPERAND`].
+    /// Exact `(c / q, c % q)` for every `c`.
     #[inline]
     pub fn div_rem(self, c: u64) -> (u64, u64) {
-        debug_assert!(c < ModQ::MAX_OPERAND);
+        if c >> 32 == 0 {
+            let k = ((u128::from(self.m) * u128::from(c)) >> 64) as u64;
+            return (k, c - k * self.q);
+        }
+        if c >= ModQ::MAX_OPERAND {
+            return (c / self.q, c % self.q);
+        }
         // A wrapped-negative remainder marks an overshooting estimate, a remainder >= q an
         // undershooting one.
         let mut k = (c as f64 * self.inv) as u64;
@@ -308,8 +316,8 @@ impl RecolorScratch {
             None => c == my_color,
         };
         let mod_q = |c: u64| match modq {
-            Some(m) if c < ModQ::MAX_OPERAND => m.div_rem(c).1,
-            _ => c % q,
+            Some(m) => m.div_rem(c).1,
+            None => c % q,
         };
         // a = 0: the digest is the lowest digit. A neighbour whose *whole polynomial*
         // equals mine (possible only under bad guesses, when the colour space overflows
@@ -358,39 +366,46 @@ impl RecolorScratch {
     }
 }
 
-/// The schedule and final palette implied by a guess pair, shared by every node automaton of
-/// a spec through an [`Arc`] — computing it *once per attempt* instead of once per node
-/// removes the dominant build-time cost (prime search) of short colouring attempts.
-#[derive(Debug, Clone)]
+/// The schedule and final palette implied by a guess pair. Plans are interned for the
+/// process: every node automaton of every attempt borrows the one plan of its guesses, so
+/// building a node copies a slice reference instead of computing a schedule (a prime search)
+/// or touching a reference count.
+#[derive(Debug)]
 struct LinialPlan {
-    schedule: Arc<[(u32, u64)]>,
+    schedule: Box<[(u32, u64)]>,
     final_palette: u64,
 }
 
+/// Every plan built so far, keyed by `(m̃, Δ̃)` and never freed: the drivers draw guesses from
+/// a few doubling sequences, so the table is bounded by the distinct guess pairs a process
+/// meets, like the catalog's shared black boxes.
+static PLANS: OnceLock<Mutex<HashMap<(u64, u64), &'static LinialPlan>>> = OnceLock::new();
+
 thread_local! {
     /// Last-plan memo: the runtime builds all `n` automata of an attempt back to back with
-    /// the same guesses, so a single-entry per-thread cache turns `n` schedule computations
-    /// into one (no locks, bounded memory).
-    static LAST_PLAN: RefCell<Option<((u64, u64), LinialPlan)>> = const { RefCell::new(None) };
+    /// the same guesses, so a single-entry per-thread cache takes the table's lock once per
+    /// attempt, not once per node.
+    static LAST_PLAN: Cell<Option<((u64, u64), &'static LinialPlan)>> = const { Cell::new(None) };
 }
 
-fn cached_plan(id_bound: u64, delta: u64) -> LinialPlan {
-    LAST_PLAN.with(|slot| {
-        let mut slot = slot.borrow_mut();
-        match slot.as_ref() {
-            Some((key, plan)) if *key == (id_bound, delta) => plan.clone(),
-            _ => {
-                let schedule: Arc<[(u32, u64)]> = linial_schedule(id_bound, delta).into();
-                let final_palette = schedule
-                    .last()
-                    .map(|&(_, q)| q * q)
-                    .unwrap_or_else(|| id_bound.saturating_add(1).max(2));
-                let plan = LinialPlan { schedule, final_palette };
-                *slot = Some(((id_bound, delta), plan.clone()));
-                plan
-            }
+fn cached_plan(id_bound: u64, delta: u64) -> &'static LinialPlan {
+    let key = (id_bound, delta);
+    if let Some((last, plan)) = LAST_PLAN.get() {
+        if last == key {
+            return plan;
         }
-    })
+    }
+    let mut plans = PLANS.get_or_init(Default::default).lock().unwrap_or_else(|e| e.into_inner());
+    let plan = *plans.entry(key).or_insert_with(|| {
+        let schedule: Box<[(u32, u64)]> = linial_schedule(id_bound, delta).into();
+        let final_palette = schedule
+            .last()
+            .map(|&(_, q)| q * q)
+            .unwrap_or_else(|| id_bound.saturating_add(1).max(2));
+        Box::leak(Box::new(LinialPlan { schedule, final_palette }))
+    });
+    LAST_PLAN.set(Some((key, plan)));
+    plan
 }
 
 /// Messages exchanged by the colouring algorithms: the sender's current colour.
@@ -420,7 +435,7 @@ impl LinialColoring {
 /// Node automaton for [`LinialColoring`].
 #[derive(Debug)]
 pub struct LinialProg {
-    schedule: Arc<[(u32, u64)]>,
+    schedule: &'static [(u32, u64)],
     color: u64,
 }
 
@@ -456,7 +471,7 @@ impl ProgramSpec for LinialColoring {
 
     fn build(&self, init: &NodeInit<()>) -> LinialProg {
         LinialProg {
-            schedule: cached_plan(self.id_bound_guess, self.delta_guess).schedule,
+            schedule: &cached_plan(self.id_bound_guess, self.delta_guess).schedule,
             color: init.id,
         }
     }
@@ -552,7 +567,7 @@ enum ReducePhase {
 /// Node automaton for [`ReducedColoring`].
 #[derive(Debug)]
 pub struct ReducedColoringProg {
-    schedule: Arc<[(u32, u64)]>,
+    schedule: &'static [(u32, u64)],
     linial_palette: u64,
     target: u64,
     color: u64,
@@ -661,7 +676,7 @@ impl ProgramSpec for ReducedColoring {
         ReducedColoringProg {
             target: self.target.palette(self.delta_guess, plan.final_palette),
             linial_palette: plan.final_palette,
-            schedule: plan.schedule,
+            schedule: &plan.schedule,
             color: init.id,
             phase: ReducePhase::Linial,
             eliminate_start: 0,
@@ -723,7 +738,7 @@ impl ProgramSpec for RefineColoring {
                 .max(self.delta_guess + 1)
                 .min(plan.final_palette.max(self.delta_guess + 1)),
             linial_palette: plan.final_palette,
-            schedule: plan.schedule,
+            schedule: &plan.schedule,
             color: *init.input,
             phase: ReducePhase::Linial,
             eliminate_start: 0,
@@ -895,6 +910,30 @@ mod tests {
             let integer = scratch.recolor_with(my_color, d, q, None);
             prop_assert_eq!(fast, integer);
             prop_assert_eq!(integer, naive_recolor(my_color, &neighbors, d, q));
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4096))]
+
+        /// Every path of `div_rem` against hardware division: operands around 2^32 (fastmod
+        /// or `f64`), just below multiples of `q` near 2^32 (remainder `q − 1`, where a short
+        /// multiplier errs first), around `MAX_OPERAND` (`f64` or hardware) and anywhere.
+        #[test]
+        fn div_rem_matches_hardware_division(
+            (q, c) in prop_oneof![2u64..64, 2u64..ModQ::MAX_Q, ModQ::MAX_Q - 64..ModQ::MAX_Q]
+                .prop_flat_map(|q| (
+                    Just(q),
+                    prop_oneof![
+                        0u64..1 << 20,
+                        (1u64 << 32) - 4096..(1 << 32) + 4096,
+                        (1u64..64).prop_map(move |k| ((1u64 << 32) / q - k) * q + q - 1),
+                        ModQ::MAX_OPERAND - 4096..ModQ::MAX_OPERAND + 4096,
+                        any::<u64>(),
+                    ],
+                )),
+        ) {
+            prop_assert_eq!(ModQ::new(q).div_rem(c), (c / q, c % q));
         }
     }
 

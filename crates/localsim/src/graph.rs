@@ -14,7 +14,6 @@
 
 use crate::line_graph::LineGraph;
 use crate::view::GraphView;
-use std::collections::BTreeSet;
 use std::fmt;
 
 /// Position of a node inside a [`Graph`] (dense, `0..n`).
@@ -129,15 +128,14 @@ impl Graph {
         if ids.len() != n {
             return Err(GraphError::IdCountMismatch { expected: n, got: ids.len() });
         }
-        {
-            let mut seen = BTreeSet::new();
-            for &id in ids {
-                if !seen.insert(id) {
-                    return Err(GraphError::DuplicateId { id });
-                }
-            }
+        let mut by_id: Vec<(NodeId, usize)> = ids.iter().copied().zip(0..).collect();
+        by_id.sort_unstable();
+        // In a run of equal identities the second entry is that identity's first repeat; the
+        // earliest repeat in input order is the one reported.
+        if let Some(repeat) = by_id.windows(2).filter(|w| w[0].0 == w[1].0).map(|w| w[1].1).min() {
+            return Err(GraphError::DuplicateId { id: ids[repeat] });
         }
-        let mut unique: BTreeSet<(usize, usize)> = BTreeSet::new();
+        let mut unique: Vec<(usize, usize)> = Vec::with_capacity(edges.len());
         for &(u, v) in edges {
             if u >= n {
                 return Err(GraphError::EndpointOutOfRange { endpoint: u, nodes: n });
@@ -148,8 +146,10 @@ impl Graph {
             if u == v {
                 return Err(GraphError::SelfLoop { node: u });
             }
-            unique.insert((u.min(v), u.max(v)));
+            unique.push((u.min(v), u.max(v)));
         }
+        unique.sort_unstable();
+        unique.dedup();
 
         let mut degree = vec![0usize; n];
         for &(u, v) in &unique {
@@ -162,16 +162,13 @@ impl Graph {
         }
         let mut adjacency = vec![0usize; offsets[n]];
         let mut cursor = offsets.clone();
+        // Rows come out sorted: the edges run in `(low, high)` order, so row `x` first gets
+        // its lower neighbours (from edges `(u, x)`, ascending `u`), then its higher ones.
         for &(u, v) in &unique {
             adjacency[cursor[u]] = v;
             cursor[u] += 1;
             adjacency[cursor[v]] = u;
             cursor[v] += 1;
-        }
-        // Neighbor lists are sorted by construction (BTreeSet iteration is ordered and we
-        // append in order), except the lists of the *second* endpoints; sort to normalize.
-        for v in 0..n {
-            adjacency[offsets[v]..offsets[v + 1]].sort_unstable();
         }
         let reverse = Self::compute_reverse(&offsets, &adjacency);
         Ok(Graph { offsets, adjacency, reverse, ids: ids.to_vec() })
@@ -436,6 +433,7 @@ impl Graph {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn triangle() -> Graph {
         Graph::from_edges(3, &[(0, 1), (1, 2), (2, 0)]).unwrap()
@@ -470,6 +468,69 @@ mod tests {
             Graph::from_edges_with_ids(2, &[(0, 1)], &[7, 7]),
             Err(GraphError::DuplicateId { id: 7 })
         ));
+    }
+
+    #[test]
+    fn duplicate_id_names_the_first_repeat_in_input_order() {
+        // 5 repeats at index 3, 9 at index 2: 9 is named, though 5 is the smaller identity.
+        assert!(matches!(
+            Graph::from_edges_with_ids(4, &[], &[5, 9, 9, 5]),
+            Err(GraphError::DuplicateId { id: 9 })
+        ));
+    }
+
+    /// The former set-based construction: identities and edges deduplicated through
+    /// `BTreeSet`s, errors raised in input order, rows sorted afterwards.
+    fn set_based(
+        n: usize,
+        edges: &[(usize, usize)],
+        ids: &[NodeId],
+    ) -> Result<Vec<Vec<usize>>, GraphError> {
+        let mut seen = std::collections::BTreeSet::new();
+        for &id in ids {
+            if !seen.insert(id) {
+                return Err(GraphError::DuplicateId { id });
+            }
+        }
+        let mut unique = std::collections::BTreeSet::new();
+        for &(u, v) in edges {
+            if u >= n {
+                return Err(GraphError::EndpointOutOfRange { endpoint: u, nodes: n });
+            }
+            if v >= n {
+                return Err(GraphError::EndpointOutOfRange { endpoint: v, nodes: n });
+            }
+            if u == v {
+                return Err(GraphError::SelfLoop { node: u });
+            }
+            unique.insert((u.min(v), u.max(v)));
+        }
+        let mut rows = vec![Vec::new(); n];
+        for (u, v) in unique {
+            rows[u].push(v);
+            rows[v].push(u);
+        }
+        rows.iter_mut().for_each(|row| row.sort_unstable());
+        Ok(rows)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn construction_matches_set_based_reference(
+            (n, edges, ids) in (1usize..24).prop_flat_map(|n| (
+                Just(n),
+                // Endpoints past `n` and self-loops occur, so do repeated edges.
+                prop::collection::vec((0..n + 1, 0..n), 0..3 * n),
+                // Identities from a small range repeat now and then.
+                prop::collection::vec(0u64..4 * n as u64, n),
+            )),
+        ) {
+            let built = Graph::from_edges_with_ids(n, &edges, &ids)
+                .map(|g| (0..n).map(|v| g.neighbors(v).to_vec()).collect::<Vec<_>>());
+            prop_assert_eq!(built, set_based(n, &edges, &ids));
+        }
     }
 
     #[test]

@@ -77,6 +77,7 @@ pub mod runner;
 pub mod session;
 pub mod trace;
 pub mod view;
+mod wake;
 
 pub use algorithm::{AlgoRun, DynAlgorithm, GraphAlgorithm};
 pub use graph::{Graph, GraphError, NodeId, NodeIndex};

@@ -249,7 +249,8 @@ impl<'a, M: Clone> RoundCtx<'a, M> {
     ///
     /// At most one message is delivered per port per round; a later send to the same port
     /// within the round replaces the earlier one (the LOCAL model's unrestricted message
-    /// size makes batching into one message equivalent).
+    /// size makes batching into one message equivalent). Messages are counted per port that
+    /// carries one, so an overriding or repeated send is not counted again.
     ///
     /// # Panics
     ///
@@ -263,7 +264,7 @@ impl<'a, M: Clone> RoundCtx<'a, M> {
     ///
     /// Handled by the runtime as one write into the node's broadcast slot, which every
     /// neighbor reads, so a broadcast costs one write and no outbox traffic (messages are
-    /// still counted per neighbor). A node delivers at most
+    /// still counted per neighbor, once each). A node delivers at most
     /// one message per port per round: a later [`RoundCtx::send`] to a port overrides a
     /// broadcast queued in the same round, and a repeated broadcast replaces the previous
     /// one.

@@ -12,6 +12,9 @@
 //! wake queue; their standing broadcasts stay valid in their broadcast slots and are charged
 //! per round without stepping anyone, so a phase in which only a few nodes act per round
 //! (colour elimination) costs time in proportion to those actions, not to rounds × arcs.
+//! The queue is a monotone radix queue keyed by wake-up round over per-node links: a round in
+//! which nobody wakes costs one comparison, a sleep of any length moves its node at most 64
+//! times, and the queue's memory is three arrays of `n` entries.
 //! Iteration order is ascending node index — identical to the dense scan — so executions are
 //! byte-identical to the classic [`crate::runner::run`] loop.
 //!
@@ -28,10 +31,10 @@ use crate::program::{
 use crate::runner::{Execution, RunConfig};
 use crate::trace::{ExecutionTrace, RoundTrace};
 use crate::view::GraphView;
+use crate::wake::WakeQueue;
 use rand_chacha::ChaCha8Rng;
 use std::any::{Any, TypeId};
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::HashMap;
 
 /// Read access to a communication topology, as needed by the round loop.
 ///
@@ -287,9 +290,11 @@ pub struct Session {
     termination: Vec<u64>,
     /// The nodes stepped this round, in ascending index order.
     active: Vec<usize>,
-    /// Sleeping nodes as `(wake-up round, node, arcs its standing broadcast covers)`,
-    /// earliest first.
-    wake: BinaryHeap<Reverse<(u64, usize, u64)>>,
+    /// Sleeping nodes keyed by wake-up round, with the arcs their standing broadcasts
+    /// cover: a radix queue over per-node links (see [`WakeQueue`]), so it holds O(n)
+    /// memory, allocates nothing once warm, and a round in which nobody wakes costs one
+    /// comparison.
+    wake: WakeQueue,
     /// The nodes that began a standing broadcast this round: their slot is copied into the
     /// other parity once every read of the round is done (see [`MsgBuffers`]).
     standing: Vec<usize>,
@@ -485,7 +490,7 @@ pub(crate) fn run_core<T: Topology, S: ProgramSpec>(
 
     // Sleeping nodes: the wake queue holds them off the worklist, and the arcs their
     // standing broadcasts cover are charged every round they sleep.
-    session.wake.clear();
+    session.wake.reset(n);
     session.standing.clear();
     let mut sticky_arcs = 0u64;
 
@@ -493,18 +498,19 @@ pub(crate) fn run_core<T: Topology, S: ProgramSpec>(
     while active_count > 0 && round < limit {
         let send_tick = tick_base + round;
         let read_tick = send_tick - 1;
-        // Wake the sleepers due this round. They pop in node order, so the worklist needs
-        // re-sorting only when it already held nodes.
+        // Wake the sleepers due this round. A batch pushed in one round arrives in node
+        // order; one gathered from several rounds is sorted, and the worklist is re-sorted
+        // only when the batch interleaves with nodes already on it.
         let awake = session.active.len();
-        while let Some(&Reverse((at, v, arcs))) = session.wake.peek() {
-            if at > round {
-                break;
-            }
-            session.wake.pop();
-            session.active.push(v);
-            sticky_arcs -= arcs;
+        sticky_arcs -= session.wake.pop_due(round, &mut session.active);
+        let batch = &mut session.active[awake..];
+        if !batch.is_sorted() {
+            batch.sort_unstable();
         }
-        if awake > 0 && session.active.len() > awake {
+        if awake > 0
+            && session.active.len() > awake
+            && session.active[awake - 1] > session.active[awake]
+        {
             session.active.sort_unstable();
         }
         let read = (read_tick % 2) as usize;
@@ -548,15 +554,18 @@ pub(crate) fn run_core<T: Topology, S: ProgramSpec>(
                 _ => 0,
             };
             let sleeps = until > round + 1;
-            let mut standing_arcs = 0;
+            let mut standing_arcs = 0u32;
             // Deliver: a broadcast is one slot write; each send is one arc cell, found
-            // through `arrival_arc` without touching the topology.
+            // through `arrival_arc` without touching the topology. One message is charged
+            // per port that carries one: a broadcast covers every port, so sends alongside it
+            // add nothing, and a repeat send finds its cell already stamped this round.
+            let broadcasts = bcast.is_some();
             if let Some(msg) = bcast.take() {
                 let stamp = if sleeps { tick_base + until - 1 } else { send_tick };
                 msgs.slots[write][v] = (stamp, Some(msg));
                 delivered_this_round += degree as u64;
                 if sleeps {
-                    standing_arcs = degree as u64;
+                    standing_arcs = degree as u32;
                     session.standing.push(v);
                 }
             }
@@ -569,9 +578,11 @@ pub(crate) fn run_core<T: Topology, S: ProgramSpec>(
                 }
             }
             for (port, msg) in outbox.drain(..) {
-                let arc = slab.arrival_arc[base + port] as usize;
-                msgs.arcs[write][arc] = (send_tick, Some(msg));
-                delivered_this_round += 1;
+                let cell = &mut msgs.arcs[write][slab.arrival_arc[base + port] as usize];
+                if !broadcasts && cell.0 != send_tick {
+                    delivered_this_round += 1;
+                }
+                *cell = (send_tick, Some(msg));
             }
             match action {
                 Action::Halt(out) => {
@@ -582,8 +593,8 @@ pub(crate) fn run_core<T: Topology, S: ProgramSpec>(
                     active_count -= 1;
                 }
                 _ if sleeps => {
-                    session.wake.push(Reverse((until, v, standing_arcs)));
-                    sticky_arcs += standing_arcs;
+                    session.wake.push(v, until, standing_arcs);
+                    sticky_arcs += u64::from(standing_arcs);
                 }
                 _ => {
                     session.active[kept] = v;

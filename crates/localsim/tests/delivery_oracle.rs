@@ -12,7 +12,8 @@
 //! is queued first; a port may be sent to twice, and the later send wins), halts, continues,
 //! or idles up to seven rounds ahead. A script may hold its first send back to a later round,
 //! so the point-to-point cells appear mid-run. Budgets cut runs mid-sleep, and one `Session`
-//! serves two message types and a `retain`-shrunk view.
+//! serves two message types and a `retain`-shrunk view. A second property lets nodes sleep
+//! more than 2^16 rounds, past the wake queue's low buckets.
 
 use local_runtime::{
     run, run_view, Action, Execution, Graph, GraphView, NodeInit, NodeProgram, ProgramSpec,
@@ -58,6 +59,8 @@ struct Script {
     salt: u64,
     /// The first round in which nodes may send point-to-point (`u64::MAX`: never).
     first_send: u64,
+    /// If non-zero, about one idle step in four sleeps this many rounds or up to 63 more.
+    long_sleep: u64,
 }
 
 /// A node's state: its identity and the digest of everything it received.
@@ -102,6 +105,9 @@ impl Script {
         } else {
             match (roll >> 32) % 8 {
                 7 => Action::Continue,
+                _ if self.long_sleep > 0 && (roll >> 40).is_multiple_of(4) => {
+                    Action::Idle(round + self.long_sleep + (roll >> 48) % 64)
+                }
                 ahead => Action::Idle(round + ahead),
             }
         };
@@ -195,8 +201,8 @@ impl Outcome {
 }
 
 /// The naive simulator: fresh inboxes every round, sleeping nodes re-sending eagerly. A
-/// broadcast is charged one message per port and each send one more, as the runtime
-/// charges them.
+/// node is charged one message per port that carries one, however many times it wrote
+/// that port in the round.
 fn reference(g: &Graph, inputs: &[u64], script: Script, cfg: &RunConfig) -> Outcome {
     let n = g.node_count();
     let limit = cfg.max_rounds.unwrap_or(cfg.hard_cap);
@@ -214,6 +220,7 @@ fn reference(g: &Graph, inputs: &[u64], script: Script, cfg: &RunConfig) -> Outc
     while halted.contains(&false) && round < limit {
         let mut next: Vec<Vec<(usize, u64)>> = vec![Vec::new(); n];
         let mut sent = 0;
+        let mut stepped = false;
         for v in 0..n {
             if halted[v] {
                 continue;
@@ -223,19 +230,17 @@ fn reference(g: &Graph, inputs: &[u64], script: Script, cfg: &RunConfig) -> Outc
             if round < asleep_until[v] {
                 if let Some(msg) = standing[v] {
                     out.fill(Some(msg));
-                    sent += degree as u64;
                 }
             } else {
+                stepped = true;
                 let mut arrivals = std::mem::take(&mut inboxes[v]);
                 arrivals.sort_unstable();
                 let step = script.step(&mut nodes[v], round, degree, &arrivals);
                 if let Some(msg) = step.broadcast {
                     out.fill(Some(msg));
-                    sent += degree as u64;
                 }
                 for &(port, msg) in &step.sends {
                     out[port] = Some(msg);
-                    sent += 1;
                 }
                 match step.action {
                     Action::Halt(out) => {
@@ -250,6 +255,7 @@ fn reference(g: &Graph, inputs: &[u64], script: Script, cfg: &RunConfig) -> Outc
                     Action::Continue => {}
                 }
             }
+            sent += out.iter().flatten().count() as u64;
             for (port, msg) in out.into_iter().enumerate() {
                 if let Some(msg) = msg {
                     next[g.neighbor(v, port)].push((g.reverse_port(v, port), msg));
@@ -258,12 +264,23 @@ fn reference(g: &Graph, inputs: &[u64], script: Script, cfg: &RunConfig) -> Outc
         }
         inboxes = next;
         messages += sent;
-        trace.push(RoundTrace {
+        let record = RoundTrace {
             round,
             active_nodes: halted.iter().filter(|&&h| !h).count(),
             messages: sent,
-        });
+        };
+        trace.push(record);
         round += 1;
+        // A round in which every live node slept repeats until the first of them wakes:
+        // the same standing broadcasts, the same inboxes. Copy it instead of simulating it.
+        if !stepped {
+            let wake = (0..n).filter(|&v| !halted[v]).map(|v| asleep_until[v]).min();
+            while round < wake.unwrap_or(0).min(limit) {
+                trace.push(RoundTrace { round, ..record });
+                messages += sent;
+                round += 1;
+            }
+        }
     }
     for v in (0..n).filter(|&v| !halted[v]) {
         termination[v] = round;
@@ -317,7 +334,8 @@ proptest! {
         let mut session = Session::new();
         let mut view = GraphView::full(&g);
         for (i, &budget) in budgets.iter().enumerate() {
-            let script = Script { salt: salt ^ i as u64, first_send: first_sends[i % 3] };
+            let script =
+                Script { salt: salt ^ i as u64, first_send: first_sends[i % 3], long_sleep: 0 };
             let cfg = RunConfig { seed: salt, max_rounds: budget, ..RunConfig::default() }
                 .with_trace();
             check::<u64>(&view, script, &cfg, &mut session);
@@ -329,8 +347,38 @@ proptest! {
         let cfg = RunConfig { seed: salt, max_rounds: budgets[0], ..RunConfig::default() }
             .with_trace();
         for (i, &first_send) in first_sends.iter().enumerate() {
-            let script = Script { salt: !salt ^ i as u64, first_send };
+            let script = Script { salt: !salt ^ i as u64, first_send, long_sleep: 0 };
             check::<String>(&view, script, &cfg, &mut session);
+            check::<u64>(&view, script, &cfg, &mut session);
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Sleeps of more than 2^16 rounds, alone and alongside short ones, with budgets that
+    /// cut runs before, inside and after the long sleeps.
+    #[test]
+    fn long_sleeps_match_reference(
+        (n, pairs, salt, long_sleep, budgets) in (1usize..16).prop_flat_map(|n| (
+            Just(n),
+            prop::collection::vec((0..n, 0..n), 0..3 * n),
+            any::<u64>(),
+            (1u64 << 16)..(1 << 16) + 4096,
+            prop::collection::vec(
+                prop_oneof![0u64..200, (1u64 << 16) - 64..(1 << 16) + 4224, 0u64..(1 << 18)],
+                2,
+            ),
+        )),
+    ) {
+        let g = graph_from(n, &pairs);
+        let mut session = Session::new();
+        let view = GraphView::full(&g);
+        for (i, &budget) in budgets.iter().enumerate() {
+            let script = Script { salt: salt ^ i as u64, first_send: 0, long_sleep };
+            let cfg = RunConfig { seed: salt, max_rounds: Some(budget), ..RunConfig::default() }
+                .with_trace();
             check::<u64>(&view, script, &cfg, &mut session);
         }
     }
@@ -342,7 +390,7 @@ fn plain_graph_run_matches_reference() {
     let g = graph_from(30, &(0..90).map(|i| (i * 7 % 30, i * 11 % 29)).collect::<Vec<_>>());
     let inputs: Vec<u64> = (0..30).collect();
     for first_send in [0, 5, u64::MAX] {
-        let script = Script { salt: 17, first_send };
+        let script = Script { salt: 17, first_send, long_sleep: 0 };
         let cfg = RunConfig::seeded(1).with_budget(60).with_trace();
         let spec = Scripted::<u64> { script, msg: PhantomData };
         let runtime = Outcome::of(run(&g, &inputs, &spec, &cfg));
