@@ -367,43 +367,68 @@ impl RecolorScratch {
 }
 
 /// The schedule and final palette implied by a guess pair. Plans are interned for the
-/// process: every node automaton of every attempt borrows the one plan of its guesses, so
-/// building a node copies a slice reference instead of computing a schedule (a prime search)
-/// or touching a reference count.
-#[derive(Debug)]
+/// process: every node automaton of every attempt borrows the one schedule of its guesses,
+/// so building a node copies a slice reference instead of computing a schedule (a prime
+/// search) or touching a reference count.
+#[derive(Debug, Clone, Copy)]
 struct LinialPlan {
-    schedule: Box<[(u32, u64)]>,
+    schedule: &'static [(u32, u64)],
     final_palette: u64,
 }
 
 /// Every plan built so far, keyed by `(m̃, Δ̃)` and never freed: the drivers draw guesses from
 /// a few doubling sequences, so the table is bounded by the distinct guess pairs a process
-/// meets, like the catalog's shared black boxes.
-static PLANS: OnceLock<Mutex<HashMap<(u64, u64), &'static LinialPlan>>> = OnceLock::new();
+/// meets, like the catalog's shared black boxes. Schedules are carved from shared blocks of
+/// [`PlanTable::BLOCK`] entries rather than allocated one by one, so the few interned bytes
+/// pin a few pages, not one page per plan wherever the allocator happened to put it.
+#[derive(Default)]
+struct PlanTable {
+    plans: HashMap<(u64, u64), LinialPlan>,
+    /// The unused tail of the newest block.
+    spare: &'static mut [(u32, u64)],
+}
+
+impl PlanTable {
+    /// Entries per schedule block (a Linial schedule has at most 64).
+    const BLOCK: usize = 512;
+
+    fn plan(&mut self, id_bound: u64, delta: u64) -> LinialPlan {
+        if let Some(&plan) = self.plans.get(&(id_bound, delta)) {
+            return plan;
+        }
+        let steps = linial_schedule(id_bound, delta);
+        if self.spare.len() < steps.len() {
+            self.spare = Box::leak(vec![(0, 0); PlanTable::BLOCK].into_boxed_slice());
+        }
+        let (schedule, spare) = std::mem::take(&mut self.spare).split_at_mut(steps.len());
+        schedule.copy_from_slice(&steps);
+        self.spare = spare;
+        let final_palette =
+            steps.last().map(|&(_, q)| q * q).unwrap_or_else(|| id_bound.saturating_add(1).max(2));
+        let plan = LinialPlan { schedule, final_palette };
+        self.plans.insert((id_bound, delta), plan);
+        plan
+    }
+}
+
+static PLANS: OnceLock<Mutex<PlanTable>> = OnceLock::new();
 
 thread_local! {
     /// Last-plan memo: the runtime builds all `n` automata of an attempt back to back with
     /// the same guesses, so a single-entry per-thread cache takes the table's lock once per
     /// attempt, not once per node.
-    static LAST_PLAN: Cell<Option<((u64, u64), &'static LinialPlan)>> = const { Cell::new(None) };
+    static LAST_PLAN: Cell<Option<((u64, u64), LinialPlan)>> = const { Cell::new(None) };
 }
 
-fn cached_plan(id_bound: u64, delta: u64) -> &'static LinialPlan {
+fn cached_plan(id_bound: u64, delta: u64) -> LinialPlan {
     let key = (id_bound, delta);
     if let Some((last, plan)) = LAST_PLAN.get() {
         if last == key {
             return plan;
         }
     }
-    let mut plans = PLANS.get_or_init(Default::default).lock().unwrap_or_else(|e| e.into_inner());
-    let plan = *plans.entry(key).or_insert_with(|| {
-        let schedule: Box<[(u32, u64)]> = linial_schedule(id_bound, delta).into();
-        let final_palette = schedule
-            .last()
-            .map(|&(_, q)| q * q)
-            .unwrap_or_else(|| id_bound.saturating_add(1).max(2));
-        Box::leak(Box::new(LinialPlan { schedule, final_palette }))
-    });
+    let table = PLANS.get_or_init(Default::default);
+    let plan = table.lock().unwrap_or_else(|e| e.into_inner()).plan(id_bound, delta);
     LAST_PLAN.set(Some((key, plan)));
     plan
 }
@@ -471,7 +496,7 @@ impl ProgramSpec for LinialColoring {
 
     fn build(&self, init: &NodeInit<()>) -> LinialProg {
         LinialProg {
-            schedule: &cached_plan(self.id_bound_guess, self.delta_guess).schedule,
+            schedule: cached_plan(self.id_bound_guess, self.delta_guess).schedule,
             color: init.id,
         }
     }
@@ -676,7 +701,7 @@ impl ProgramSpec for ReducedColoring {
         ReducedColoringProg {
             target: self.target.palette(self.delta_guess, plan.final_palette),
             linial_palette: plan.final_palette,
-            schedule: &plan.schedule,
+            schedule: plan.schedule,
             color: init.id,
             phase: ReducePhase::Linial,
             eliminate_start: 0,
@@ -738,7 +763,7 @@ impl ProgramSpec for RefineColoring {
                 .max(self.delta_guess + 1)
                 .min(plan.final_palette.max(self.delta_guess + 1)),
             linial_palette: plan.final_palette,
-            schedule: &plan.schedule,
+            schedule: plan.schedule,
             color: *init.input,
             phase: ReducePhase::Linial,
             eliminate_start: 0,

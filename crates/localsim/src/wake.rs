@@ -19,7 +19,6 @@ const NIL: u32 = u32::MAX;
 
 /// Sleeping nodes with the arcs their standing broadcasts cover, in a monotone radix queue
 /// keyed by wake-up round.
-#[derive(Debug)]
 pub(crate) struct WakeQueue {
     /// Per node: the node after it in its bucket's list.
     link: Vec<u32>,
@@ -88,6 +87,11 @@ impl WakeQueue {
         if self.next_due > round {
             return 0;
         }
+        self.pop(round, out)
+    }
+
+    /// [`WakeQueue::pop_due`] for a round that has nodes due.
+    fn pop(&mut self, round: u64, out: &mut Vec<usize>) -> u64 {
         debug_assert_eq!(self.next_due, round, "a wake-up round was skipped");
         // The lowest occupied bucket holds `round`; redistribute it against `round`.
         self.last = round;
