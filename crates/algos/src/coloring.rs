@@ -368,8 +368,8 @@ impl RecolorScratch {
 
 /// The schedule and final palette implied by a guess pair. Plans are interned for the
 /// process: every node automaton of every attempt borrows the one schedule of its guesses,
-/// so building a node copies a slice reference instead of computing a schedule (a prime
-/// search) or touching a reference count.
+/// so building a node copies a slice reference and computes nothing (a schedule costs a
+/// prime search per step).
 #[derive(Debug, Clone, Copy)]
 struct LinialPlan {
     schedule: &'static [(u32, u64)],

@@ -10,7 +10,8 @@
 //! their index. So a node is moved at most 64 times however long it sleeps.
 //!
 //! Buckets are FIFO lists threaded through per-node links, so the queue is three arrays of
-//! `n` entries plus 64 list heads, reset in O(1) and never reallocated once warm. Nodes
+//! `n` entries plus a head, tail and minimum per bucket, reset in O(1) and never reallocated
+//! once warm. Nodes
 //! due in the same round leave in the order they were pushed, so a batch pushed in one
 //! round (in ascending node order, as the loop steps nodes) arrives ascending.
 
