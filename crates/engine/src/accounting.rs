@@ -1,4 +1,5 @@
-//! Per-client job and cell accounting with exact reconciliation.
+//! Per-client job and cell accounting with exact reconciliation, as the coordinator
+//! (`backend::coordinator`) books it.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -65,6 +66,7 @@ impl ClientStats {
     }
 
     /// True when every completed job's cells are accounted for exactly once.
+    #[cfg(test)]
     pub fn reconciles(&self) -> bool {
         self.verified + self.rescued == self.cells
     }
@@ -116,6 +118,7 @@ impl ClientLedger {
     }
 
     /// Clients whose completed jobs do **not** reconcile (should always be empty).
+    #[cfg(test)]
     pub fn unreconciled(&self) -> Vec<&str> {
         self.clients
             .iter()
@@ -125,6 +128,7 @@ impl ClientLedger {
     }
 
     /// One `client <name>: <stats>` line per client, in name order.
+    #[cfg(test)]
     pub fn render(&self) -> Vec<String> {
         self.clients.iter().map(|(name, stats)| format!("client {name}: {stats}")).collect()
     }

@@ -1,17 +1,17 @@
 //! The sweep coordinator: many clients, one daemon fleet, fair shared scheduling.
 //!
-//! `sweep --coordinate ADDR` runs a [`CoordinatorServer`]: a TCP service that accepts any
-//! number of concurrent client connections, each submitting *jobs* — one JSON line per job,
-//! either `{"shard": <CellShard>, …}` (what [`CoordinatorBackend`] ships) or
-//! `{"grid": <ScenarioGrid>, …}` (for hand-written clients; the grid is expanded in its
-//! canonical cell order), optionally carrying `"telemetry": <ms>` and a `"client": <name>`
-//! for accounting. The coordinator decomposes each job into instance-grouped stripes
-//! ([`CellShard::stripe`]), schedules the stripes over its `--connect` daemon fleet with a
-//! deficit-round-robin policy that is fair *by predicted cost* between clients
-//! ([`local_coord::FairScheduler`]) and longest-processing-time-first within a job, and
-//! streams verified results back to each client in exactly the daemon wire protocol —
-//! result lines, optional heartbeats, an observation-carrying sentinel — so a client
-//! cannot tell a coordinator from a daemon.
+//! `sweep --coordinate ADDR` runs a [`CoordinatorServer`]: the TCP front of one long-lived
+//! fleet dispatcher ([`super::dispatch`]). It accepts any number of concurrent client
+//! connections, each submitting *jobs* — one JSON line per job, either `{"shard":
+//! <CellShard>, …}` (what `--submit` ships: a [`NetworkBackend`] whose one peer is the
+//! coordinator) or `{"grid": <ScenarioGrid>, …}` (for hand-written clients; the grid is
+//! expanded in its canonical cell order), optionally carrying `"telemetry": <ms>` and a
+//! `"client": <name>` for accounting. Each job is split into four instance-grouped
+//! stripes per fleet peer and queued with the fleet's deficit-round-robin
+//! policy, fair *by predicted cost* between clients and longest-processing-time-first within
+//! a job. Verified results stream back to each client in exactly the daemon wire protocol —
+//! result lines, optional heartbeats, an observation-carrying sentinel — so a client cannot
+//! tell a coordinator from a daemon.
 //!
 //! # The determinism and loss contracts
 //!
@@ -19,22 +19,22 @@
 //! [`super::stream::StripeStream`] state machine the network backend uses, and every cell
 //! seed is a pure function of the cell's identity — so a sweep submitted through the
 //! coordinator is byte-identical (deterministic view) to the same sweep run in-process, no
-//! matter how stripes interleave over the fleet. When a daemon dies mid-stripe its
-//! verified cells stand, the remainder is re-queued for the surviving fleet (tasks
-//! remember which peers already failed them), and whatever no live peer can serve is
-//! rescued in-process by the coordinator itself — per job, `verified + rescued == cells`,
-//! checked and printed on every job completion and booked per client in a
-//! [`local_coord::ClientLedger`].
+//! matter how stripes interleave over the fleet. A daemon that dies mid-stripe goes through
+//! the dispatcher's one failure path: its verified cells stand, the peer is retired for
+//! the coordinator's lifetime, the remainder is re-queued for the surviving fleet, and
+//! whatever no live peer can serve is rescued in-process by the coordinator itself. Per
+//! job, `verified + rescued == cells`, checked and printed on every job completion and
+//! booked per client in a `ClientLedger`.
 
+use super::dispatch::{Dispatcher, Job, Landing};
 use super::network::{observations_to_value, read_request_line, write_error_line, NetworkBackend};
 use super::telemetry::WorkerTelemetry;
-use super::{rescue_missing, CellShard, EmitFn, ExecBackend, FaultPlan};
+use super::CellShard;
+use crate::accounting::{ClientLedger, JobStats};
 use crate::cost::CostModel;
-use crate::progress::ProgressMeter;
 use crate::report::CellResult;
 use crate::scenario::{Scenario, ScenarioGrid};
 use crate::store::ResultStore;
-use local_coord::{ClientLedger, FairScheduler, JobStats, TaskEntry, MAX_PEERS};
 use serde::{Deserialize, Serialize, Value};
 use std::io::{BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -42,29 +42,17 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
-/// How a [`CoordinatorServer`] talks to its fleet and degrades when the fleet shrinks.
-#[derive(Debug, Clone)]
+/// Stripes each job is split into per fleet peer: finer than one per peer, so that the
+/// stripes of concurrent clients interleave on the fleet.
+const STRIPES_PER_PEER: usize = 4;
+
+/// What a [`CoordinatorServer`] serves from.
+#[derive(Debug)]
 pub struct CoordinatorConfig {
-    /// Daemon addresses (`host:port`) forming the fleet. May be empty — every job is then
-    /// rescued in-process, which is slow but lossless.
-    pub fleet: Vec<String>,
-    /// Threads for the in-process rescue path (`0` = available parallelism).
-    pub rescue_threads: usize,
-    /// I/O liveness deadline towards the fleet, in milliseconds.
-    pub io_deadline_ms: u64,
-    /// Per-attempt connect timeout towards the fleet, in milliseconds.
-    pub connect_timeout_ms: u64,
-    /// Reconnect backoff base, in milliseconds.
-    pub retry_base_ms: u64,
-    /// Reconnect backoff cap, in milliseconds.
-    pub retry_cap_ms: u64,
-    /// Connect attempts per dispatch before a peer is declared dead.
-    pub max_connect_attempts: u32,
-    /// Stripes each job is split into, per fleet peer (finer stripes interleave clients
-    /// more fairly; coarser stripes amortize dispatch overhead).
-    pub stripes_per_peer: usize,
-    /// Coordinator-side fault plan (`refuse*N` clauses towards the fleet).
-    pub faults: FaultPlan,
+    /// The fleet transport. Its peers are the daemon fleet — possibly none, in which case
+    /// every job is rescued in-process, slow but lossless — and its deadlines, reconnect
+    /// policy, `refuse*N` fault clauses and rescue threads apply to every dispatch.
+    pub fleet: NetworkBackend,
     /// Shared result store. When set, every job is probed before striping — stored cells
     /// are streamed back immediately without touching the fleet — and every freshly
     /// computed cell (verified or rescued) is written back, so the whole fleet's work
@@ -72,25 +60,8 @@ pub struct CoordinatorConfig {
     pub store: Option<Arc<dyn ResultStore>>,
 }
 
-impl Default for CoordinatorConfig {
-    fn default() -> Self {
-        CoordinatorConfig {
-            fleet: Vec::new(),
-            rescue_threads: 0,
-            io_deadline_ms: super::DEFAULT_IO_DEADLINE_MS,
-            connect_timeout_ms: 5_000,
-            retry_base_ms: 100,
-            retry_cap_ms: 5_000,
-            max_connect_attempts: 5,
-            stripes_per_peer: 4,
-            faults: FaultPlan::default(),
-            store: None,
-        }
-    }
-}
-
 /// The writeback half of a job's store attachment: the store handle plus the submitted
-/// cells by wire index, so [`CoordJob::deliver`] can persist fresh results.
+/// cells by wire index, so [`CoordJob::send_result`] can persist fresh results.
 struct JobPersist {
     store: Arc<dyn ResultStore>,
     base_seed: u64,
@@ -100,6 +71,8 @@ struct JobPersist {
 /// One client job in flight: the submitted cells, the socket to stream results back on,
 /// and the exact-accounting state that must reconcile when the last cell lands.
 struct CoordJob {
+    /// The coordinator the job books its completion with.
+    server: Arc<ServerState>,
     client: String,
     seq: u64,
     cells: usize,
@@ -128,14 +101,7 @@ impl CoordJob {
     /// opposed to replayed from the store) — fresh cells are written back to the store so
     /// the fleet's work accumulates. The caller that drops `remaining` to zero finalizes
     /// the job.
-    fn deliver(
-        &self,
-        state: &ServerState,
-        wire: usize,
-        result: CellResult,
-        rescued: bool,
-        fresh: bool,
-    ) {
+    fn send_result(&self, wire: usize, result: CellResult, rescued: bool, fresh: bool) {
         if fresh {
             if let Some(persist) = &self.persist {
                 if let Err(e) =
@@ -176,21 +142,14 @@ impl CoordJob {
             self.observed.lock().expect("job calibration poisoned").observe(&result);
         }
         if self.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
-            self.finalize(state);
-        }
-    }
-
-    /// Accounts for `n` cells that will never be delivered (their job already lost its
-    /// client), so the job still finalizes and frees its slot.
-    fn skip(&self, state: &ServerState, n: usize) {
-        if n > 0 && self.remaining.fetch_sub(n, Ordering::AcqRel) == n {
-            self.finalize(state);
+            self.finalize();
         }
     }
 
     /// Terminates the job: sentinel to the client, accounting line to stdout, ledger row,
     /// and the done signal that lets the session read its next job.
-    fn finalize(&self, state: &ServerState) {
+    fn finalize(&self) {
+        let state = &*self.server;
         let stats = JobStats {
             cells: self.cells as u64,
             verified: self.verified.load(Ordering::Relaxed),
@@ -263,20 +222,47 @@ impl CoordJob {
     }
 }
 
-/// One stripe of one job, queued for the fleet.
-struct StripeTask {
-    job: Arc<CoordJob>,
-    stripe: CellShard,
-    /// Wire index (position in the submitted job) of each stripe cell.
-    parents: Vec<usize>,
-    enqueued_micros: u64,
+impl Job for Arc<CoordJob> {
+    fn client(&self) -> &str {
+        &self.client
+    }
+
+    fn deliver(&self, index: usize, result: CellResult, landing: Landing) {
+        if landing == Landing::Redispatched {
+            self.redispatched.fetch_add(1, Ordering::Relaxed);
+        }
+        self.send_result(index, result, landing == Landing::Rescued, true);
+    }
+
+    fn calibration(&self) -> &Mutex<CostModel> {
+        &self.observed
+    }
+
+    /// A job whose client went away drops its remaining cells, so that it still
+    /// finalizes and frees its slot.
+    fn discard(&self, cells: usize) -> bool {
+        if !self.failed.load(Ordering::Relaxed) {
+            return false;
+        }
+        if cells > 0 && self.remaining.fetch_sub(cells, Ordering::AcqRel) == cells {
+            self.finalize();
+        }
+        true
+    }
+
+    fn dispatched(&self, cells: usize, wait_micros: u64) {
+        self.queue_wait.fetch_add(wait_micros, Ordering::Relaxed);
+        local_obs::counter_add(local_obs::metrics::COORD_QUEUE_WAIT_MICROS, wait_micros);
+        self.assigned.fetch_add(cells as u64, Ordering::Relaxed);
+        local_obs::counter_add(local_obs::metrics::COORD_CELLS_ASSIGNED, cells as u64);
+    }
 }
 
 struct ServerState {
-    config: CoordinatorConfig,
     /// The fleet transport: connect/retry/verify machinery shared with `--backend network`.
-    backend: NetworkBackend,
-    scheduler: FairScheduler<StripeTask>,
+    fleet: NetworkBackend,
+    store: Option<Arc<dyn ResultStore>>,
+    dispatcher: Dispatcher<Arc<CoordJob>>,
     ledger: Mutex<ClientLedger>,
     busy_peers: AtomicU64,
     active_jobs: AtomicU64,
@@ -291,32 +277,21 @@ pub struct CoordinatorServer {
 }
 
 impl CoordinatorServer {
-    /// Binds the coordinator on `addr` with the given fleet configuration.
+    /// Binds the coordinator on `addr` over the given fleet.
     pub fn bind(addr: &str, config: CoordinatorConfig) -> Result<Self, String> {
-        if config.fleet.len() > MAX_PEERS {
-            return Err(format!(
-                "fleet of {} peers exceeds the {MAX_PEERS}-peer cap",
-                config.fleet.len()
-            ));
-        }
         let listener = TcpListener::bind(addr).map_err(|e| format!("cannot bind {addr}: {e}"))?;
-        let backend = NetworkBackend::new(config.fleet.clone())
-            .rescue_threads(config.rescue_threads)
-            .io_deadline_ms(config.io_deadline_ms)
-            .connect_timeout_ms(config.connect_timeout_ms)
-            .retry(config.retry_base_ms, config.retry_cap_ms, config.max_connect_attempts)
-            .faults(config.faults.clone());
-        let scheduler = FairScheduler::new(config.fleet.len());
+        let CoordinatorConfig { fleet, store } = config;
+        let dispatcher = Dispatcher::new(fleet.peers.clone(), fleet.rescue_threads, "coord");
         Ok(CoordinatorServer {
             listener,
             state: Arc::new(ServerState {
-                backend,
-                scheduler,
+                fleet,
+                store,
+                dispatcher,
                 ledger: Mutex::new(ClientLedger::new()),
                 busy_peers: AtomicU64::new(0),
                 active_jobs: AtomicU64::new(0),
                 job_seq: AtomicU64::new(0),
-                config,
             }),
         })
     }
@@ -326,12 +301,20 @@ impl CoordinatorServer {
         self.listener.local_addr().map_err(|e| format!("cannot read bound address: {e}"))
     }
 
-    /// Serves forever: one fleet-worker thread per peer, one session thread per client
-    /// connection. Only returns if the listener breaks.
+    /// Serves forever: one dispatcher worker thread per fleet peer, one session thread per
+    /// client connection. Only returns if the listener breaks.
     pub fn run(self) -> Result<(), String> {
-        for peer in 0..self.state.config.fleet.len() {
+        for peer in 0..self.state.fleet.peers.len() {
             let state = Arc::clone(&self.state);
-            std::thread::spawn(move || fleet_worker(&state, peer));
+            std::thread::spawn(move || {
+                state.dispatcher.worker(peer, &|peer, stripe, emit| {
+                    let busy = state.busy_peers.fetch_add(1, Ordering::Relaxed) + 1;
+                    local_obs::gauge_max(local_obs::metrics::COORD_FLEET_BUSY, busy);
+                    let outcome = state.fleet.run_stripe(peer, stripe, emit);
+                    state.busy_peers.fetch_sub(1, Ordering::Relaxed);
+                    outcome
+                })
+            });
         }
         for conn in self.listener.incoming() {
             match conn {
@@ -355,102 +338,10 @@ pub fn coordinate_forever(addr: &str, config: CoordinatorConfig) -> Result<(), S
     server.run()
 }
 
-/// One fleet peer's dispatch loop: pull the next fairly-scheduled stripe, run it on the
-/// peer through the network backend's verify machinery, and on failure re-queue the
-/// remainder for the surviving fleet (rescuing in-process whatever no live peer can take).
-/// A peer whose dispatch fails is retired for the coordinator's lifetime — the network
-/// backend has already burned the full reconnect budget by the time it reports failure.
-fn fleet_worker(state: &ServerState, peer: usize) {
-    while let Some(task) = state.scheduler.next(peer) {
-        let entry_attempted = task.attempted;
-        let task = task.payload;
-        let job = Arc::clone(&task.job);
-        let wait = local_obs::now_micros().saturating_sub(task.enqueued_micros);
-        job.queue_wait.fetch_add(wait, Ordering::Relaxed);
-        local_obs::counter_add(local_obs::metrics::COORD_QUEUE_WAIT_MICROS, wait);
-        if job.failed.load(Ordering::Relaxed) {
-            job.skip(state, task.stripe.cells.len());
-            continue;
-        }
-        job.assigned.fetch_add(task.stripe.cells.len() as u64, Ordering::Relaxed);
-        local_obs::counter_add(
-            local_obs::metrics::COORD_CELLS_ASSIGNED,
-            task.stripe.cells.len() as u64,
-        );
-        let busy = state.busy_peers.fetch_add(1, Ordering::Relaxed) + 1;
-        local_obs::gauge_max(local_obs::metrics::COORD_FLEET_BUSY, busy);
-        let redispatch = entry_attempted != 0;
-        let emit = |wire: usize, result: CellResult| {
-            if redispatch {
-                job.redispatched.fetch_add(1, Ordering::Relaxed);
-            }
-            job.deliver(state, wire, result, false, true);
-        };
-        let outcome = state.backend.run_stripe(peer, &task.stripe, &task.parents, &emit);
-        state.busy_peers.fetch_sub(1, Ordering::Relaxed);
-        let Err((missing, reason)) = outcome else { continue };
-        eprintln!(
-            "coord: peer {peer} ({}) failed client {} job {} ({reason}); retiring the peer \
-             and re-queuing {} cells",
-            state.config.fleet[peer],
-            job.client,
-            job.seq,
-            missing.len()
-        );
-        // Mark the peer dead *first*, then drain + re-queue under the new fleet view, so
-        // no task can be scheduled back onto the corpse in between.
-        let stranded = state.scheduler.peer_down(peer);
-        if !missing.is_empty() {
-            let remainder = StripeTask {
-                stripe: CellShard {
-                    base_seed: task.stripe.base_seed,
-                    code_version: task.stripe.code_version.clone(),
-                    cells: missing.iter().map(|&i| task.stripe.cells[i].clone()).collect(),
-                },
-                parents: missing.iter().map(|&i| task.parents[i]).collect(),
-                enqueued_micros: local_obs::now_micros(),
-                job: Arc::clone(&job),
-            };
-            let mut entry = entry_of(remainder);
-            entry.attempted = entry_attempted;
-            entry.mark_attempted(peer);
-            if let Err(entry) = state.scheduler.requeue(entry) {
-                rescue_task(state, entry.payload);
-            }
-        }
-        for entry in stranded {
-            rescue_task(state, entry.payload);
-        }
-        break;
-    }
-}
-
-/// Wraps a stripe task for the scheduler, costed by the default model's predictions.
-fn entry_of(task: StripeTask) -> TaskEntry<StripeTask> {
-    let model = CostModel::new();
-    let cost: f64 = task.stripe.cells.iter().map(|cell| model.predict(cell).max(1.0)).sum();
-    let client = task.job.client.clone();
-    TaskEntry::new(task, client, cost)
-}
-
-/// Recomputes a stripe in the coordinator's own process — the lossless path of last
-/// resort, shared with every other backend via [`rescue_missing`].
-fn rescue_task(state: &ServerState, task: StripeTask) {
-    let job = Arc::clone(&task.job);
-    if job.failed.load(Ordering::Relaxed) {
-        job.skip(state, task.stripe.cells.len());
-        return;
-    }
-    let all: Vec<usize> = (0..task.stripe.cells.len()).collect();
-    rescue_missing(&task.stripe, &all, state.config.rescue_threads, &job.observed, &|k, result| {
-        job.deliver(state, task.parents[k], result, true, true)
-    });
-}
-
 /// One client connection: job lines in, result streams out, one job in flight at a time
 /// (results of concurrent jobs on one socket would interleave unparseably — clients
-/// wanting parallel jobs open parallel connections, like [`CoordinatorBackend`] does).
-fn client_session(stream: TcpStream, state: &ServerState) {
+/// wanting parallel jobs open parallel connections).
+fn client_session(stream: TcpStream, state: &Arc<ServerState>) {
     let peer_name =
         stream.peer_addr().map(|a| a.to_string()).unwrap_or_else(|_| "unknown peer".to_string());
     let _ = stream.set_nodelay(true);
@@ -494,7 +385,7 @@ fn serve_job(
     request: &str,
     peer_name: &str,
     writer: &Arc<Mutex<TcpStream>>,
-    state: &ServerState,
+    state: &Arc<ServerState>,
     last_client: &mut Option<String>,
 ) -> Result<(), String> {
     let value = serde_json::from_str(request).map_err(|e| format!("unreadable job: {e}"))?;
@@ -533,6 +424,7 @@ fn serve_job(
     let _ = std::io::stdout().flush();
 
     let job = Arc::new(CoordJob {
+        server: Arc::clone(state),
         client: client.clone(),
         seq,
         cells: shard.cells.len(),
@@ -546,7 +438,7 @@ fn serve_job(
         redispatched: AtomicU64::new(0),
         queue_wait: AtomicU64::new(0),
         observed: Mutex::new(CostModel::new()),
-        persist: state.config.store.as_ref().map(|store| JobPersist {
+        persist: state.store.as_ref().map(|store| JobPersist {
             store: Arc::clone(store),
             base_seed: shard.base_seed,
             cells: shard.cells.clone(),
@@ -557,7 +449,7 @@ fn serve_job(
 
     if shard.cells.is_empty() {
         // Degenerate but legal: answer immediately with an empty sentinel.
-        job.finalize(state);
+        job.finalize();
         return Ok(());
     }
 
@@ -570,14 +462,14 @@ fn serve_job(
     // verified — they went through full verification when first computed) and never
     // touch the fleet. Only the misses are striped.
     let mut missed: Vec<usize> = (0..shard.cells.len()).collect();
-    if let Some(store) = &state.config.store {
+    if let Some(store) = &state.store {
         missed.clear();
         let mut hits = 0u64;
         for (i, cell) in shard.cells.iter().enumerate() {
             match store.load(cell, shard.base_seed) {
                 Some(result) => {
                     hits += 1;
-                    job.deliver(state, i, result, false, false);
+                    job.send_result(i, result, false, false);
                 }
                 None => missed.push(i),
             }
@@ -592,38 +484,17 @@ fn serve_job(
         }
     }
 
-    // Decompose the missed remainder into instance-grouped stripes (empty stripes appear
-    // when the job has fewer distinct instances than the target count — drop them), then
-    // LPT between stripes so each client's costliest work is in flight earliest. Stripe
-    // parents index the sub-shard, so remap them back to the job's wire indices.
+    // Only the store misses go to the fleet: queued as instance-grouped stripes, LPT
+    // between stripes so each client's costliest work is in flight earliest, or rescued
+    // in-process right here when no peer is live.
     if !missed.is_empty() {
         let sub = CellShard {
             base_seed: shard.base_seed,
             code_version: shard.code_version.clone(),
             cells: missed.iter().map(|&i| shard.cells[i].clone()).collect(),
         };
-        let target = (state.config.fleet.len() * state.config.stripes_per_peer).max(1);
-        let mut entries: Vec<TaskEntry<StripeTask>> = sub
-            .stripe(target)
-            .into_iter()
-            .filter(|(stripe, _)| !stripe.cells.is_empty())
-            .map(|(stripe, parents)| {
-                entry_of(StripeTask {
-                    job: Arc::clone(&job),
-                    stripe,
-                    parents: parents.into_iter().map(|p| missed[p]).collect(),
-                    enqueued_micros: local_obs::now_micros(),
-                })
-            })
-            .collect();
-        entries.sort_by(|a, b| b.cost.total_cmp(&a.cost));
-
-        if let Err(entries) = state.scheduler.submit(entries) {
-            eprintln!("coord: no live fleet peers; rescuing client {client} job {seq} in-process");
-            for entry in entries {
-                rescue_task(state, entry.payload);
-            }
-        }
+        let stripes = state.fleet.peers.len() * STRIPES_PER_PEER;
+        state.dispatcher.submit(&job, &sub, &missed, stripes);
     }
 
     // One job in flight per connection: wait for the sentinel before reading the next
@@ -673,88 +544,5 @@ fn heartbeat_loop(job: &CoordJob, interval_ms: u64) {
         // Best-effort: a heartbeat the client never reads must not fail the job.
         let _ = writeln!(writer, "{text}");
         let _ = writer.flush();
-    }
-}
-
-/// Submits sweeps to a `sweep --coordinate` service (`--submit ADDR` on the client).
-///
-/// A coordinator speaks the daemon wire protocol, so this is the network backend pointed
-/// at a single peer — the coordinator — with every request naming its owning client for
-/// the coordinator's per-client accounting. The single "peer" is the whole fleet: if the
-/// coordinator itself dies mid-job, the shard is rescued in-process on the client, the
-/// same lossless degradation every other backend has.
-pub struct CoordinatorBackend {
-    inner: NetworkBackend,
-}
-
-impl CoordinatorBackend {
-    /// A backend submitting to the coordinator at `addr`.
-    pub fn new(addr: impl Into<String>) -> Self {
-        CoordinatorBackend { inner: NetworkBackend::new(vec![addr.into()]) }
-    }
-
-    /// Names this client in every submission (default: anonymous, named by the
-    /// coordinator after the connection's source address).
-    pub fn client(mut self, name: impl Into<String>) -> Self {
-        self.inner = self.inner.client(name);
-        self
-    }
-
-    /// Sets how many threads the in-process rescue path uses when the coordinator cannot
-    /// serve the job (`0` = available parallelism).
-    pub fn rescue_threads(mut self, threads: usize) -> Self {
-        self.inner = self.inner.rescue_threads(threads);
-        self
-    }
-
-    /// Attaches a live progress meter; the coordinator is then asked for heartbeats.
-    pub fn progress(mut self, meter: ProgressMeter) -> Self {
-        self.inner = self.inner.progress(meter);
-        self
-    }
-
-    /// Sets the I/O liveness deadline in milliseconds.
-    pub fn io_deadline_ms(mut self, ms: u64) -> Self {
-        self.inner = self.inner.io_deadline_ms(ms);
-        self
-    }
-
-    /// Sets the per-attempt connect timeout in milliseconds.
-    pub fn connect_timeout_ms(mut self, ms: u64) -> Self {
-        self.inner = self.inner.connect_timeout_ms(ms);
-        self
-    }
-
-    /// Sets the reconnect policy towards the coordinator.
-    pub fn retry(mut self, base_ms: u64, cap_ms: u64, attempts: u32) -> Self {
-        self.inner = self.inner.retry(base_ms, cap_ms, attempts);
-        self
-    }
-
-    /// Sets the deterministic fault-injection plan (connect refusals towards the
-    /// coordinator).
-    pub fn faults(mut self, plan: FaultPlan) -> Self {
-        self.inner = self.inner.faults(plan);
-        self
-    }
-}
-
-impl ExecBackend for CoordinatorBackend {
-    fn name(&self) -> &'static str {
-        "coordinator"
-    }
-
-    fn parallelism(&self) -> usize {
-        // The coordinator's fleet size is its business; the report's deterministic view
-        // zeroes this field anyway.
-        1
-    }
-
-    fn run_shard(&self, shard: &CellShard, emit: &EmitFn) {
-        self.inner.run_shard(shard, emit);
-    }
-
-    fn calibration(&self) -> CostModel {
-        self.inner.calibration()
     }
 }

@@ -7,21 +7,26 @@
 //! * [`InProcessBackend`] — the work-stealing thread pool ([`crate::pool`]) that has always
 //!   powered `run_grid`, now behind the trait;
 //! * [`NetworkBackend`] — the one remote transport: stripes shards over persistent
-//!   `sweep --serve` TCP daemons with connect/read deadlines, capped reconnect backoff,
-//!   heartbeat liveness, re-dispatch of a dead peer's cells to healthy peers, and an
-//!   in-process rescue of last resort;
+//!   `sweep --serve` TCP daemons (or one `sweep --coordinate` service) with connect/read
+//!   deadlines, capped reconnect backoff and heartbeat liveness;
 //! * [`ProcessBackend`] — launches local `sweep --serve 127.0.0.1:0` daemons per shard
-//!   ([`LocalDaemon`]) and drives them through a [`NetworkBackend`], rescuing in-process the
-//!   stripe of any daemon that never announces its address.
+//!   ([`LocalDaemon`]) and drives the ones that announce an address through a
+//!   [`NetworkBackend`].
 //!
-//! All of them are exercised against the same deterministic fault-injection layer
-//! ([`faults`]), so the rescue discipline is tested, not asserted.
+//! Every cell that runs remotely — from a network sweep, a process sweep, or a coordinator
+//! ([`CoordinatorServer`]) serving many clients — goes through one fleet dispatcher
+//! (`dispatch`): a fair stripe queue with one worker per peer and the only failure path.
+//! A failed peer is retired, the unverified rest of its stripe is re-queued for the
+//! surviving peers, and whatever no live peer can serve is rescued in-process. All of it
+//! is exercised against the same deterministic fault-injection layer ([`faults`]), so the
+//! rescue discipline is tested, not asserted.
 //!
 //! The determinism contract survives the abstraction because every cell's seed is a pure
 //! function of its identity and results are emitted with their shard index: any backend, at
 //! any parallelism, produces byte-identical results (wall-clock fields aside).
 
 pub mod coordinator;
+mod dispatch;
 pub mod faults;
 mod in_process;
 pub mod network;
@@ -29,9 +34,7 @@ mod process;
 pub(crate) mod stream;
 pub mod telemetry;
 
-pub use coordinator::{
-    coordinate_forever, CoordinatorBackend, CoordinatorConfig, CoordinatorServer,
-};
+pub use coordinator::{coordinate_forever, CoordinatorConfig, CoordinatorServer};
 pub use faults::{backoff_ms, FaultAction, FaultClause, FaultInjector, FaultPlan, LineFault};
 pub use in_process::InProcessBackend;
 pub use network::{serve_forever, NetworkBackend, MAX_REQUEST_BYTES};
@@ -42,7 +45,6 @@ use crate::cost::CostModel;
 use crate::report::CellResult;
 use crate::scenario::Scenario;
 use serde::{Deserialize, Serialize, Value};
-use std::sync::Mutex;
 
 /// Default read/write liveness deadline of every remote backend and the coordinator:
 /// generous enough for the largest single cells when no heartbeats flow (telemetry shrinks
@@ -177,8 +179,8 @@ pub const BACKEND_ENTRIES: &[BackendEntry] = &[
     },
     BackendEntry {
         name: "process",
-        summary: "launches local `sweep --serve` daemons and drives them like `network`; a \
-                  daemon that never starts has its cells rescued in-process",
+        summary: "launches local `sweep --serve` daemons and drives the ones that start like \
+                  `network`; with none up, every cell is rescued in-process",
     },
     BackendEntry {
         name: "network",
@@ -199,33 +201,6 @@ pub fn render_backend_listing() -> String {
         out.push_str(&format!("  {:<28} {}\n", entry.name, entry.summary));
     }
     out
-}
-
-/// The shared rescue path: re-runs `missing` cells of `stripe` with an
-/// [`InProcessBackend`], emitting each result via `emit` keyed by its *position in
-/// `missing`* (callers map that back to their own index space), merging the fallback's
-/// calibration into `observed`, and counting the re-run cells on
-/// [`local_obs::metrics::RESCUED_CELLS`]. Every distributed backend degrades through this
-/// one function, so the failure discipline cannot drift between them.
-pub(crate) fn rescue_missing(
-    stripe: &CellShard,
-    missing: &[usize],
-    threads: usize,
-    observed: &Mutex<CostModel>,
-    emit: &(dyn Fn(usize, CellResult) + Sync),
-) {
-    if missing.is_empty() {
-        return;
-    }
-    local_obs::counter_add(local_obs::metrics::RESCUED_CELLS, missing.len() as u64);
-    let rescue = CellShard {
-        base_seed: stripe.base_seed,
-        code_version: stripe.code_version.clone(),
-        cells: missing.iter().map(|&i| stripe.cells[i].clone()).collect(),
-    };
-    let fallback = InProcessBackend::new(threads);
-    fallback.run_shard(&rescue, emit);
-    observed.lock().expect("cost observations poisoned").merge(&fallback.calibration());
 }
 
 #[cfg(test)]

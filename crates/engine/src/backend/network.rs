@@ -3,39 +3,43 @@
 //!
 //! # Wire protocol
 //!
-//! The coordinator writes one JSON *request line* per shard over the socket —
-//! `{"shard": <CellShard>, "telemetry": <ms>?}` — and the daemon answers with a
-//! newline-delimited stream verified by [`super::stream`]: one `{"index": i, "cell": {…}}`
-//! line per finished cell (in completion order — the index maps back to the stripe),
+//! The client writes one JSON *request line* per stripe over the socket —
+//! `{"shard": <CellShard>, "telemetry": <ms>?, "client": <name>?}` — and the daemon answers
+//! with a newline-delimited stream verified by [`super::stream`]: one `{"index": i, "cell":
+//! {…}}` line per finished cell (in completion order — the index maps back to the stripe),
 //! optional `{"telemetry": …}` heartbeats and one `{"spans": …}` dump when telemetry was
 //! requested, and a `{"done": n, "observations": […]}` sentinel carrying the daemon's
 //! cost-model observation sums. Connections are persistent: a daemon serves any number of
 //! requests per connection and any number of connections over its lifetime,
 //! version-checking every shard against its own build. A daemon that cannot serve a
 //! request — including a request line over [`MAX_REQUEST_BYTES`] — answers a single
-//! `{"error": …}` line and drops the connection.
+//! `{"error": …}` line and drops the connection. A `sweep --coordinate` service speaks the
+//! same protocol, so `--submit ADDR` is this backend over the one peer `ADDR`.
 //!
 //! # Robustness discipline
 //!
-//! Every connect carries a deadline, every read and write a liveness window
+//! [`NetworkBackend::run_shard`] is a one-job run of the fleet dispatcher
+//! ([`super::dispatch`]): one stripe per peer, pulled from a fair queue by one worker per
+//! peer. Every connect carries a deadline, every read and write a liveness window
 //! ([`super::liveness_window`] — heartbeats shrink it from the configured I/O deadline to a
 //! few heartbeat intervals). Failed connects retry with capped exponential backoff and
 //! deterministic jitter ([`super::backoff_ms`]). When a peer dies mid-stripe, its verified
-//! cells stand, the missing remainder is re-dispatched to a healthy peer
-//! ([`local_obs::metrics::REDISPATCHED_CELLS`]), and whatever no peer can serve falls back
-//! to the shared in-process rescue ([`super::rescue_missing`]) — so a dead, flapping, or
-//! garbage-spewing daemon degrades wall clock, never the report. Connection state is
-//! observable: [`local_obs::metrics::NET_CONNECTS`]/[`local_obs::metrics::NET_RETRIES`]
-//! count attempts, [`local_obs::metrics::WORKER_STATE`] gauges the peak number of
-//! simultaneously connected peers, and every transition lands as a timestamped
-//! `worker-state` record labelled with the peer.
+//! cells stand, the peer is retired, the missing remainder is re-queued for the healthy
+//! peers ([`local_obs::metrics::REDISPATCHED_CELLS`]), and whatever no peer can serve is
+//! rescued in-process — so a dead, flapping, or garbage-spewing daemon degrades wall
+//! clock, never the report. Connection state is observable:
+//! [`local_obs::metrics::NET_CONNECTS`]/[`local_obs::metrics::NET_RETRIES`] count attempts,
+//! [`local_obs::metrics::WORKER_STATE`] gauges the peak number of simultaneously connected
+//! peers, and every transition lands as a timestamped `worker-state` record labelled with
+//! the peer.
 //!
-//! Fault injection: `refuse*N` clauses fail the first N connect attempts coordinator-side;
+//! Fault injection: `refuse*N` clauses fail the first N connect attempts client-side;
 //! everything else in a `w<i>:` scope is scripted into daemon `i`'s own `LOCAL_FAULTS`
-//! environment when it is launched (daemons are separate processes — the coordinator cannot
+//! environment when it is launched (daemons are separate processes — the client cannot
 //! forward faults it did not start the daemon with; [`super::ProcessBackend`] launches its
 //! local daemons that way).
 
+use super::dispatch::{self, Job, Landing};
 use super::faults::{FaultInjector, LineFault};
 use super::stream::{LineOutcome, StripeStream};
 use super::telemetry::{SpanDump, WorkerTelemetry};
@@ -43,8 +47,9 @@ use super::{
     backoff_ms, liveness_window, CellShard, EmitFn, ExecBackend, FaultPlan, InProcessBackend,
 };
 use crate::cost::CostModel;
+use crate::gate::ConcurrencyGate;
 use crate::progress::ProgressMeter;
-use local_coord::ConcurrencyGate;
+use crate::report::CellResult;
 use serde::{Deserialize, Serialize, Value};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream, ToSocketAddrs};
@@ -56,11 +61,14 @@ use std::time::Duration;
 /// long for a launched daemon to announce its address.
 pub(super) const DEFAULT_CONNECT_TIMEOUT_MS: u64 = 5_000;
 
-/// Executes shards by striping them over persistent `sweep --serve` TCP daemons.
+/// Executes shards by striping them over persistent `sweep --serve` TCP daemons (or one
+/// `sweep --coordinate` service).
 #[derive(Debug)]
 pub struct NetworkBackend {
-    peers: Vec<String>,
-    rescue_threads: usize,
+    /// Peer addresses, in peer-index order.
+    pub(super) peers: Vec<String>,
+    /// Threads of the in-process rescue path (`0` = available parallelism).
+    pub(super) rescue_threads: usize,
     observed: Mutex<CostModel>,
     progress: Option<ProgressMeter>,
     heartbeat_ms: u64,
@@ -84,7 +92,8 @@ pub struct NetworkBackend {
 }
 
 impl NetworkBackend {
-    /// A backend over the given daemon addresses (`host:port`, one stripe per peer).
+    /// A backend over the given daemon addresses (`host:port`, one stripe per peer). Any
+    /// number of peers, including none: every cell is then rescued in-process.
     pub fn new(peers: Vec<String>) -> Self {
         let refused = peers.iter().map(|_| AtomicU64::new(0)).collect();
         let peer_up = peers.iter().map(|_| AtomicBool::new(false)).collect();
@@ -234,15 +243,14 @@ impl NetworkBackend {
         ))
     }
 
-    /// Dispatches one stripe to one peer over a fresh connection. Returns the stripe
-    /// indices still missing plus the failure reason when the stream cannot be trusted to
-    /// completion. (`pub(super)` so the coordinator can drive single-stripe dispatches with
-    /// its own scheduling policy while reusing this connect/verify/rescue machinery.)
+    /// Dispatches one stripe to one peer over a fresh connection, emitting each verified
+    /// cell by its stripe index. Returns the stripe indices still missing plus the failure
+    /// reason when the stream cannot be trusted to completion. This is the dispatcher's
+    /// [`dispatch::RunStripe`] for both remote fronts.
     pub(super) fn run_stripe(
         &self,
         peer: usize,
         stripe: &CellShard,
-        parent_indices: &[usize],
         emit: &EmitFn,
     ) -> Result<(), (Vec<usize>, String)> {
         let all = || (0..stripe.cells.len()).collect::<Vec<usize>>();
@@ -290,9 +298,8 @@ impl NetworkBackend {
                     break;
                 }
                 Ok(_) => {
-                    let mut accept = |index: usize, result| emit(parent_indices[index], result);
                     let text = line.trim_end_matches(['\n', '\r']);
-                    match verifier.consume(text, self.progress.as_ref(), &mut accept) {
+                    match verifier.consume(text, self.progress.as_ref(), &mut |i, r| emit(i, r)) {
                         Ok(LineOutcome::Progress) => {}
                         Ok(LineOutcome::Finished) => break,
                         Err(reason) => {
@@ -355,102 +362,43 @@ impl ExecBackend for NetworkBackend {
     }
 
     fn run_shard(&self, shard: &CellShard, emit: &EmitFn) {
-        if shard.cells.is_empty() || self.peers.is_empty() {
-            if !shard.cells.is_empty() {
-                // No peers at all: everything is "irreducible remainder".
-                let all: Vec<usize> = (0..shard.cells.len()).collect();
-                super::rescue_missing(shard, &all, self.rescue_threads, &self.observed, emit);
-            }
-            return;
-        }
-        let stripes = shard.stripe(self.peers.len());
-        let healthy: Vec<AtomicBool> = self.peers.iter().map(|_| AtomicBool::new(true)).collect();
-        let failures: Mutex<Vec<(usize, Vec<usize>)>> = Mutex::new(Vec::new());
-        std::thread::scope(|scope| {
-            for (peer, (stripe, parent_indices)) in stripes.iter().enumerate() {
-                let healthy = &healthy;
-                let failures = &failures;
-                scope.spawn(move || {
-                    if let Err((missing, reason)) =
-                        self.run_stripe(peer, stripe, parent_indices, emit)
-                    {
-                        healthy[peer].store(false, Ordering::Relaxed);
-                        eprintln!(
-                            "sweep network backend: peer {peer} ({}) failed ({reason}); \
-                             re-dispatching {} cells",
-                            self.peers[peer],
-                            missing.len()
-                        );
-                        failures.lock().expect("failure list poisoned").push((peer, missing));
-                    }
-                });
-            }
-        });
-
-        // Degraded phase: walk each failed stripe's remainder through the healthy peers;
-        // whatever none of them can serve is rescued in-process. Sequential on purpose —
-        // this is the slow path, and determinism of the *report* never depended on it.
-        for (stripe_index, mut remaining) in failures.into_inner().expect("failure list poisoned") {
-            let (stripe, parent_indices) = &stripes[stripe_index];
-            while !remaining.is_empty() {
-                let Some(peer) =
-                    (0..self.peers.len()).find(|&p| healthy[p].load(Ordering::Relaxed))
-                else {
-                    break;
-                };
-                let sub = CellShard {
-                    base_seed: stripe.base_seed,
-                    code_version: stripe.code_version.clone(),
-                    cells: remaining.iter().map(|&i| stripe.cells[i].clone()).collect(),
-                };
-                let sub_parents: Vec<usize> =
-                    remaining.iter().map(|&i| parent_indices[i]).collect();
-                // Count a cell as re-dispatched only once it actually lands on the retry
-                // peer: counting up front would book the same cell once per failed attempt
-                // and double-book cells that end up rescued in-process instead.
-                let attempted = remaining.len() as u64;
-                match self.run_stripe(peer, &sub, &sub_parents, emit) {
-                    Ok(()) => {
-                        local_obs::counter_add(local_obs::metrics::REDISPATCHED_CELLS, attempted);
-                        remaining.clear();
-                    }
-                    Err((still_missing, reason)) => {
-                        local_obs::counter_add(
-                            local_obs::metrics::REDISPATCHED_CELLS,
-                            attempted - still_missing.len() as u64,
-                        );
-                        healthy[peer].store(false, Ordering::Relaxed);
-                        eprintln!(
-                            "sweep network backend: re-dispatch to peer {peer} ({}) failed \
-                             ({reason})",
-                            self.peers[peer]
-                        );
-                        remaining = still_missing.iter().map(|&k| remaining[k]).collect();
-                    }
-                }
-            }
-            if !remaining.is_empty() {
-                eprintln!(
-                    "sweep network backend: no healthy peers left; re-running {} cells \
-                     in-process",
-                    remaining.len()
-                );
-                let remaining = remaining;
-                super::rescue_missing(
-                    stripe,
-                    &remaining,
-                    self.rescue_threads,
-                    &self.observed,
-                    &|k, result| emit(parent_indices[remaining[k]], result),
-                );
-            }
-        }
+        let job = ShardJob { emit, observed: &self.observed };
+        dispatch::run_job(
+            &self.peers,
+            self.rescue_threads,
+            "sweep network backend",
+            job,
+            shard,
+            &|peer, stripe, emit| self.run_stripe(peer, stripe, emit),
+        );
     }
 
     fn calibration(&self) -> CostModel {
         let mut out = CostModel::new();
         out.merge(&self.observed.lock().expect("cost observations poisoned"));
         out
+    }
+}
+
+/// The one job of a [`NetworkBackend::run_shard`] call: results go straight to the
+/// scheduler's sink, rescue calibration to the backend's own model.
+#[derive(Clone, Copy)]
+struct ShardJob<'a> {
+    emit: &'a EmitFn<'a>,
+    observed: &'a Mutex<CostModel>,
+}
+
+impl Job for ShardJob<'_> {
+    fn client(&self) -> &str {
+        ""
+    }
+
+    fn deliver(&self, index: usize, result: CellResult, _landing: Landing) {
+        (self.emit)(index, result);
+    }
+
+    fn calibration(&self) -> &Mutex<CostModel> {
+        self.observed
     }
 }
 

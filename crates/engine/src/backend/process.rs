@@ -1,16 +1,17 @@
 //! The multi-process backend: a launcher of local `sweep --serve` daemons, driven through
 //! [`NetworkBackend`].
 //!
-//! On every [`ExecBackend::run_shard`] the backend spawns one daemon per stripe (at most
-//! `workers`), each as `CMD --serve 127.0.0.1:0 --threads T`, reads the `listening on ADDR`
-//! line it announces, and runs the shard through a [`NetworkBackend`] over the announced
-//! addresses. Verification, re-dispatch to healthy daemons, liveness deadlines, heartbeats,
-//! span import and the in-process rescue of last resort are therefore the network
-//! backend's, byte for byte: there is one remote transport. A daemon that never announces
-//! an address — dead on arrival, killed, printing garbage, or silent past the connect
-//! timeout — has its stripe rescued in-process through [`super::rescue_missing`]. Every
-//! daemon is killed and reaped when the shard ends, on return and on unwind, so no failure
-//! path leaks a zombie.
+//! On every [`ExecBackend::run_shard`] the backend spawns up to `workers` daemons (never
+//! more than the shard has cells), each as `CMD --serve 127.0.0.1:0 --threads T`, reads the
+//! `listening on ADDR` line it announces, and runs the whole shard through a
+//! [`NetworkBackend`] over the announced addresses. Verification, re-dispatch to healthy
+//! daemons, liveness deadlines, heartbeats, span import and the in-process rescue of last
+//! resort are therefore the network backend's — one remote transport, one fleet
+//! dispatcher. A daemon that never announces an address — dead on arrival, killed,
+//! printing garbage, or silent past the connect timeout — is simply left out of the fleet;
+//! if none announces, the dispatcher rescues the whole shard in-process. Every daemon is
+//! killed and reaped when the shard ends, on return and on unwind, so no failure path
+//! leaks a zombie.
 //!
 //! # Fault injection
 //!
@@ -204,11 +205,10 @@ impl ExecBackend for ProcessBackend {
         if shard.cells.is_empty() {
             return;
         }
-        let stripes = shard.stripe(self.workers);
         // Launch the whole fleet at once, so announcements are awaited in parallel.
         let timeout = Duration::from_millis(DEFAULT_CONNECT_TIMEOUT_MS);
-        let fleet: Vec<Result<LocalDaemon, String>> = std::thread::scope(|scope| {
-            let launches: Vec<_> = (0..stripes.len())
+        let launched: Vec<Result<LocalDaemon, String>> = std::thread::scope(|scope| {
+            let launches: Vec<_> = (0..self.workers.min(shard.cells.len()))
                 .map(|i| {
                     let faults = self.faults.for_worker(i);
                     scope.spawn(move || {
@@ -218,59 +218,30 @@ impl ExecBackend for ProcessBackend {
                 .collect();
             launches.into_iter().map(|launch| launch.join().expect("launch panicked")).collect()
         });
-
-        std::thread::scope(|scope| {
-            let mut peers = Vec::new();
-            let mut live = Vec::new();
-            let mut remote = vec![true; shard.cells.len()];
-            for (worker, launched) in fleet.iter().enumerate() {
-                let (stripe, parent_indices) = &stripes[worker];
-                match launched {
-                    Ok(daemon) => {
-                        peers.push(daemon.addr.clone());
-                        live.push(worker);
-                    }
-                    Err(reason) => {
-                        eprintln!(
-                            "sweep process backend: worker {worker} failed ({reason}); \
-                             re-running {} cells in-process",
-                            stripe.cells.len()
-                        );
-                        parent_indices.iter().for_each(|&p| remote[p] = false);
-                        let all: Vec<usize> = (0..stripe.cells.len()).collect();
-                        scope.spawn(move || {
-                            super::rescue_missing(
-                                stripe,
-                                &all,
-                                self.worker_threads,
-                                &self.observed,
-                                &|k, result| emit(parent_indices[k], result),
-                            )
-                        });
-                    }
+        let mut fleet = Vec::new();
+        let mut live = Vec::new();
+        for (worker, daemon) in launched.into_iter().enumerate() {
+            match daemon {
+                Ok(daemon) => {
+                    fleet.push(daemon);
+                    live.push(worker);
                 }
+                Err(reason) => eprintln!(
+                    "sweep process backend: worker {worker} failed ({reason}); leaving it out \
+                     of the fleet"
+                ),
             }
-            if peers.is_empty() {
-                return;
-            }
-            // The announced daemons' cells, in the shard's cost order.
-            let parents: Vec<usize> = (0..shard.cells.len()).filter(|&p| remote[p]).collect();
-            let sub = CellShard {
-                base_seed: shard.base_seed,
-                code_version: shard.code_version.clone(),
-                cells: parents.iter().map(|&p| shard.cells[p].clone()).collect(),
-            };
-            let mut network = NetworkBackend::new(peers)
-                .rescue_threads(self.worker_threads)
-                .heartbeat_ms(self.heartbeat_ms)
-                .io_deadline_ms(self.io_deadline_ms)
-                .faults(self.faults.refusals_for(&live));
-            if let Some(meter) = &self.progress {
-                network = network.progress(meter.clone());
-            }
-            network.run_shard(&sub, &|k, result| emit(parents[k], result));
-            self.observed.lock().expect("cost observations poisoned").merge(&network.calibration());
-        });
+        }
+        let mut network = NetworkBackend::new(fleet.iter().map(|d| d.addr.clone()).collect())
+            .rescue_threads(self.worker_threads)
+            .heartbeat_ms(self.heartbeat_ms)
+            .io_deadline_ms(self.io_deadline_ms)
+            .faults(self.faults.refusals_for(&live));
+        if let Some(meter) = &self.progress {
+            network = network.progress(meter.clone());
+        }
+        network.run_shard(shard, emit);
+        self.observed.lock().expect("cost observations poisoned").merge(&network.calibration());
     }
 
     fn calibration(&self) -> CostModel {

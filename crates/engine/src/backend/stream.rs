@@ -185,6 +185,8 @@ mod tests {
     use crate::registry::workload;
     use crate::scenario::Scenario;
     use local_graphs::Family;
+    use proptest::prelude::*;
+    use serde::Serialize;
 
     /// A four-cell stripe and the stream a daemon serves for it: four result lines, then the
     /// sentinel.
@@ -246,5 +248,130 @@ mod tests {
         let err = stream.verify_completion().unwrap_err();
         assert!(err.contains("before every cell was emitted"), "{err}");
         assert_eq!(stream.missing(), [index_of(&dropped)]);
+    }
+
+    /// A replacement value for a mutated node: edge-case numbers, strings and shapes.
+    fn odd_value(seed: u64) -> Value {
+        match seed % 12 {
+            0 => Value::Null,
+            1 => Value::Bool(seed & 0x10 != 0),
+            2 => Value::U64(0),
+            3 => Value::U64(u64::MAX >> ((seed >> 8) % 64)),
+            4 => Value::I64(-1 - (seed >> 8) as i64 % 1000),
+            5 => Value::F64(f64::from_bits(seed >> 4)),
+            6 => Value::Str(String::new()),
+            7 => Value::Str(
+                ["mis", "grid", "gnp-d0", "regular-99999999999", "x"][(seed >> 8) as usize % 5]
+                    .into(),
+            ),
+            8 => Value::Seq(Vec::new()),
+            9 => Value::Map(Vec::new()),
+            10 => Value::Seq(vec![Value::U64(seed >> 8); (seed >> 4) as usize % 4]),
+            _ => Value::F64(-0.5),
+        }
+    }
+
+    /// Mutates one node below `value`, reached by a walk steered by `seed`: replaces it
+    /// with an odd value, drops or duplicates a map entry, or truncates a sequence.
+    fn mutate_value(value: &mut Value, seed: u64) {
+        let (choice, next) = (seed % 8, seed / 8);
+        match value {
+            Value::Map(entries) if !entries.is_empty() => {
+                let at = next as usize % entries.len();
+                match choice {
+                    0 => drop(entries.remove(at)),
+                    1 => entries.push(entries[at].clone()),
+                    7 => entries[at].1 = odd_value(next / 8),
+                    _ => mutate_value(&mut entries[at].1, next / 8),
+                }
+            }
+            Value::Seq(items) if !items.is_empty() => {
+                let at = next as usize % items.len();
+                match choice {
+                    0 => items.truncate(at),
+                    7 => items[at] = odd_value(next / 8),
+                    _ => mutate_value(&mut items[at], next / 8),
+                }
+            }
+            _ => *value = odd_value(seed),
+        }
+    }
+
+    /// Applies `ops` to a valid line: tree mutations, then — for odd `flip` — one byte
+    /// overwritten with a JSON-significant character.
+    fn mutate(line: &str, ops: &[u64], flip: u64) -> String {
+        let mut value = serde_json::from_str(line).expect("fixture lines are valid JSON");
+        for &op in ops {
+            mutate_value(&mut value, op);
+        }
+        let mut text = serde_json::to_string(&value).expect("values serialize").into_bytes();
+        if flip % 2 == 1 && !text.is_empty() {
+            let at = (flip >> 1) as usize % text.len();
+            text[at] = b"{}[]\":,-.0e9 "[(flip >> 33) as usize % 13];
+        }
+        String::from_utf8_lossy(&text).into_owned()
+    }
+
+    /// Every line a client or coordinator decodes from the wire, valid: a stream's result
+    /// lines, heartbeat, span dump and sentinel, a shard and a grid.
+    fn valid_lines() -> (CellShard, Vec<String>) {
+        let (stripe, mut lines) = served();
+        let beat =
+            WorkerTelemetry { cells_done: 2, wall_micros: 7, counters: vec![("x".into(), 1)] };
+        lines.push(
+            serde_json::to_string(&Value::Map(vec![("telemetry".into(), beat.to_value())]))
+                .unwrap(),
+        );
+        let dump = SpanDump::from_snapshot(&local_obs::snapshot());
+        lines.push(
+            serde_json::to_string(&Value::Map(vec![("spans".into(), dump.to_value())])).unwrap(),
+        );
+        lines.push(serde_json::to_string(&stripe).unwrap());
+        let grid = crate::scenario::ScenarioGrid::new().sizes([16usize, 24]).replicates(3);
+        lines.push(serde_json::to_string(&grid).unwrap());
+        (stripe, lines)
+    }
+
+    /// Decodes `text` the ways the servers and the client do; the test is that none of
+    /// them panics.
+    fn decode_everywhere(stripe: &CellShard, prefix: &[String], text: &str) {
+        if let Ok(value) = serde_json::from_str(text) {
+            let _ = CellShard::from_value(&value);
+            if let Ok(grid) = crate::scenario::ScenarioGrid::from_value(&value) {
+                assert!(grid.cell_count() <= crate::scenario::MAX_WIRE_GRID_CELLS);
+            }
+        }
+        let mut stream = StripeStream::new(stripe, "worker 0".into(), 0);
+        for line in prefix {
+            if stream.consume(line, None, &mut |_, _| {}).is_err() {
+                break;
+            }
+        }
+        let _ = stream.consume(text, None, &mut |_, _| {});
+        let _ = stream.verify_completion();
+        let _ = stream.missing();
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+        #[test]
+        fn arbitrary_bytes_never_panic_a_decoder(
+            bytes in prop::collection::vec(any::<u8>(), 0..160),
+        ) {
+            let (stripe, lines) = valid_lines();
+            decode_everywhere(&stripe, &lines[..2], &String::from_utf8_lossy(&bytes));
+        }
+
+        #[test]
+        fn mutated_valid_lines_never_panic_a_decoder(
+            pick in any::<u64>(),
+            prefix in 0usize..4,
+            ops in prop::collection::vec(any::<u64>(), 1..4),
+            flip in any::<u64>(),
+        ) {
+            let (stripe, lines) = valid_lines();
+            let line = &lines[pick as usize % lines.len()];
+            decode_everywhere(&stripe, &lines[..prefix], &mutate(line, &ops, flip));
+        }
     }
 }

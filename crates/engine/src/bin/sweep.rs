@@ -15,8 +15,8 @@
 //! the job protocol.
 
 use local_engine::backend::{
-    coordinate_forever, serve_forever, CoordinatorBackend, CoordinatorConfig, FaultPlan,
-    InProcessBackend, NetworkBackend, ProcessBackend, DEFAULT_IO_DEADLINE_MS,
+    coordinate_forever, serve_forever, CoordinatorConfig, FaultPlan, InProcessBackend,
+    NetworkBackend, ProcessBackend, DEFAULT_IO_DEADLINE_MS,
 };
 use local_engine::{
     folded_stacks, parse_sizes, parse_workload, parse_workloads, render_listing, BinaryStore,
@@ -105,7 +105,6 @@ struct Args {
     /// The `--serve` / `--coordinate` bind address.
     addr: String,
     max_concurrent_shards: usize,
-    stripes_per_peer: Option<usize>,
     cells: usize,
     dir: String,
     json: Option<String>,
@@ -283,9 +282,6 @@ const FLAGS: &[Flag] = &[
     flag("--io-deadline-ms", Some("MS"), Coordinate,
         |a, v| set(&mut a.io_deadline_ms, parse_number(v)?),
         "liveness deadline for the fleet's I/O (default 600000)"),
-    flag("--stripes-per-peer", Some("N"), Coordinate,
-        |a, v| set(&mut a.stripes_per_peer, Some(parse_number(v)?)),
-        "stripes per fleet peer each job is split into (default 4)"),
     flag("--faults", Some("SCRIPT"), Coordinate,
         |a, v| set(&mut a.faults, Some(FaultPlan::parse(v)?)),
         "refuse*N clauses towards the fleet (also read from LOCAL_FAULTS)"),
@@ -420,31 +416,25 @@ fn serve(args: Args) -> Result<(), String> {
 /// The `--coordinate` mode: a multi-client scheduling service over a `--connect` daemon
 /// fleet. Runs until killed.
 fn coordinate(args: Args) -> Result<(), String> {
-    let defaults = CoordinatorConfig::default();
     let store = match &args.store_dir {
         Some(dir) => Some(Arc::new(open_store(dir, "drop --store")?) as Arc<dyn ResultStore>),
         None => None,
     };
-    let config = CoordinatorConfig {
-        fleet: args.connect,
-        rescue_threads: args.threads.unwrap_or(defaults.rescue_threads),
-        io_deadline_ms: args.io_deadline_ms,
-        stripes_per_peer: args.stripes_per_peer.map_or(defaults.stripes_per_peer, |n| n.max(1)),
-        faults: args.faults.unwrap_or_else(FaultPlan::from_env_lossy),
-        store,
-        ..defaults
-    };
-    // The coordinator always arms observability: per-client accounting gauges are part of
-    // its contract, not an opt-in.
-    local_obs::enable();
-    local_obs::set_track_name("coordinator");
-    if config.fleet.is_empty() {
+    if args.connect.is_empty() {
         eprintln!(
             "sweep --coordinate: empty fleet (no --connect); every job will be rescued \
              in-process"
         );
     }
-    coordinate_forever(&args.addr, config)
+    let fleet = NetworkBackend::new(args.connect)
+        .rescue_threads(args.threads.unwrap_or(0))
+        .io_deadline_ms(args.io_deadline_ms)
+        .faults(args.faults.unwrap_or_else(FaultPlan::from_env_lossy));
+    // The coordinator always arms observability: per-client accounting gauges are part of
+    // its contract, not an opt-in.
+    local_obs::enable();
+    local_obs::set_track_name("coordinator");
+    coordinate_forever(&args.addr, CoordinatorConfig { fleet, store })
 }
 
 /// A deterministic synthetic result for `sweep store bench` — realistic field shapes
@@ -728,22 +718,16 @@ fn sweep(args: Args) -> Result<(), String> {
             }
             sweep.backend(backend)
         }
-        BackendKind::Network => {
-            let mut backend = NetworkBackend::new(args.connect.clone())
-                .rescue_threads(args.threads.unwrap_or(0))
-                .io_deadline_ms(args.io_deadline_ms)
-                .faults(fault_plan.clone());
-            if let Some(meter) = &meter {
-                backend = backend.progress(meter.clone());
+        BackendKind::Network | BackendKind::Coordinator => {
+            // A coordinator speaks the daemon protocol: `--submit ADDR` is the network
+            // backend over the one peer ADDR, naming this client in every request.
+            let mut backend = match &args.submit {
+                Some(addr) => NetworkBackend::new(vec![addr.clone()]),
+                None => NetworkBackend::new(args.connect.clone()),
             }
-            sweep.backend(backend)
-        }
-        BackendKind::Coordinator => {
-            let mut backend =
-                CoordinatorBackend::new(args.submit.clone().expect("--submit checked at parse"))
-                    .rescue_threads(args.threads.unwrap_or(0))
-                    .io_deadline_ms(args.io_deadline_ms)
-                    .faults(fault_plan.clone());
+            .rescue_threads(args.threads.unwrap_or(0))
+            .io_deadline_ms(args.io_deadline_ms)
+            .faults(fault_plan.clone());
             if let Some(name) = &args.client {
                 backend = backend.client(name.clone());
             }
@@ -986,7 +970,7 @@ mod tests {
         assert_eq!(flags(Serve), "--max-concurrent-shards --serve --threads");
         assert_eq!(
             flags(Coordinate),
-            "--connect --coordinate --faults --io-deadline-ms --store --stripes-per-peer --threads"
+            "--connect --coordinate --faults --io-deadline-ms --store --threads"
         );
         assert_eq!(flags(StoreBench), "--cells --dir --json");
     }

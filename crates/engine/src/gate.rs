@@ -1,4 +1,5 @@
-//! The bounded shared/exclusive gate that replaces a daemon's global serve lock.
+//! The bounded shared/exclusive gate through which a `sweep --serve` daemon admits shard
+//! requests.
 
 use std::sync::{Condvar, Mutex};
 
@@ -47,6 +48,7 @@ impl ConcurrencyGate {
     }
 
     /// The configured shared capacity.
+    #[cfg(test)]
     pub fn capacity(&self) -> usize {
         self.capacity
     }

@@ -56,8 +56,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod accounting;
 pub mod backend;
 pub mod cost;
+mod gate;
 pub mod pool;
 pub mod progress;
 pub mod registry;
@@ -68,8 +70,8 @@ pub mod store;
 pub mod workloads;
 
 pub use backend::{
-    CellShard, CoordinatorBackend, CoordinatorConfig, CoordinatorServer, ExecBackend,
-    FaultInjector, FaultPlan, InProcessBackend, NetworkBackend, ProcessBackend,
+    CellShard, CoordinatorConfig, CoordinatorServer, ExecBackend, FaultInjector, FaultPlan,
+    InProcessBackend, NetworkBackend, ProcessBackend,
 };
 pub use cost::CostModel;
 pub use progress::ProgressMeter;

@@ -251,15 +251,31 @@ impl Deserialize for ScenarioGrid {
         if problems.is_empty() || families.is_empty() {
             return Err("grid with an empty problem or family axis".into());
         }
-        Ok(ScenarioGrid {
+        let grid = ScenarioGrid {
             problems,
             families,
             sizes: Vec::<usize>::from_value(field("sizes")?)?,
             replicates: u64::from_value(field("replicates")?)?.max(1),
             base_seed: u64::from_value(field("base_seed")?)?,
-        })
+        };
+        // A grid line is a few dozen bytes, but its receiver expands it cell by cell: bound
+        // the expansion like a shard line's size bounds a shard.
+        let cells = usize::try_from(grid.replicates).ok().and_then(|replicates| {
+            [grid.families.len(), grid.sizes.len(), replicates]
+                .into_iter()
+                .try_fold(grid.problems.len(), usize::checked_mul)
+        });
+        match cells {
+            Some(cells) if cells <= MAX_WIRE_GRID_CELLS => Ok(grid),
+            _ => Err(format!("grid expands to more than {MAX_WIRE_GRID_CELLS} cells")),
+        }
     }
 }
+
+/// The most cells a grid decoded from the wire may expand to — about as many as the
+/// longest request line a server reads can carry as a shard
+/// ([`crate::backend::MAX_REQUEST_BYTES`], at ~50 bytes per cell).
+pub const MAX_WIRE_GRID_CELLS: usize = 1 << 20;
 
 fn expand_ladder(lo: usize, hi: usize) -> Vec<usize> {
     // Honour the requested start exactly (generators themselves round tiny sizes up);
@@ -399,6 +415,7 @@ mod tests {
             r#"{"problems":["mis"],"families":[],"sizes":[48],"replicates":1,"base_seed":0}"#,
             r#"{"problems":["no-such"],"families":["grid"],"sizes":[48],"replicates":1,"base_seed":0}"#,
             r#"{"families":["grid"],"sizes":[48],"replicates":1,"base_seed":0}"#,
+            r#"{"problems":["mis"],"families":["grid"],"sizes":[48,64],"replicates":18446744073709551615,"base_seed":0}"#,
         ] {
             let value = serde_json::from_str(bad).unwrap();
             assert!(ScenarioGrid::from_value(&value).is_err(), "accepted {bad}");

@@ -13,6 +13,10 @@
 //! built on [`local_runtime::mix_seed`]) and backends emit results keyed by shard index, so
 //! a sweep with `threads = 64` — or two daemons — produces byte-identical results
 //! to `threads = 1` (wall-clock fields aside).
+//!
+//! The module also holds the fleet side of scheduling: `FairScheduler`, the
+//! deficit-round-robin stripe queue from which the remote dispatcher (`backend::dispatch`)
+//! deals stripes to daemon peers, fair by predicted cost between clients.
 
 use crate::backend::{CellShard, ExecBackend, InProcessBackend};
 use crate::cost::CostModel;
@@ -23,8 +27,8 @@ use crate::store::ResultStore;
 use local_graphs::{GraphParams, InstanceKey};
 use local_obs::metrics as obs_metrics;
 use local_runtime::{Graph, Session};
-use std::collections::BTreeSet;
-use std::sync::{Arc, Mutex};
+use std::collections::{BTreeSet, HashMap, VecDeque};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
 
 /// Execution settings of one sweep.
@@ -425,6 +429,251 @@ pub fn run_cell_in(
     result
 }
 
+/// Eligibility slack for the fair scheduler's floating-point deficits.
+const EPS: f64 = 1e-9;
+
+/// One schedulable unit of fleet work: a client's task with its cost (the fairness
+/// currency) and the peers that already failed it (a failed peer never gets the same task
+/// twice).
+#[derive(Debug)]
+pub(crate) struct TaskEntry<T> {
+    /// The caller's task body (the dispatcher stores a stripe and its job here).
+    pub payload: T,
+    /// Owning client key; fairness is enforced between these.
+    pub client: String,
+    /// Predicted cost. Deficit round-robin shares the fleet by summed cost, so a client
+    /// submitting few huge stripes and one submitting many small ones get equal bandwidth.
+    pub cost: f64,
+    /// Peers that already failed this task, in failure order. A task fails on each peer
+    /// at most once, so the list stays as short as the fleet's failures.
+    pub attempted: Vec<usize>,
+}
+
+impl<T> TaskEntry<T> {
+    /// A fresh task no peer has attempted.
+    pub fn new(payload: T, client: impl Into<String>, cost: f64) -> Self {
+        TaskEntry { payload, client: client.into(), cost: cost.max(0.0), attempted: Vec::new() }
+    }
+
+    /// True when `peer` may serve this task (it has not failed it before).
+    pub fn servable_by(&self, peer: usize) -> bool {
+        !self.attempted.contains(&peer)
+    }
+
+    /// Marks `peer` as having attempted (and failed) this task.
+    pub fn mark_attempted(&mut self, peer: usize) {
+        if self.servable_by(peer) {
+            self.attempted.push(peer);
+        }
+    }
+}
+
+struct ClientQueue<T> {
+    deficit: f64,
+    tasks: VecDeque<TaskEntry<T>>,
+}
+
+impl<T> ClientQueue<T> {
+    /// Position and cost of the first task `peer` may serve, in queue (LPT) order.
+    fn first_servable(&self, peer: usize) -> Option<(usize, f64)> {
+        self.tasks.iter().position(|t| t.servable_by(peer)).map(|pos| (pos, self.tasks[pos].cost))
+    }
+}
+
+struct SchedState<T> {
+    queues: Vec<ClientQueue<T>>,
+    index: HashMap<String, usize>,
+    /// Round-robin pointer into `queues`; advanced past a queue after serving it.
+    cursor: usize,
+    live: Vec<bool>,
+    shutdown: bool,
+}
+
+impl<T> SchedState<T> {
+    fn queue_for(&mut self, client: &str) -> usize {
+        if let Some(&qi) = self.index.get(client) {
+            return qi;
+        }
+        let qi = self.queues.len();
+        self.queues.push(ClientQueue { deficit: 0.0, tasks: VecDeque::new() });
+        self.index.insert(client.to_string(), qi);
+        qi
+    }
+
+    fn any_live_can_serve(&self, task: &TaskEntry<T>) -> bool {
+        self.live.iter().enumerate().any(|(p, &up)| up && task.servable_by(p))
+    }
+}
+
+/// A deficit-round-robin task queue shared by a fleet of peer worker threads — the queue
+/// of the remote dispatcher (`backend::dispatch`).
+///
+/// Every client gets a FIFO queue (callers enqueue each job's stripes in LPT order, so
+/// the head is the costliest remaining stripe) and a *deficit* measured in task cost.
+/// When a peer asks for work and no queue's head is affordable, every contending queue's
+/// deficit is topped up by the minimum shortfall ("water-filling" — the continuous-time
+/// limit of classic DRR quanta), so the queue with the cheapest head becomes eligible
+/// first and clients are served proportionally to cost, not task count. After a pop the
+/// round-robin cursor advances, interleaving clients whenever several are eligible.
+///
+/// Peers are numbered `0..peers` and fixed at construction. A peer that fails a task
+/// joins the task's `attempted` list; [`requeue`] refuses a task no live peer can serve,
+/// and [`peer_down`] drains every task stranded the same way — in both cases the caller
+/// rescues the work locally, so nothing is silently dropped.
+///
+/// [`requeue`]: FairScheduler::requeue
+/// [`peer_down`]: FairScheduler::peer_down
+pub(crate) struct FairScheduler<T> {
+    state: Mutex<SchedState<T>>,
+    ready: Condvar,
+}
+
+impl<T> FairScheduler<T> {
+    /// A scheduler over `peers` fleet slots (all initially live).
+    pub fn new(peers: usize) -> Self {
+        FairScheduler {
+            state: Mutex::new(SchedState {
+                queues: Vec::new(),
+                index: HashMap::new(),
+                cursor: 0,
+                live: vec![true; peers],
+                shutdown: false,
+            }),
+            ready: Condvar::new(),
+        }
+    }
+
+    /// How many peers are still live.
+    #[cfg(test)]
+    pub fn live_peers(&self) -> usize {
+        self.state.lock().expect("scheduler poisoned").live.iter().filter(|&&l| l).count()
+    }
+
+    /// Tasks currently queued (all clients).
+    #[cfg(test)]
+    pub fn queued_tasks(&self) -> usize {
+        self.state.lock().expect("scheduler poisoned").queues.iter().map(|q| q.tasks.len()).sum()
+    }
+
+    /// Enqueues `tasks` on their clients' queues, in order. Fails — returning the tasks
+    /// untouched — when no peer is live, so the caller can rescue the job locally instead
+    /// of parking it forever.
+    pub fn submit(&self, tasks: Vec<TaskEntry<T>>) -> Result<(), Vec<TaskEntry<T>>> {
+        let mut state = self.state.lock().expect("scheduler poisoned");
+        if !state.live.iter().any(|&l| l) {
+            return Err(tasks);
+        }
+        for task in tasks {
+            let qi = state.queue_for(&task.client);
+            state.queues[qi].tasks.push_back(task);
+        }
+        drop(state);
+        self.ready.notify_all();
+        Ok(())
+    }
+
+    /// Puts a partially-failed task back at the *front* of its client's queue (its cells
+    /// are already late). Fails — returning the task — when no live peer outside its
+    /// `attempted` list remains.
+    pub fn requeue(&self, task: TaskEntry<T>) -> Result<(), TaskEntry<T>> {
+        let mut state = self.state.lock().expect("scheduler poisoned");
+        if !state.any_live_can_serve(&task) {
+            return Err(task);
+        }
+        let qi = state.queue_for(&task.client);
+        state.queues[qi].tasks.push_front(task);
+        drop(state);
+        self.ready.notify_all();
+        Ok(())
+    }
+
+    /// Marks `peer` dead and drains every queued task the remaining live fleet can no
+    /// longer serve (for local rescue by the caller). Idempotent.
+    pub fn peer_down(&self, peer: usize) -> Vec<TaskEntry<T>> {
+        let mut state = self.state.lock().expect("scheduler poisoned");
+        state.live[peer] = false;
+        let mut stranded = Vec::new();
+        for qi in 0..state.queues.len() {
+            let mut kept = VecDeque::new();
+            while let Some(task) = state.queues[qi].tasks.pop_front() {
+                if state.any_live_can_serve(&task) {
+                    kept.push_back(task);
+                } else {
+                    stranded.push(task);
+                }
+            }
+            state.queues[qi].tasks = kept;
+            if state.queues[qi].tasks.is_empty() {
+                state.queues[qi].deficit = 0.0;
+            }
+        }
+        drop(state);
+        self.ready.notify_all();
+        stranded
+    }
+
+    /// Ends the scheduler: every blocked and future [`next`](FairScheduler::next) call
+    /// returns `None`.
+    pub fn shutdown(&self) {
+        self.state.lock().expect("scheduler poisoned").shutdown = true;
+        self.ready.notify_all();
+    }
+
+    /// Blocks until a task `peer` may serve is scheduled to it (`None` once the scheduler
+    /// shuts down or the peer was marked dead).
+    pub fn next(&self, peer: usize) -> Option<TaskEntry<T>> {
+        let mut state = self.state.lock().expect("scheduler poisoned");
+        loop {
+            if state.shutdown || !state.live.get(peer).copied().unwrap_or(false) {
+                return None;
+            }
+            // Water-filled DRR pass: pop the first affordable head from the cursor on;
+            // when none is affordable, top every contending queue up by the minimum
+            // shortfall and retry (terminates — some queue then affords its head).
+            loop {
+                let n = state.queues.len();
+                let mut popped = None;
+                for step in 0..n {
+                    let qi = (state.cursor + step) % n;
+                    let Some((pos, cost)) = state.queues[qi].first_servable(peer) else {
+                        continue;
+                    };
+                    if state.queues[qi].deficit + EPS >= cost {
+                        popped = Some((qi, pos, cost));
+                        break;
+                    }
+                }
+                if let Some((qi, pos, cost)) = popped {
+                    let queue = &mut state.queues[qi];
+                    queue.deficit -= cost;
+                    let task = queue.tasks.remove(pos).expect("position just found");
+                    if queue.tasks.is_empty() {
+                        // Classic DRR: an idle queue accumulates no credit.
+                        queue.deficit = 0.0;
+                    }
+                    state.cursor = (qi + 1) % n.max(1);
+                    return Some(task);
+                }
+                let shortfall = (0..n)
+                    .filter_map(|qi| {
+                        let (_, cost) = state.queues[qi].first_servable(peer)?;
+                        Some(cost - state.queues[qi].deficit)
+                    })
+                    .fold(f64::INFINITY, f64::min);
+                if !shortfall.is_finite() {
+                    break; // nothing this peer can serve — sleep
+                }
+                for qi in 0..n {
+                    if state.queues[qi].first_servable(peer).is_some() {
+                        state.queues[qi].deficit += shortfall.max(EPS);
+                    }
+                }
+            }
+            state = self.ready.wait(state).expect("scheduler poisoned");
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -494,5 +743,142 @@ mod tests {
         let ia = Instance::generate(a.instance_key(3));
         let ib = Instance::generate(b.instance_key(3));
         assert_eq!(ia.graph, ib.graph);
+    }
+
+    fn pop_sequence(sched: &FairScheduler<&'static str>, peer: usize, n: usize) -> Vec<String> {
+        (0..n).map(|_| sched.next(peer).expect("task available").client).collect()
+    }
+
+    #[test]
+    fn equal_cost_clients_interleave_one_for_one() {
+        let sched = FairScheduler::new(1);
+        sched
+            .submit(
+                (0..4)
+                    .flat_map(|_| {
+                        [TaskEntry::new("t", "alpha", 10.0), TaskEntry::new("t", "beta", 10.0)]
+                    })
+                    .collect(),
+            )
+            .unwrap();
+        let seq = pop_sequence(&sched, 0, 8);
+        assert_eq!(seq, vec!["alpha", "beta", "alpha", "beta", "alpha", "beta", "alpha", "beta"]);
+    }
+
+    #[test]
+    fn fairness_is_by_cost_not_task_count() {
+        // alpha's stripes cost 3x beta's: cost-fair service gives beta three tasks for
+        // every alpha task, regardless of queue lengths.
+        let sched = FairScheduler::new(1);
+        let mut tasks: Vec<TaskEntry<&str>> =
+            (0..4).map(|_| TaskEntry::new("t", "alpha", 30.0)).collect();
+        tasks.extend((0..12).map(|_| TaskEntry::new("t", "beta", 10.0)));
+        sched.submit(tasks).unwrap();
+        let seq = pop_sequence(&sched, 0, 12);
+        let alpha = seq.iter().filter(|c| *c == "alpha").count();
+        let beta = seq.iter().filter(|c| *c == "beta").count();
+        assert_eq!(alpha, 3, "cost-weighted share, got {seq:?}");
+        assert_eq!(beta, 9);
+        // And neither client is fully served before the other starts.
+        assert!(seq[..4].iter().any(|c| c == "alpha"));
+        assert!(seq[..4].iter().any(|c| c == "beta"));
+    }
+
+    #[test]
+    fn late_clients_are_not_starved_by_a_deep_early_queue() {
+        let sched = FairScheduler::new(1);
+        sched.submit((0..10).map(|_| TaskEntry::new("t", "early", 5.0)).collect()).unwrap();
+        assert_eq!(sched.next(0).unwrap().client, "early");
+        sched.submit((0..3).map(|_| TaskEntry::new("t", "late", 5.0)).collect()).unwrap();
+        let seq = pop_sequence(&sched, 0, 6);
+        assert!(
+            seq.iter().take(2).any(|c| c == "late"),
+            "late client waited behind the whole early queue: {seq:?}"
+        );
+    }
+
+    #[test]
+    fn attempted_peers_never_get_the_same_task_back() {
+        let sched = FairScheduler::new(2);
+        let mut task = TaskEntry::new("t", "solo", 1.0);
+        task.mark_attempted(0);
+        sched.submit(vec![task]).unwrap();
+        // Peer 1 may serve it; peer 0 must not. (next(0) would block, so check servability
+        // through requeue/drain instead of racing a blocked call.)
+        let got = sched.next(1).expect("peer 1 serves the task");
+        assert!(!got.servable_by(0));
+        assert!(got.servable_by(1));
+    }
+
+    #[test]
+    fn requeue_fails_once_every_live_peer_has_attempted() {
+        let sched: FairScheduler<&str> = FairScheduler::new(2);
+        let mut task = TaskEntry::new("t", "solo", 1.0);
+        task.mark_attempted(0);
+        task.mark_attempted(1);
+        let rejected = sched.requeue(task).expect_err("no peer left to serve it");
+        assert_eq!(rejected.attempted, vec![0, 1]);
+        // With a peer down, a task attempted only by the survivor is equally stranded.
+        let drained = sched.peer_down(1);
+        assert!(drained.is_empty());
+        let mut task = TaskEntry::new("t", "solo", 1.0);
+        task.mark_attempted(0);
+        assert!(sched.requeue(task).is_err());
+    }
+
+    #[test]
+    fn peer_death_drains_exactly_the_stranded_tasks() {
+        let sched = FairScheduler::new(2);
+        let mut hit_by_1 = TaskEntry::new("stranded", "c", 1.0);
+        hit_by_1.mark_attempted(1);
+        sched
+            .submit(vec![
+                TaskEntry::new("fresh", "c", 1.0),
+                hit_by_1,
+                TaskEntry::new("fresh", "c", 1.0),
+            ])
+            .unwrap();
+        // Peer 1 dies: the task it already failed could still run on peer 0… so nothing
+        // is stranded. Then peer 0 dies: everything left is stranded.
+        assert!(sched.peer_down(1).is_empty());
+        let stranded = sched.peer_down(0);
+        assert_eq!(stranded.len(), 3);
+        assert_eq!(sched.queued_tasks(), 0);
+        assert_eq!(sched.live_peers(), 0);
+    }
+
+    #[test]
+    fn submit_is_refused_with_no_live_fleet() {
+        let sched = FairScheduler::new(1);
+        sched.peer_down(0);
+        let returned =
+            sched.submit(vec![TaskEntry::new("t", "c", 1.0)]).expect_err("fleet is gone");
+        assert_eq!(returned.len(), 1);
+    }
+
+    #[test]
+    fn shutdown_unblocks_waiting_peers() {
+        let sched: std::sync::Arc<FairScheduler<()>> = std::sync::Arc::new(FairScheduler::new(1));
+        let waiter = {
+            let sched = sched.clone();
+            std::thread::spawn(move || sched.next(0))
+        };
+        std::thread::sleep(std::time::Duration::from_millis(50));
+        sched.shutdown();
+        assert!(waiter.join().unwrap().is_none());
+    }
+
+    #[test]
+    fn lpt_order_within_a_client_is_preserved() {
+        let sched = FairScheduler::new(1);
+        sched
+            .submit(vec![
+                TaskEntry::new("big", "c", 30.0),
+                TaskEntry::new("mid", "c", 20.0),
+                TaskEntry::new("small", "c", 10.0),
+            ])
+            .unwrap();
+        let order: Vec<&str> = (0..3).map(|_| sched.next(0).unwrap().payload).collect();
+        assert_eq!(order, vec!["big", "mid", "small"]);
     }
 }

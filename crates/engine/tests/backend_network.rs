@@ -6,7 +6,7 @@
 //! * a daemon killed mid-sweep (scripted via `LOCAL_FAULTS`) loses nothing: verified cells
 //!   stand, the remainder is re-dispatched to the healthy peer;
 //! * refused connections retry through the capped backoff and recover;
-//! * an unreachable fleet degrades all the way to in-process rescue;
+//! * an unreachable fleet degrades all the way to in-process rescue, at any fleet width;
 //! * hostile requests (a 200 000-deep bracket bomb, a line over the request cap) get an
 //!   error line, not a crash;
 //! * every degradation increments the observable resilience counters;
@@ -253,6 +253,20 @@ fn an_unreachable_fleet_degrades_to_in_process_rescue() {
 }
 
 #[test]
+fn a_fleet_wider_than_64_peers_degrades_like_any_other() {
+    let _guard = SERIAL.lock().unwrap();
+    let grid = demo_grid();
+    let reference = run_grid(&grid, &SweepConfig::with_threads(1));
+    // 65 unreachable peers, one connect attempt each: a task's failed peers are a list,
+    // not a 64-bit mask, so the fleet width is not capped.
+    let fleet = vec!["127.0.0.1:1".to_string(); 65];
+    let candidate = Sweep::over(&grid)
+        .backend(NetworkBackend::new(fleet).retry(1, 1, 1).rescue_threads(1))
+        .run();
+    assert_reports_identical(&reference, &candidate, "65 unreachable peers");
+}
+
+#[test]
 fn a_bracket_bomb_is_refused_and_the_daemon_keeps_serving() {
     let _guard = SERIAL.lock().unwrap();
     let grid = demo_grid();
@@ -318,7 +332,6 @@ fn malformed_numbers_stop_serve_and_coordinate_before_they_listen() {
         ["--serve", "127.0.0.1:0", "--max-concurrent-shards", "-1"],
         ["--coordinate", "127.0.0.1:0", "--threads", "abc"],
         ["--coordinate", "127.0.0.1:0", "--io-deadline-ms", "soon"],
-        ["--coordinate", "127.0.0.1:0", "--stripes-per-peer", "x"],
     ] {
         let mut child = Command::new(env!("CARGO_BIN_EXE_sweep"))
             .args(args)

@@ -16,8 +16,8 @@
 
 use local_engine::backend::{FaultPlan, LocalDaemon};
 use local_engine::{
-    run_grid, workload, CoordinatorBackend, CoordinatorConfig, CoordinatorServer, Report,
-    ScenarioGrid, Sweep, SweepConfig,
+    run_grid, workload, CoordinatorConfig, CoordinatorServer, NetworkBackend, Report, ScenarioGrid,
+    Sweep, SweepConfig,
 };
 use local_graphs::{family, Family};
 use serde::Serialize;
@@ -58,18 +58,21 @@ fn spawn_daemon(faults: Option<&str>) -> LocalDaemon {
 /// Binds an in-process coordinator over `fleet` with test-friendly (fast-failing) retry
 /// settings and runs it on a detached thread; returns the address clients submit to.
 fn start_coordinator(fleet: Vec<String>) -> String {
-    let config = CoordinatorConfig {
-        fleet,
-        rescue_threads: 1,
-        retry_base_ms: 5,
-        retry_cap_ms: 50,
-        max_connect_attempts: 2,
-        ..CoordinatorConfig::default()
-    };
+    let config = CoordinatorConfig { fleet: test_fleet(fleet), store: None };
     let server = CoordinatorServer::bind("127.0.0.1:0", config).expect("coordinator binds");
     let addr = server.local_addr().expect("coordinator has an address").to_string();
     thread::spawn(move || server.run());
     addr
+}
+
+/// The fleet transport with fast-failing retry settings.
+fn test_fleet(peers: Vec<String>) -> NetworkBackend {
+    NetworkBackend::new(peers).rescue_threads(1).retry(5, 50, 2).faults(FaultPlan::default())
+}
+
+/// A `--submit` client: the network backend over the one peer, the coordinator.
+fn submitter(coordinator: String, name: &str) -> NetworkBackend {
+    NetworkBackend::new(vec![coordinator]).client(name)
 }
 
 fn counters() -> (u64, u64, u64) {
@@ -106,9 +109,7 @@ fn two_concurrent_clients_each_get_byte_identical_reports() {
     let submit = |grid: ScenarioGrid, name: &str| {
         let addr = coordinator.clone();
         let name = name.to_string();
-        thread::spawn(move || {
-            Sweep::over(&grid).backend(CoordinatorBackend::new(addr).client(name)).run()
-        })
+        thread::spawn(move || Sweep::over(&grid).backend(submitter(addr, &name)).run())
     };
     let candidate_a = submit(grid_a.clone(), "alpha");
     let candidate_b = submit(grid_b.clone(), "beta");
@@ -140,8 +141,7 @@ fn a_daemon_killed_mid_job_rescues_exactly_the_unverified_cells() {
     let doomed = spawn_daemon(Some("kill@5"));
     let coordinator = start_coordinator(vec![doomed.addr().to_string()]);
     let (verified0, rescued0, _) = counters();
-    let candidate =
-        Sweep::over(&grid).backend(CoordinatorBackend::new(coordinator).client("mourner")).run();
+    let candidate = Sweep::over(&grid).backend(submitter(coordinator, "mourner")).run();
     assert_reports_identical(&reference, &candidate, "killed fleet");
     let (verified1, rescued1, _) = counters();
     assert_eq!(verified1 - verified0, 5, "the 5 cells served before the kill stand");
@@ -239,22 +239,15 @@ fn a_store_backed_coordinator_serves_repeat_submissions_without_the_fleet() {
 
     let daemon = spawn_daemon(None);
     let config = CoordinatorConfig {
-        fleet: vec![daemon.addr().to_string()],
-        rescue_threads: 1,
-        retry_base_ms: 5,
-        retry_cap_ms: 50,
-        max_connect_attempts: 2,
+        fleet: test_fleet(vec![daemon.addr().to_string()]),
         store: Some(Arc::clone(&store) as Arc<dyn ResultStore>),
-        ..CoordinatorConfig::default()
     };
     let server = CoordinatorServer::bind("127.0.0.1:0", config).expect("coordinator binds");
     let coordinator = server.local_addr().expect("coordinator has an address").to_string();
     thread::spawn(move || server.run());
 
     // First submission runs on the fleet; every fresh cell is written back to the store.
-    let first = Sweep::over(&grid)
-        .backend(CoordinatorBackend::new(coordinator.clone()).client("first"))
-        .run();
+    let first = Sweep::over(&grid).backend(submitter(coordinator.clone(), "first")).run();
     assert_reports_identical(&reference, &first, "first store-backed submission");
     assert_eq!(
         store.stats().records_appended,
@@ -266,8 +259,7 @@ fn a_store_backed_coordinator_serves_repeat_submissions_without_the_fleet() {
     // the store — no rescue, no daemon.
     drop(daemon);
     let (_, rescued0, _) = counters();
-    let second =
-        Sweep::over(&grid).backend(CoordinatorBackend::new(coordinator).client("second")).run();
+    let second = Sweep::over(&grid).backend(submitter(coordinator, "second")).run();
     assert_reports_identical(&reference, &second, "store-served submission");
     let (_, rescued1, _) = counters();
     assert_eq!(rescued1 - rescued0, 0, "store hits must not touch the rescue path");
