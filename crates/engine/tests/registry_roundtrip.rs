@@ -1,7 +1,8 @@
 //! The registry contracts, end to end: every registered name (workloads and families,
 //! builtin and parameterized) parses back to itself, tags are pairwise distinct, and the
 //! identities derived from them (instance keys, result-store keys) separate parameterized
-//! families that the closed catalog used to collapse.
+//! families that the closed catalog used to collapse. A golden file pins the registry's
+//! observable facts: the `sweep --list` text, and each name's tag and cost prior.
 
 use local_engine::{
     default_workloads, parse_workload, render_listing, run_cell, workload, BinaryStore, Instance,
@@ -121,5 +122,72 @@ fn listing_is_nonempty_and_names_every_registry_entry() {
     }
     for spec in builtin_families() {
         assert!(listing.contains(spec.name()), "listing is missing {}", spec.name());
+    }
+}
+
+/// Every fact of the registry a report, a seed or a schedule depends on: the `sweep --list`
+/// bytes, then `input -> name tag cost` per workload and per family. Cost shapes and factors
+/// only order the work queue, so no results file would catch a slip in them.
+fn registry_facts() -> String {
+    let mut out = render_listing();
+    let mut workloads: Vec<String> = default_workloads().iter().map(|w| w.name().into()).collect();
+    workloads.extend(
+        [
+            "ruling-set",
+            "ruling-set-b3",
+            "ruling-set-b7",
+            "ruling-set-b65279",
+            "lambda1-coloring",
+            "lambda2-coloring",
+            "lambda8-coloring",
+            "lambda1048575-coloring",
+        ]
+        .map(String::from),
+    );
+    for name in workloads {
+        let spec = workload(&name);
+        out.push_str(&format!(
+            "workload {name} -> {} {} {:?}\n",
+            spec.name(),
+            spec.tag(),
+            spec.cost_shape()
+        ));
+    }
+    let mut families: Vec<String> = sample_families().iter().map(|f| f.name().into()).collect();
+    families.extend(
+        [
+            "sparse-gnp",
+            "tree",
+            "regular-6",
+            "forest-3",
+            "pa-3",
+            "gnp-d0",
+            "gnp-d1048575",
+            "unit-disk-r0",
+        ]
+        .map(String::from),
+    );
+    for name in families {
+        let spec = family(&name);
+        out.push_str(&format!(
+            "family {name} -> {} {} {:?}\n",
+            spec.name(),
+            spec.tag(),
+            spec.cost_factor()
+        ));
+    }
+    out
+}
+
+#[test]
+fn registry_facts_match_the_golden_file() {
+    let expected = include_str!("golden/registry_facts.txt");
+    let actual = registry_facts();
+    if actual != expected {
+        for (line, (a, e)) in actual.lines().zip(expected.lines()).enumerate() {
+            assert_eq!(a, e, "registry facts differ from the golden file at line {}", line + 1);
+        }
+        assert_eq!(actual.lines().count(), expected.lines().count(), "registry facts length");
+        assert_eq!(actual, expected);
     }
 }
