@@ -9,9 +9,10 @@
 //! resort are therefore the network backend's — one remote transport, one fleet
 //! dispatcher. A daemon that never announces an address — dead on arrival, killed,
 //! printing garbage, or silent past the connect timeout — is simply left out of the fleet;
-//! if none announces, the dispatcher rescues the whole shard in-process. Every daemon is
-//! killed and reaped when the shard ends, on return and on unwind, so no failure path
-//! leaks a zombie.
+//! if none announces, the dispatcher rescues the whole shard in-process. Every daemon and
+//! everything it forked is killed, and the daemon reaped, when the shard ends, on return
+//! and on unwind, so no failure path leaks a zombie or an orphaned grandchild. Daemons
+//! stay in the sweep's process group, so the terminal's Ctrl-C reaches them too.
 //!
 //! # Fault injection
 //!
@@ -33,17 +34,57 @@ use std::process::{Child, Command, Stdio};
 use std::sync::{mpsc, Mutex};
 use std::time::Duration;
 
-/// A child process that is *always* killed and reaped when dropped — on the normal path and
-/// when the owning thread unwinds (a panicking emit, an early error return). Without this,
-/// an abandoned child outlives the backend, as a zombie once it exits.
+/// A child process that is *always* killed and reaped, together with every process it
+/// forked, when dropped — on the normal path and when the owning thread unwinds (a
+/// panicking emit, an early error return). Without this, an abandoned child outlives the
+/// backend, as a zombie once it exits, and what a wrapper command forked (`sh -c` running
+/// the real daemon) lives on as an orphan.
 #[derive(Debug)]
 struct ReapGuard(Child);
 
 impl Drop for ReapGuard {
     fn drop(&mut self) {
+        // Descendants first: once the child dies they are reparented and cannot be found.
+        // The crate has no `unsafe` and no libc, so they are signalled through kill(1).
+        let descendants = descendants(self.0.id());
+        if !descendants.is_empty() {
+            let _ = Command::new("kill")
+                .arg("-KILL")
+                .arg("--")
+                .args(descendants.iter().map(u32::to_string))
+                .stdin(Stdio::null())
+                .stdout(Stdio::null())
+                .stderr(Stdio::null())
+                .status();
+        }
         let _ = self.0.kill();
         let _ = self.0.wait();
     }
+}
+
+/// The pids of every live descendant of `root`, read from `/proc` (none where it is absent).
+fn descendants(root: u32) -> Vec<u32> {
+    let mut parents = Vec::new();
+    for entry in std::fs::read_dir("/proc").into_iter().flatten().flatten() {
+        let Some(pid) = entry.file_name().to_str().and_then(|name| name.parse::<u32>().ok()) else {
+            continue;
+        };
+        // The parent pid is the second field after the parenthesized (and possibly
+        // space-containing) command name.
+        let Ok(stat) = std::fs::read_to_string(entry.path().join("stat")) else { continue };
+        let ppid = stat.rsplit_once(')').and_then(|(_, rest)| rest.split_whitespace().nth(1));
+        if let Some(ppid) = ppid.and_then(|ppid| ppid.parse::<u32>().ok()) {
+            parents.push((pid, ppid));
+        }
+    }
+    let mut found = vec![root];
+    let mut next = 0;
+    while next < found.len() {
+        let parent = found[next];
+        found.extend(parents.iter().filter(|&&(_, ppid)| ppid == parent).map(|&(pid, _)| pid));
+        next += 1;
+    }
+    found.split_off(1)
 }
 
 /// One local `sweep --serve 127.0.0.1:0` daemon on an OS-assigned port, killed and reaped on

@@ -44,6 +44,17 @@ fn children() -> Vec<(u32, String, char)> {
     out
 }
 
+/// Pids of every process on the machine whose command line is exactly `argv`.
+fn processes_running(argv: &[&str]) -> Vec<u32> {
+    let wanted: Vec<u8> = argv.iter().flat_map(|arg| arg.bytes().chain([0])).collect();
+    let Ok(entries) = std::fs::read_dir("/proc") else { return Vec::new() };
+    entries
+        .flatten()
+        .filter_map(|entry| entry.file_name().to_str()?.parse::<u32>().ok())
+        .filter(|pid| std::fs::read(format!("/proc/{pid}/cmdline")).is_ok_and(|c| c == wanted))
+        .collect()
+}
+
 /// Polls until no child matching `predicate` remains (they may need a scheduler tick to
 /// finish dying); returns the survivors on timeout.
 fn settle(predicate: impl Fn(&(u32, String, char)) -> bool) -> Vec<(u32, String, char)> {
@@ -93,10 +104,26 @@ fn hung_workers_are_killed_at_the_deadline_and_reaped() {
     let _guard = SERIAL.lock().unwrap();
     let grid = small_grid();
     let wedged = vec!["/bin/sh".to_string(), "-c".to_string(), "sleep 600".to_string()];
+    // A shell that forks `sleep` instead of exec'ing it (dash does) leaves `sleep` a
+    // grandchild: once the shell dies it is reparented, so `settle` no longer sees it.
+    // Whatever `sleep 600` ran before this sweep is not this sweep's.
+    let before = processes_running(&["sleep", "600"]);
     let report = Sweep::over(&grid)
         .backend(ProcessBackend::with_command(1, wedged).io_deadline_ms(300))
         .run();
     assert_eq!(report.cell_count, grid.cell_count(), "the rescue path still delivers");
     let leftover = settle(|(_, comm, state)| comm == "sleep" || comm == "sh" || *state == 'Z');
     assert!(leftover.is_empty(), "a wedged worker was not killed and reaped: {leftover:?}");
+    let deadline = Instant::now() + Duration::from_secs(5);
+    let orphans = loop {
+        let orphans: Vec<u32> = processes_running(&["sleep", "600"])
+            .into_iter()
+            .filter(|pid| !before.contains(pid))
+            .collect();
+        if orphans.is_empty() || Instant::now() > deadline {
+            break orphans;
+        }
+        std::thread::sleep(Duration::from_millis(50));
+    };
+    assert!(orphans.is_empty(), "the wedged worker's `sleep 600` outlived it: {orphans:?}");
 }
