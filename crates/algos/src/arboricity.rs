@@ -13,7 +13,7 @@
 //! non-uniform colouring MIS with degree guess `(2+ε)·ã` finishes each layer quickly.
 //!
 //! Substitution note (DESIGN.md): the paper cites the `O(log n / log log n)` MIS of
-//! Barenboim–Elkin [6]; our layer-by-layer pipeline has the same parameter set `{a, n, m}` and
+//! Barenboim–Elkin \[6\]; our layer-by-layer pipeline has the same parameter set `{a, n, m}` and
 //! a bound of the form `ℓ(ñ) · (poly(ã) + log* m̃)`, which is what Theorem 3 consumes (`Γ =
 //! {a, n}` weakly dominated by `Λ = {n}` because `a ≤ n` and `m` plays the role the paper
 //! assigns to identities).

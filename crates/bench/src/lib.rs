@@ -3,7 +3,7 @@
 //! Regenerates the paper's evaluation artefacts. Since the introduction of the
 //! `local-engine` crate the Table 1 rows and the scaling series are *thin presets over the
 //! engine*: each row is one engine cell ([`local_engine::run_cell`]) pairing a
-//! [`local_engine::ProblemKind`] with its canonical graph family, and the full table runs
+//! [`local_engine::WorkloadSpec`] with its canonical graph family, and the full table runs
 //! the rows in parallel over the engine's pool.
 //!
 //! * **Table 1** ([`table1_rows`]): for every row, the measured round count of the non-uniform

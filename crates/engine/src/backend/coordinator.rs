@@ -1,7 +1,7 @@
 //! The sweep coordinator: many clients, one daemon fleet, fair shared scheduling.
 //!
 //! `sweep --coordinate ADDR` runs a [`CoordinatorServer`]: the TCP front of one long-lived
-//! fleet dispatcher ([`super::dispatch`]). It accepts any number of concurrent client
+//! fleet dispatcher (`backend/dispatch.rs`). It accepts any number of concurrent client
 //! connections, each submitting *jobs* — one JSON line per job, either `{"shard":
 //! <CellShard>, …}` (what `--submit` ships: a [`NetworkBackend`] whose one peer is the
 //! coordinator) or `{"grid": <ScenarioGrid>, …}` (for hand-written clients; the grid is
@@ -16,7 +16,7 @@
 //! # The determinism and loss contracts
 //!
 //! Every result line a daemon sends is verified against the submitted cells by the same
-//! [`super::stream::StripeStream`] state machine the network backend uses, and every cell
+//! `StripeStream` state machine the network backend uses, and every cell
 //! seed is a pure function of the cell's identity — so a sweep submitted through the
 //! coordinator is byte-identical (deterministic view) to the same sweep run in-process, no
 //! matter how stripes interleave over the fleet. A daemon that dies mid-stripe goes through

@@ -5,7 +5,7 @@
 //!
 //! The client writes one JSON *request line* per stripe over the socket —
 //! `{"shard": <CellShard>, "telemetry": <ms>?, "client": <name>?}` — and the daemon answers
-//! with a newline-delimited stream verified by [`super::stream`]: one `{"index": i, "cell":
+//! with a newline-delimited stream verified by `backend/stream.rs`: one `{"index": i, "cell":
 //! {…}}` line per finished cell (in completion order — the index maps back to the stripe),
 //! optional `{"telemetry": …}` heartbeats and one `{"spans": …}` dump when telemetry was
 //! requested, and a `{"done": n, "observations": […]}` sentinel carrying the daemon's
@@ -19,7 +19,7 @@
 //! # Robustness discipline
 //!
 //! [`NetworkBackend::run_shard`] is a one-job run of the fleet dispatcher
-//! ([`super::dispatch`]): one stripe per peer, pulled from a fair queue by one worker per
+//! (`backend/dispatch.rs`): one stripe per peer, pulled from a fair queue by one worker per
 //! peer. Every connect carries a deadline, every read and write a liveness window
 //! ([`super::liveness_window`] — heartbeats shrink it from the configured I/O deadline to a
 //! few heartbeat intervals). Failed connects retry with capped exponential backoff and

@@ -66,7 +66,7 @@ const RESULT_WIRE_VERSION: u8 = 1;
 const RESULT_COLUMNS: usize = 15;
 
 /// Encodes a [`CellResult`] into the store's value bytes: version byte, two
-/// `u16`-length-prefixed strings, [`RESULT_COLUMNS`] little-endian `u64`s at fixed
+/// `u16`-length-prefixed strings, `RESULT_COLUMNS` little-endian `u64`s at fixed
 /// offsets (floats as IEEE-754 bits), one flags byte.
 pub fn encode_cell_result(result: &CellResult) -> Vec<u8> {
     let problem = result.problem.as_bytes();

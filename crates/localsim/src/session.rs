@@ -18,7 +18,7 @@
 //! Iteration order is ascending node index — identical to the dense scan — so executions are
 //! byte-identical to the classic [`crate::runner::run`] loop.
 //!
-//! Messages live in one broadcast slot per node (see [`MsgBuffers`]): a broadcast is one
+//! Messages live in one broadcast slot per node (see `MsgBuffers`): a broadcast is one
 //! write, whatever the degree, and receivers read their neighbours' slots. Per-arc cells
 //! exist only for point-to-point sends and are allocated on a run's first one, so the
 //! simulation memory of programs that only broadcast grows with `n`, not with the arc count.
