@@ -39,10 +39,9 @@ impl CostModel {
     }
 
     /// The static (uncalibrated) cost estimate of one cell, in arbitrary micro-ish units:
-    /// the workload's power-law shape ([`crate::workloads::Workload::cost_shape`]) scaled
-    /// by the family's density factor ([`local_graphs::GraphFamily::cost_factor`]) — both
-    /// owned by the specs themselves, so a newly registered workload or family brings its
-    /// own prior with it.
+    /// the workload's power-law shape ([`WorkloadSpec::cost_shape`]) scaled by the family's
+    /// density factor ([`FamilySpec::cost_factor`]) — both read from the registry rows, so a
+    /// newly registered workload or family brings its own prior with it.
     pub fn base_cost(problem: &WorkloadSpec, family: &FamilySpec, n: usize) -> f64 {
         let (weight, exponent) = problem.cost_shape();
         weight * (n.max(2) as f64).powf(exponent) * family.cost_factor()

@@ -6,12 +6,12 @@
 //!
 //! Layers:
 //!
-//! * [`workloads`] — the open workload model: the [`Workload`] trait (name, seed tag, cost
-//!   shape, execution) with one implementation per catalog problem, handled through the
-//!   name-keyed [`WorkloadSpec`].
-//! * [`registry`] — the single table mapping stable names to workload constructors
-//!   (parse, the `all` catalog, the self-documenting `sweep --list` output); the family
-//!   side lives in [`local_graphs::FAMILY_ENTRIES`].
+//! * [`registry`] — the workload table: one row per workload with its name pattern, seed
+//!   tag, cost shape, parser and `run` function (parse, the `all` catalog, the
+//!   self-documenting `sweep --list` output); the family table is
+//!   [`local_graphs::FAMILY_ENTRIES`].
+//! * [`workloads`] — the `run` functions of the rows, and the name-keyed [`WorkloadSpec`]
+//!   handle on a row and its parameter.
 //! * [`scenario`] — the experiment model: [`Scenario`] (one cell pairing a workload spec
 //!   with a family spec) and the [`ScenarioGrid`] cross-product builder.
 //! * [`scheduler`] — the [`Sweep`] builder: cache probe, cost-model LPT ordering, streaming
@@ -85,4 +85,4 @@ pub use report::{
 pub use scenario::{parse_sizes, Scenario, ScenarioGrid};
 pub use scheduler::{run_cell, run_cell_in, run_grid, Instance, Sweep, SweepConfig};
 pub use store::{report_from_store, BinaryStore, ResultStore, CODE_VERSION};
-pub use workloads::{MeasuredRun, Workload, WorkloadSpec};
+pub use workloads::{MeasuredRun, WorkloadSpec};

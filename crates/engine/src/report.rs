@@ -10,9 +10,9 @@ use serde::{Deserialize, Serialize};
 /// JSON.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CellResult {
-    /// Problem name (see `ProblemKind::name`).
+    /// Workload name (see [`crate::WorkloadSpec::name`]).
     pub problem: String,
-    /// Family name (see `local_graphs::Family::name`).
+    /// Family name (see [`local_graphs::FamilySpec::name`]).
     pub family: String,
     /// Size the grid requested.
     pub requested_n: usize,

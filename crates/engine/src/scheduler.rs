@@ -371,8 +371,8 @@ pub fn run_cell(cell: &Scenario, instance: &Instance, base_seed: u64) -> CellRes
 
 /// Executes one cell: the cell's workload runs the uniform algorithm and the non-uniform
 /// baseline with correct guesses, both validated against the problem's ground-truth
-/// checker (see [`crate::workloads::Workload::run`] — the dispatch that used to be a
-/// closed match over every problem kind). The caller's [`Session`] is reused across every
+/// checker (see [`WorkloadSpec::run`](crate::workloads::WorkloadSpec::run)). The caller's
+/// [`Session`] is reused across every
 /// attempt of the uniform driver (and across cells, when the scheduler hands one session
 /// per worker).
 pub fn run_cell_in(

@@ -1,87 +1,46 @@
 //! The maximal-matching workloads (Table 1 row 8 and its synthetic time-shape variant).
 
-use super::{run_transformed, units, MeasuredRun, Workload, WorkloadSpec};
+use super::{run_transformed, units, MeasuredRun};
 use crate::scheduler::Instance;
 use local_runtime::Session;
 use local_uniform::catalog;
 use local_uniform::problem::MatchingProblem;
 
 /// `matching` — deterministic maximal matching from edge colouring (Table 1 row 8).
-pub struct Matching;
-
-impl Workload for Matching {
-    fn name(&self) -> String {
-        "matching".into()
-    }
-
-    fn tag(&self) -> u64 {
-        6
-    }
-
-    fn cost_shape(&self) -> (f64, f64) {
-        (2.5, 1.3)
-    }
-
-    fn describe(&self) -> String {
-        "deterministic maximal matching from edge colouring (Table 1 row 8)".into()
-    }
-
-    fn run(&self, instance: &Instance, seed: u64, session: &mut Session) -> MeasuredRun {
-        let params = &instance.params;
-        let baseline = catalog::matching_black_box();
-        run_transformed(
-            &MatchingProblem,
-            &instance.graph,
-            (baseline.build)(&[params.max_degree, params.max_id]),
-            seed,
-            session,
-            |g, s, session| {
-                catalog::uniform_matching().solve_in(g, &units(g.node_count()), s, session)
-            },
-        )
-    }
+pub(crate) fn matching(
+    _: u64,
+    instance: &Instance,
+    seed: u64,
+    session: &mut Session,
+) -> MeasuredRun {
+    let params = &instance.params;
+    let baseline = catalog::matching_black_box();
+    run_transformed(
+        &MatchingProblem,
+        &instance.graph,
+        (baseline.build)(&[params.max_degree, params.max_id]),
+        seed,
+        session,
+        |g, s, session| catalog::uniform_matching().solve_in(g, &units(g.node_count()), s, session),
+    )
 }
 
 /// `log4-matching` — maximal matching with the synthetic `O(log⁴ n)` time shape.
-pub struct Log4Matching;
-
-impl Workload for Log4Matching {
-    fn name(&self) -> String {
-        "log4-matching".into()
-    }
-
-    fn tag(&self) -> u64 {
-        7
-    }
-
-    fn cost_shape(&self) -> (f64, f64) {
-        // The synthetic black box charges rounds without simulating messages.
-        (0.5, 1.15)
-    }
-
-    fn describe(&self) -> String {
-        "maximal matching, synthetic O(log⁴ n) black box (Table 1 row 8 time shape)".into()
-    }
-
-    fn run(&self, instance: &Instance, seed: u64, session: &mut Session) -> MeasuredRun {
-        let baseline = catalog::synthetic_log4_matching_black_box();
-        run_transformed(
-            &MatchingProblem,
-            &instance.graph,
-            (baseline.build)(&[instance.params.n]),
-            seed,
-            session,
-            |g, s, session| {
-                catalog::uniform_log4_matching().solve_in(g, &units(g.node_count()), s, session)
-            },
-        )
-    }
-}
-
-pub(crate) fn parse_matching(name: &str) -> Option<WorkloadSpec> {
-    (name == "matching").then(|| WorkloadSpec::new(Matching))
-}
-
-pub(crate) fn parse_log4_matching(name: &str) -> Option<WorkloadSpec> {
-    (name == "log4-matching").then(|| WorkloadSpec::new(Log4Matching))
+pub(crate) fn log4_matching(
+    _: u64,
+    instance: &Instance,
+    seed: u64,
+    session: &mut Session,
+) -> MeasuredRun {
+    let baseline = catalog::synthetic_log4_matching_black_box();
+    run_transformed(
+        &MatchingProblem,
+        &instance.graph,
+        (baseline.build)(&[instance.params.n]),
+        seed,
+        session,
+        |g, s, session| {
+            catalog::uniform_log4_matching().solve_in(g, &units(g.node_count()), s, session)
+        },
+    )
 }

@@ -1,35 +1,23 @@
-//! The open workload model: the [`Workload`] trait, the name-keyed [`WorkloadSpec`]
-//! handle, and one implementation module per problem of the catalog.
+//! The workloads: the name-keyed [`WorkloadSpec`] handle, and one module per group of
+//! Table 1 rows holding the functions that execute a cell.
 //!
-//! Historically every problem was one arm of a closed `ProblemKind` enum, with its name,
-//! parser, seed tag, cost shape, and a ~160-line execution dispatch spread across four
-//! files. A workload now owns all five facets behind one trait, the scheduler calls
-//! [`WorkloadSpec::run`] without knowing what it runs, and the registry
-//! ([`crate::registry`]) is the single table new workloads are wired into.
-//!
-//! The stability contract mirrors the family side ([`local_graphs::GraphFamily`]):
-//! `name()` is the wire/cache representation and must never change for an existing
+//! Each function is the `run` of one [`WorkloadEntry`] row of the registry
+//! ([`crate::registry`]), which also holds the workload's name, seed tag and cost shape.
+//! `name()` is the wire and store representation and must never change for an existing
 //! workload; `tag()` is mixed into per-cell execution seeds and must be distinct from
-//! every other registered workload (the builtin tags reproduce the historical
-//! `ProblemKind::tag` integers exactly, so pre-existing sweeps keep their seeds).
+//! every other registered workload.
 
 mod coloring;
 mod matching;
 mod mis;
 mod ruling_set;
 
-pub use coloring::{EdgeColoring, LambdaColoring};
-pub use matching::{Log4Matching, Matching};
-pub use mis::{ArboricityMis, ColoringMis, Corollary1Mis, LubyMisWorkload, PsMis};
-pub use ruling_set::RulingSet;
+pub(crate) use coloring::{edge_coloring, lambda_coloring};
+pub(crate) use matching::{log4_matching, matching};
+pub(crate) use mis::{arboricity_mis, cor1_mis, luby_mis, mis, ps_mis};
+pub(crate) use ruling_set::ruling_set;
 
-pub(crate) use coloring::{parse_edge_coloring, parse_lambda_coloring};
-pub(crate) use matching::{parse_log4_matching, parse_matching};
-pub(crate) use mis::{
-    parse_arboricity_mis, parse_cor1_mis, parse_luby_mis, parse_mis, parse_ps_mis,
-};
-pub(crate) use ruling_set::parse_ruling_set;
-
+use crate::registry::WorkloadEntry;
 use crate::scheduler::Instance;
 use local_runtime::{Graph, GraphView, Session};
 use local_uniform::problem::Problem;
@@ -59,69 +47,45 @@ pub struct MeasuredRun {
     pub prune_micros: u64,
 }
 
-/// One experiment workload: a named, seeded execution of a uniform algorithm against its
-/// non-uniform baseline on a shared instance.
-pub trait Workload: Send + Sync {
-    /// The stable canonical name (the wire/cache representation; what
-    /// [`crate::registry::parse_workload`] accepts and reports print).
-    fn name(&self) -> String;
-
-    /// A small stable integer distinguishing workloads, mixed into per-cell execution
-    /// seeds.
-    fn tag(&self) -> u64;
-
-    /// The static power-law cost shape `(weight, exponent)` of one cell of this workload
-    /// (the [`crate::cost::CostModel`] prior). Only ever affects scheduling *order*.
-    fn cost_shape(&self) -> (f64, f64);
-
-    /// A one-line human description for CLI listings.
-    fn describe(&self) -> String;
-
-    /// Executes one cell on `instance` with the cell's derived execution `seed`, reusing
-    /// the caller's `session` across attempts.
-    fn run(&self, instance: &Instance, seed: u64, session: &mut Session) -> MeasuredRun;
-}
-
-/// A cheap clonable handle on a registered workload.
+/// A cheap clonable handle on one registered workload: a registry row and its parameter.
 ///
 /// Identity (equality, ordering, hashing) is the workload's stable *name*, exactly like
-/// [`local_graphs::FamilySpec`] on the family side; the implementation is shared behind an
-/// `Arc`.
+/// [`local_graphs::FamilySpec`] on the family side.
 #[derive(Clone)]
 pub struct WorkloadSpec {
     name: Arc<str>,
-    workload: Arc<dyn Workload>,
+    row: &'static WorkloadEntry,
+    param: u64,
 }
 
 impl WorkloadSpec {
-    /// Wraps a [`Workload`] implementation, capturing its canonical name.
-    pub fn new(workload: impl Workload + 'static) -> Self {
-        WorkloadSpec { name: workload.name().into(), workload: Arc::new(workload) }
+    /// The spec of `row` at `param`, under its canonical `name`.
+    pub(crate) fn new(row: &'static WorkloadEntry, name: String, param: u64) -> Self {
+        WorkloadSpec { name: name.into(), row, param }
     }
 
-    /// The workload's stable canonical name.
+    /// The workload's stable canonical name: the wire and store representation, what
+    /// [`crate::registry::parse_workload`] accepts and what reports print.
     pub fn name(&self) -> &str {
         &self.name
     }
 
-    /// The workload's stable seed tag (see [`Workload::tag`]).
+    /// The workload's stable seed tag, `tag_base + param`, mixed into per-cell execution
+    /// seeds. Distinct for every registered workload.
     pub fn tag(&self) -> u64 {
-        self.workload.tag()
+        self.row.tag_base + self.param
     }
 
-    /// The workload's static cost shape (see [`Workload::cost_shape`]).
+    /// The static power-law cost shape `(weight, exponent)` of one cell (the
+    /// [`crate::cost::CostModel`] prior). Only ever affects scheduling *order*.
     pub fn cost_shape(&self) -> (f64, f64) {
-        self.workload.cost_shape()
+        self.row.cost_shape
     }
 
-    /// One-line description for CLI listings.
-    pub fn describe(&self) -> String {
-        self.workload.describe()
-    }
-
-    /// Executes one cell (see [`Workload::run`]).
+    /// Executes one cell on `instance` with the cell's derived execution `seed`, reusing
+    /// the caller's `session` across attempts.
     pub fn run(&self, instance: &Instance, seed: u64, session: &mut Session) -> MeasuredRun {
-        self.workload.run(instance, seed, session)
+        (self.row.run)(self.param, instance, seed, session)
     }
 }
 

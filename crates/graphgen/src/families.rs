@@ -12,11 +12,10 @@ use crate::random::{
 use crate::spec::FamilySpec;
 use crate::structured::{binary_tree, cycle, grid, path, triangulated_grid};
 use local_runtime::Graph;
-use serde::{Deserialize, Serialize};
 
-/// One-line summaries of the builtin families, indexed by the variant's rank in
-/// [`Family::ALL`] (shared by `GraphFamily::describe` and the CLI listing).
-pub(crate) const FAMILY_SUMMARIES: [(&str, &str); 11] = [
+/// The name and one-line summary of each builtin family, indexed by the variant's rank in
+/// [`Family::ALL`].
+const NAMES_AND_SUMMARIES: [(&str, &str); 11] = [
     ("path", "path graphs (Δ = 2, arboricity 1)"),
     ("cycle", "cycles (Δ = 2, arboricity ≤ 2)"),
     ("binary-tree", "complete binary trees (Δ = 3, arboricity 1)"),
@@ -32,9 +31,9 @@ pub(crate) const FAMILY_SUMMARIES: [(&str, &str); 11] = [
 
 /// A named graph family with a scaling rule.
 ///
-/// `Hash`/`Ord` are derived so a family can key instance caches (see [`InstanceKey`]) and be
-/// sorted into stable report order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+/// `Hash`/`Ord` are derived so a family can be sorted into stable report order. A variant's
+/// discriminant is its rank in [`Family::ALL`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Family {
     /// Path graphs (Δ = 2, a = 1).
     Path,
@@ -78,19 +77,12 @@ impl Family {
 
     /// Human-readable name used in benchmark reports.
     pub fn name(&self) -> &'static str {
-        match self {
-            Family::Path => "path",
-            Family::Cycle => "cycle",
-            Family::BinaryTree => "binary-tree",
-            Family::Grid => "grid",
-            Family::TriangulatedGrid => "triangulated-grid",
-            Family::SparseGnp => "gnp-avg8",
-            Family::DenseGnp => "gnp-sqrt-n",
-            Family::Regular6 => "regular-6",
-            Family::Forest3 => "forest-union-3",
-            Family::UnitDisk => "unit-disk",
-            Family::PowerLaw => "power-law",
-        }
+        NAMES_AND_SUMMARIES[*self as usize].0
+    }
+
+    /// One-line description for CLI listings.
+    pub fn summary(&self) -> &'static str {
+        NAMES_AND_SUMMARIES[*self as usize].1
     }
 
     /// Generates a member of the family with (approximately) `n` nodes.
@@ -149,7 +141,7 @@ impl Family {
 }
 
 /// The identity of one generated graph instance: `(family, n, seed)` fully determines the
-/// graph ([`crate::spec::GraphFamily::generate`] is deterministic), so batch runners can
+/// graph ([`FamilySpec::generate`] is deterministic), so batch runners can
 /// use this key to generate each instance once and share it across every algorithm that
 /// runs on it. The family is an open [`FamilySpec`], so parameterized families key
 /// instance caches exactly like the builtin catalog does.

@@ -32,8 +32,7 @@ pub use random::{
     random_regular, random_tree, scramble_ids, unit_disk,
 };
 pub use spec::{
-    builtin_families, family, parse_families, parse_family, FamilyEntry, FamilySpec, GraphFamily,
-    FAMILY_ENTRIES,
+    builtin_families, family, parse_families, parse_family, FamilyEntry, FamilySpec, FAMILY_ENTRIES,
 };
 pub use structured::{
     barbell, binary_tree, caterpillar, complete, cycle, edgeless, grid, hypercube, path, star,

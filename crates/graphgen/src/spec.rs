@@ -1,91 +1,61 @@
-//! The open family model: the [`GraphFamily`] trait, the name-keyed [`FamilySpec`] handle,
-//! the parameterized generator families, and the family registry.
+//! The family registry: the name-keyed [`FamilySpec`] handle and one table row per graph
+//! family, holding every fact about it.
 //!
-//! The benchmark harness historically swept over the closed [`Family`] enum; every new
-//! graph class meant editing the enum, its name/parse tables, and the engine's cost
-//! factors in lock step. This module opens that catalog: a family is anything implementing
-//! [`GraphFamily`], a [`FamilySpec`] is a cheap clonable handle identified by its stable
-//! name, and [`parse_family`] resolves names (including *parameterized* ones like
-//! `gnp-d16` or `forest-5`) through one registry table — the single place a new family is
-//! wired up.
-//!
-//! Parameterized families make degree/arboricity regimes sweepable axes instead of
-//! hardcoded constants: `gnp-d<d>` fixes the expected average degree, `regular-<d>` the
+//! The builtin row serves the closed [`Family`] catalog (and its aliases); the other rows
+//! are *parameterized* families that make degree/arboricity regimes sweepable axes instead
+//! of hardcoded constants: `gnp-d<d>` fixes the expected average degree, `regular-<d>` the
 //! exact degree, `forest-<k>` the arboricity bound, `pa-<m>` the attachment count, and
-//! `unit-disk-r<milli>` the geometric radius (in thousandths).
+//! `unit-disk-r<milli>` the geometric radius (in thousandths). [`parse_family`] resolves
+//! every name through [`FAMILY_ENTRIES`], the single place a new family is wired up.
 
-use crate::families::{Family, FAMILY_SUMMARIES};
-use crate::random::{forest_union, gnp_avg_degree_fast, preferential_attachment, unit_disk};
+use crate::families::Family;
+use crate::random::{
+    forest_union, gnp_avg_degree_fast, preferential_attachment, random_regular, unit_disk,
+};
 use local_runtime::Graph;
 use std::sync::Arc;
 
-/// An open-ended graph family: a named, seeded, deterministic generator.
-///
-/// Implementations must keep `name()` **stable** — it is the wire representation of the
-/// family in serialized `Scenario`s and the sweep cache — and `tag()` **distinct** from
-/// every other registered family, because the tag is mixed into instance-generation seeds
-/// (two families sharing a tag would draw identically-seeded instances).
-pub trait GraphFamily: Send + Sync {
-    /// The stable canonical name (what [`parse_family`] accepts and reports print).
-    fn name(&self) -> String;
-
-    /// A small stable integer distinguishing families, mixed into instance seeds.
-    fn tag(&self) -> u64;
-
-    /// A one-line human description for CLI listings.
-    fn describe(&self) -> String;
-
-    /// Relative instance-density cost factor for the engine's cost model (1.0 = the sparse
-    /// default). Only ever affects scheduling *order*, never results.
-    fn cost_factor(&self) -> f64 {
-        1.0
-    }
-
-    /// Generates a member of the family with (approximately) `n` nodes, deterministically
-    /// in `seed`.
-    fn generate(&self, n: usize, seed: u64) -> Graph;
-}
-
-/// A cheap clonable handle on a registered graph family.
+/// A cheap clonable handle on one registered graph family: a registry row and its
+/// parameter.
 ///
 /// Identity (equality, ordering, hashing) is the family's stable *name*, so specs key
-/// instance caches and sort into stable report order exactly like the old enum did; the
-/// generator itself is shared behind an `Arc`.
+/// instance caches and sort into stable report order exactly like the old enum did.
 #[derive(Clone)]
 pub struct FamilySpec {
     name: Arc<str>,
-    family: Arc<dyn GraphFamily>,
+    row: &'static FamilyEntry,
+    param: u64,
 }
 
 impl FamilySpec {
-    /// Wraps a [`GraphFamily`] implementation, capturing its canonical name.
-    pub fn new(family: impl GraphFamily + 'static) -> Self {
-        FamilySpec { name: family.name().into(), family: Arc::new(family) }
+    /// The spec of `row` at `param`, under its canonical `name`.
+    fn new(row: &'static FamilyEntry, name: String, param: u64) -> Self {
+        FamilySpec { name: name.into(), row, param }
     }
 
-    /// The family's stable canonical name.
+    /// The family's stable canonical name: the wire representation of the family in
+    /// serialized scenarios and the result store, and what [`parse_family`] accepts.
     pub fn name(&self) -> &str {
         &self.name
     }
 
-    /// The family's stable tag (see [`GraphFamily::tag`]).
+    /// The family's stable tag, `tag_base + param`, mixed into instance-generation seeds.
+    /// Distinct for every registered family, or two families would draw identically-seeded
+    /// instances.
     pub fn tag(&self) -> u64 {
-        self.family.tag()
+        self.row.tag_base + self.param
     }
 
-    /// One-line description for CLI listings.
-    pub fn describe(&self) -> String {
-        self.family.describe()
-    }
-
-    /// Relative density cost factor (see [`GraphFamily::cost_factor`]).
+    /// Relative instance-density cost factor for the engine's cost model (1.0 = the sparse
+    /// default). Only ever affects scheduling *order*, never results.
     pub fn cost_factor(&self) -> f64 {
-        self.family.cost_factor()
+        (self.row.cost_factor)(self.param)
     }
 
-    /// Generates a member of the family (see [`GraphFamily::generate`]).
+    /// Generates a member of the family with (approximately) `n` nodes, deterministically
+    /// in `seed`.
     pub fn generate(&self, n: usize, seed: u64) -> Graph {
-        self.family.generate(n, seed)
+        (self.row.generate)(self.param, n, seed)
     }
 
     /// Generates a member together with its computed global parameters.
@@ -97,8 +67,10 @@ impl FamilySpec {
 }
 
 impl From<Family> for FamilySpec {
+    /// The builtin row at the variant's rank in [`Family::ALL`], the exact integer every
+    /// pre-existing instance seed was drawn with.
     fn from(family: Family) -> Self {
-        FamilySpec::new(family)
+        FamilySpec::new(&FAMILY_ENTRIES[0], family.name().to_string(), family as u64)
     }
 }
 
@@ -140,323 +112,133 @@ impl std::fmt::Display for FamilySpec {
     }
 }
 
-// The builtin enum behind the trait. Tags are the variant's historical rank in
-// `Family::ALL` — the exact integer the engine used to mix into instance seeds — so every
-// pre-existing family keeps drawing byte-identical instances.
-impl GraphFamily for Family {
-    fn name(&self) -> String {
-        Family::name(self).to_string()
-    }
-
-    fn tag(&self) -> u64 {
-        Family::ALL.iter().position(|f| f == self).expect("builtin family is in ALL") as u64
-    }
-
-    fn describe(&self) -> String {
-        FAMILY_SUMMARIES[GraphFamily::tag(self) as usize].1.to_string()
-    }
-
-    fn cost_factor(&self) -> f64 {
-        match self {
-            Family::DenseGnp => 4.0,
-            Family::Regular6 => 1.5,
-            Family::UnitDisk => 2.0,
-            Family::Grid | Family::Path | Family::Cycle => 0.7,
-            _ => 1.0,
-        }
-    }
-
-    fn generate(&self, n: usize, seed: u64) -> Graph {
-        Family::generate(self, n, seed)
-    }
-}
-
-// Tag namespaces of the parameterized families: one block of `1 << 20` per family shape,
-// far above the builtin ranks 0..=10 and wide enough for any sane parameter.
-const TAG_GNP_DEGREE: u64 = 1 << 20;
-const TAG_REGULAR: u64 = 2 << 20;
-const TAG_FOREST: u64 = 3 << 20;
-const TAG_PREF_ATTACH: u64 = 4 << 20;
-const TAG_UNIT_DISK: u64 = 5 << 20;
-
-/// `gnp-d<d>` — Erdős–Rényi `G(n, d/n)` with expected average degree `d`, generated by the
-/// O(n + m) skip-sampling generator so large sparse instances stay cheap.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct GnpDegree {
-    /// Expected average degree.
-    pub avg_degree: u64,
-}
-
-impl GraphFamily for GnpDegree {
-    fn name(&self) -> String {
-        format!("gnp-d{}", self.avg_degree)
-    }
-
-    fn tag(&self) -> u64 {
-        TAG_GNP_DEGREE + self.avg_degree
-    }
-
-    fn describe(&self) -> String {
-        format!("Erdős–Rényi G(n, p) with expected average degree {}", self.avg_degree)
-    }
-
-    fn cost_factor(&self) -> f64 {
-        (self.avg_degree as f64 / 8.0).clamp(0.25, 16.0)
-    }
-
-    fn generate(&self, n: usize, seed: u64) -> Graph {
-        gnp_avg_degree_fast(n.max(4), self.avg_degree as f64, seed)
-    }
-}
-
-/// `regular-<d>` — random `d`-regular-ish graphs via the configuration model.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RegularDegree {
-    /// Target degree.
-    pub degree: usize,
-}
-
-impl GraphFamily for RegularDegree {
-    fn name(&self) -> String {
-        format!("regular-{}", self.degree)
-    }
-
-    fn tag(&self) -> u64 {
-        TAG_REGULAR + self.degree as u64
-    }
-
-    fn describe(&self) -> String {
-        format!("random {}-regular graphs (configuration model, constant Δ)", self.degree)
-    }
-
-    fn cost_factor(&self) -> f64 {
-        (self.degree as f64 / 4.0).clamp(0.5, 16.0)
-    }
-
-    fn generate(&self, n: usize, seed: u64) -> Graph {
-        // The configuration model needs d < n and an even number of stubs.
-        let n = n.max(4).max(self.degree + 1);
-        let n = if (n * self.degree) % 2 == 1 { n + 1 } else { n };
-        crate::random::random_regular(n, self.degree, seed)
-    }
-}
-
-/// `forest-<k>` — the union of `k` independent random forests (arboricity ≤ `k`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ForestUnion {
-    /// Number of forests, an upper bound on the arboricity.
-    pub forests: usize,
-}
-
-impl GraphFamily for ForestUnion {
-    fn name(&self) -> String {
-        format!("forest-{}", self.forests)
-    }
-
-    fn tag(&self) -> u64 {
-        TAG_FOREST + self.forests as u64
-    }
-
-    fn describe(&self) -> String {
-        format!("unions of {} random forests (arboricity ≤ {})", self.forests, self.forests)
-    }
-
-    fn cost_factor(&self) -> f64 {
-        (self.forests as f64 / 3.0).clamp(0.5, 8.0)
-    }
-
-    fn generate(&self, n: usize, seed: u64) -> Graph {
-        forest_union(n.max(4), self.forests, seed)
-    }
-}
-
-/// `pa-<m>` — Barabási–Albert preferential attachment with `m` edges per arriving node.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PrefAttach {
-    /// Edges each arriving node attaches with.
-    pub edges_per_node: usize,
-}
-
-impl GraphFamily for PrefAttach {
-    fn name(&self) -> String {
-        format!("pa-{}", self.edges_per_node)
-    }
-
-    fn tag(&self) -> u64 {
-        TAG_PREF_ATTACH + self.edges_per_node as u64
-    }
-
-    fn describe(&self) -> String {
-        format!(
-            "preferential attachment with m = {} (skewed degrees, small arboricity)",
-            self.edges_per_node
-        )
-    }
-
-    fn cost_factor(&self) -> f64 {
-        (self.edges_per_node as f64 / 3.0).clamp(0.5, 8.0)
-    }
-
-    fn generate(&self, n: usize, seed: u64) -> Graph {
-        preferential_attachment(n.max(4), self.edges_per_node, seed)
-    }
-}
-
-/// `unit-disk-r<milli>` — random geometric graphs with connection radius `milli / 1000`
-/// (points uniform in the unit square; bounded independence at any fixed radius).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct UnitDiskRadius {
-    /// Connection radius in thousandths (`50` = radius 0.050).
-    pub milli_radius: u64,
-}
-
-impl GraphFamily for UnitDiskRadius {
-    fn name(&self) -> String {
-        format!("unit-disk-r{}", self.milli_radius)
-    }
-
-    fn tag(&self) -> u64 {
-        TAG_UNIT_DISK + self.milli_radius
-    }
-
-    fn describe(&self) -> String {
-        format!("unit-disk graphs with fixed radius {:.3}", self.milli_radius as f64 / 1000.0)
-    }
-
-    fn cost_factor(&self) -> f64 {
-        2.0
-    }
-
-    fn generate(&self, n: usize, seed: u64) -> Graph {
-        unit_disk(n.max(4), self.milli_radius as f64 / 1000.0, seed)
-    }
-}
-
-/// One row of the family registry: a name pattern, a one-line summary for CLI listings,
-/// a parser from names to specs, and the representative specs `--families all` expands to
-/// (empty for parameterized families — they are opt-in axes, not part of the default
-/// catalog, so pre-existing sweeps keep their exact shape).
+/// One row of the family registry: the builtin catalog, or a family of generators indexed
+/// by one parameter (`gnp-d<d>`).
 pub struct FamilyEntry {
-    /// The name or name pattern this entry parses (`grid`, `gnp-d<d>`).
+    /// The name or name pattern this row parses (`<builtin>`, `gnp-d<d>`).
     pub pattern: &'static str,
     /// One-line description for `sweep --list`.
     pub summary: &'static str,
-    /// Parses a concrete family name into a spec (`None` when the name is not this
-    /// entry's).
-    pub parse: fn(&str) -> Option<FamilySpec>,
-    /// The specs this entry contributes to the default (`all`) catalog.
+    /// The tag at parameter 0: a spec's tag is `tag_base + param`. Each parameterized row
+    /// owns a range of `1 << 20` tags, far above the builtin ranks 0..=10.
+    pub tag_base: u64,
+    /// The density cost factor at a parameter (see [`FamilySpec::cost_factor`]).
+    pub cost_factor: fn(u64) -> f64,
+    /// Parses a concrete family name into a spec of this row, or of the builtin row when
+    /// the name coincides with a builtin family (`None` when the name is not this row's).
+    pub parse: fn(&'static FamilyEntry, &str) -> Option<FamilySpec>,
+    /// The specs this row contributes to the default (`all`) catalog. Parameterized
+    /// families are opt-in axes, so pre-existing sweeps keep their exact shape.
     pub defaults: fn() -> Vec<FamilySpec>,
+    /// Generates a member at `(param, n, seed)`.
+    pub generate: fn(u64, usize, u64) -> Graph,
 }
 
-fn parse_builtin(name: &str) -> Option<FamilySpec> {
-    Family::from_name(name).map(FamilySpec::from)
-}
-
-fn no_defaults() -> Vec<FamilySpec> {
-    Vec::new()
-}
-
-/// Parameterized-family parameters must fit inside their `1 << 20`-wide tag namespace,
-/// or tags of different family shapes could collide (the registry-wide distinctness
-/// contract of [`GraphFamily::tag`]).
+/// Parameterized-family parameters must fit inside their `1 << 20`-wide tag range, or tags
+/// of different family shapes could collide.
 const PARAM_LIMIT: u64 = 1 << 20;
 
-/// Parses a family parameter, rejecting values that would escape the tag namespace.
-fn parse_param(text: &str) -> Option<u64> {
-    let value: u64 = text.parse().ok()?;
-    (value < PARAM_LIMIT).then_some(value)
+/// Parses `{prefix}{param}` with `param` in `min..PARAM_LIMIT` into a spec of `row`. A
+/// parameterization that coincides with a builtin family resolves to that family (same
+/// generator, same parameters ⇒ same spec), so the registry's name → generator map stays
+/// single-valued: `regular-6`, `forest-3` and `pa-3` keep their historical names and tags,
+/// and share results with old sweeps.
+fn numbered(
+    row: &'static FamilyEntry,
+    name: &str,
+    prefix: &str,
+    min: u64,
+    builtin: Option<(u64, Family)>,
+) -> Option<FamilySpec> {
+    let value: u64 = name.strip_prefix(prefix)?.parse().ok()?;
+    if !(min..PARAM_LIMIT).contains(&value) {
+        return None;
+    }
+    Some(match builtin {
+        Some((at, family)) if at == value => family.into(),
+        _ => FamilySpec::new(row, format!("{prefix}{value}"), value),
+    })
 }
 
-fn parse_gnp_degree(name: &str) -> Option<FamilySpec> {
-    let avg_degree = parse_param(name.strip_prefix("gnp-d")?)?;
-    Some(FamilySpec::new(GnpDegree { avg_degree }))
-}
-
-// Parameterizations that coincide with a builtin family delegate to it (same generator,
-// same parameters ⇒ same spec), so the registry's name → generator map stays
-// single-valued: `regular-6`, `forest-3`, and `pa-3` resolve to the builtin specs with
-// their historical tags, and results stay comparable/cache-shared with old sweeps.
-
-fn parse_regular(name: &str) -> Option<FamilySpec> {
-    let degree = parse_param(name.strip_prefix("regular-")?)?;
-    match degree {
-        0 => None,
-        6 => Some(Family::Regular6.into()),
-        _ => Some(FamilySpec::new(RegularDegree { degree: degree as usize })),
+fn builtin_cost_factor(rank: u64) -> f64 {
+    match Family::ALL[rank as usize] {
+        Family::DenseGnp => 4.0,
+        Family::Regular6 => 1.5,
+        Family::UnitDisk => 2.0,
+        Family::Grid | Family::Path | Family::Cycle => 0.7,
+        _ => 1.0,
     }
 }
 
-fn parse_forest(name: &str) -> Option<FamilySpec> {
-    let forests = parse_param(name.strip_prefix("forest-")?)?;
-    match forests {
-        0 => None,
-        3 => Some(Family::Forest3.into()),
-        _ => Some(FamilySpec::new(ForestUnion { forests: forests as usize })),
-    }
+fn generate_regular(degree: u64, n: usize, seed: u64) -> Graph {
+    // The configuration model needs d < n and an even number of stubs.
+    let degree = degree as usize;
+    let n = n.max(4).max(degree + 1);
+    let n = if (n * degree) % 2 == 1 { n + 1 } else { n };
+    random_regular(n, degree, seed)
 }
 
-fn parse_pref_attach(name: &str) -> Option<FamilySpec> {
-    let edges_per_node = parse_param(name.strip_prefix("pa-")?)?;
-    match edges_per_node {
-        0 => None,
-        3 => Some(Family::PowerLaw.into()),
-        _ => Some(FamilySpec::new(PrefAttach { edges_per_node: edges_per_node as usize })),
-    }
-}
-
-fn parse_unit_disk_radius(name: &str) -> Option<FamilySpec> {
-    let milli_radius = parse_param(name.strip_prefix("unit-disk-r")?)?;
-    Some(FamilySpec::new(UnitDiskRadius { milli_radius }))
-}
-
-fn builtin_defaults() -> Vec<FamilySpec> {
-    Family::ALL.iter().map(|&f| FamilySpec::from(f)).collect()
-}
-
-/// The family registry: one entry per family (or family pattern), in listing order.
-/// Adding a family is one `GraphFamily` impl plus one line here.
+/// The family registry: one row per family (or family pattern), in listing order.
 pub static FAMILY_ENTRIES: &[FamilyEntry] = &[
     FamilyEntry {
         pattern: "<builtin>",
         summary: "the fixed benchmark catalog below (accepts aliases like sparse-gnp, tree)",
-        parse: parse_builtin,
-        defaults: builtin_defaults,
+        tag_base: 0,
+        cost_factor: builtin_cost_factor,
+        parse: |_, name| Family::from_name(name).map(FamilySpec::from),
+        defaults: || Family::ALL.map(FamilySpec::from).to_vec(),
+        generate: |rank, n, seed| Family::ALL[rank as usize].generate(n, seed),
     },
     FamilyEntry {
         pattern: "gnp-d<d>",
         summary: "Erdős–Rényi G(n, d/n): expected average degree d (skip-sampled, O(n+m))",
-        parse: parse_gnp_degree,
-        defaults: no_defaults,
+        tag_base: 1 << 20,
+        cost_factor: |d| (d as f64 / 8.0).clamp(0.25, 16.0),
+        parse: |row, name| numbered(row, name, "gnp-d", 0, None),
+        defaults: Vec::new,
+        generate: |d, n, seed| gnp_avg_degree_fast(n.max(4), d as f64, seed),
     },
     FamilyEntry {
         pattern: "regular-<d>",
         summary: "random d-regular graphs via the configuration model (constant Δ = d)",
-        parse: parse_regular,
-        defaults: no_defaults,
+        tag_base: 2 << 20,
+        cost_factor: |d| (d as f64 / 4.0).clamp(0.5, 16.0),
+        parse: |row, name| numbered(row, name, "regular-", 1, Some((6, Family::Regular6))),
+        defaults: Vec::new,
+        generate: generate_regular,
     },
     FamilyEntry {
         pattern: "forest-<k>",
         summary: "union of k independent random forests (arboricity ≤ k, unbounded Δ)",
-        parse: parse_forest,
-        defaults: no_defaults,
+        tag_base: 3 << 20,
+        cost_factor: |k| (k as f64 / 3.0).clamp(0.5, 8.0),
+        parse: |row, name| numbered(row, name, "forest-", 1, Some((3, Family::Forest3))),
+        defaults: Vec::new,
+        generate: |k, n, seed| forest_union(n.max(4), k as usize, seed),
     },
     FamilyEntry {
         pattern: "pa-<m>",
         summary: "preferential attachment, m edges per arriving node (skewed degrees)",
-        parse: parse_pref_attach,
-        defaults: no_defaults,
+        tag_base: 4 << 20,
+        cost_factor: |m| (m as f64 / 3.0).clamp(0.5, 8.0),
+        parse: |row, name| numbered(row, name, "pa-", 1, Some((3, Family::PowerLaw))),
+        defaults: Vec::new,
+        generate: |m, n, seed| preferential_attachment(n.max(4), m as usize, seed),
     },
     FamilyEntry {
         pattern: "unit-disk-r<milli>",
         summary: "random geometric graph with radius milli/1000 (bounded independence)",
-        parse: parse_unit_disk_radius,
-        defaults: no_defaults,
+        tag_base: 5 << 20,
+        cost_factor: |_| 2.0,
+        parse: |row, name| numbered(row, name, "unit-disk-r", 0, None),
+        defaults: Vec::new,
+        generate: |milli, n, seed| unit_disk(n.max(4), milli as f64 / 1000.0, seed),
     },
 ];
 
 /// Resolves a family name (canonical, alias, or parameterized) through the registry.
 pub fn parse_family(name: &str) -> Option<FamilySpec> {
-    FAMILY_ENTRIES.iter().find_map(|entry| (entry.parse)(name))
+    FAMILY_ENTRIES.iter().find_map(|row| (row.parse)(row, name))
 }
 
 /// Resolves a comma list of family names, or `all` for [`builtin_families`] — the
@@ -497,7 +279,7 @@ mod tests {
         // The engine used to mix `Family::ALL.position()` into instance seeds; tags must
         // reproduce those exact integers or every pre-existing instance changes.
         for (rank, fam) in Family::ALL.iter().enumerate() {
-            assert_eq!(GraphFamily::tag(fam), rank as u64, "{}", Family::name(fam));
+            assert_eq!(FamilySpec::from(*fam).tag(), rank as u64, "{}", fam.name());
         }
     }
 
