@@ -40,7 +40,7 @@ fn exact(row: &WorkloadEntry, name: &str) -> Option<(String, u64)> {
 }
 
 /// Parses a workload parameter, accepting `1..limit`: 0 names a degenerate problem, and
-/// the limit keeps `tag_base + param` below the next row's tag range.
+/// the limit keeps `tag_base + param` inside the row's own tag range.
 fn param(text: &str, limit: u64) -> Option<u64> {
     text.parse().ok().filter(|value| (1..limit).contains(value))
 }
@@ -55,8 +55,8 @@ fn parse_ruling_set(_: &WorkloadEntry, name: &str) -> Option<(String, u64)> {
     Some((format!("ruling-set-b{beta}"), beta))
 }
 
-/// `lambda<λ>-coloring`, spelled `coloring` at λ = 1. λ stays below `1 << 20`, the width of
-/// a parameterized family's tag range.
+/// `lambda<λ>-coloring`, spelled `coloring` at λ = 1. λ stays below `1 << 20`, the bound
+/// every family parameter has too.
 fn parse_lambda_coloring(_: &WorkloadEntry, name: &str) -> Option<(String, u64)> {
     let lambda = match name {
         "coloring" => 1,

@@ -19,7 +19,7 @@ use std::sync::Arc;
 /// parameter.
 ///
 /// Identity (equality, ordering, hashing) is the family's stable *name*, so specs key
-/// instance caches and sort into stable report order exactly like the old enum did.
+/// instance caches and sort into a stable report order.
 #[derive(Clone)]
 pub struct FamilySpec {
     name: Arc<str>,
