@@ -10,8 +10,8 @@
 //! stripes per fleet peer and queued with the fleet's deficit-round-robin
 //! policy, fair *by predicted cost* between clients and longest-processing-time-first within
 //! a job. Verified results stream back to each client in exactly the daemon wire protocol —
-//! result lines, optional heartbeats, an observation-carrying sentinel — so a client cannot
-//! tell a coordinator from a daemon.
+//! result lines, optional heartbeats, a `{"done": n, "stats": {…}}` sentinel whose extra
+//! accounting key clients ignore — so a client cannot tell a coordinator from a daemon.
 //!
 //! # The determinism and loss contracts
 //!
@@ -27,11 +27,10 @@
 //! booked per client in a `ClientLedger`.
 
 use super::dispatch::{Dispatcher, Job, Landing};
-use super::network::{observations_to_value, read_request_line, write_error_line, NetworkBackend};
+use super::network::{read_request_line, write_error_line, NetworkBackend};
 use super::telemetry::WorkerTelemetry;
 use super::CellShard;
 use crate::accounting::{ClientLedger, JobStats};
-use crate::cost::CostModel;
 use crate::report::CellResult;
 use crate::scenario::{Scenario, ScenarioGrid};
 use crate::store::ResultStore;
@@ -85,9 +84,6 @@ struct CoordJob {
     assigned: AtomicU64,
     redispatched: AtomicU64,
     queue_wait: AtomicU64,
-    /// Per-job calibration observed from verified and rescued cells, shipped home in the
-    /// sentinel exactly like a daemon's.
-    observed: Mutex<CostModel>,
     /// Store writeback attachment (`None` when the coordinator runs storeless).
     persist: Option<JobPersist>,
     /// The client's socket broke: stop writing, keep accounting, never block the fleet.
@@ -137,9 +133,6 @@ impl CoordJob {
         } else {
             self.verified.fetch_add(1, Ordering::Relaxed);
             local_obs::counter_add(local_obs::metrics::COORD_CELLS_VERIFIED, 1);
-            // Rescued cells calibrate through the rescue backend's own merge; verified
-            // cells calibrate here, from the verified line itself.
-            self.observed.lock().expect("job calibration poisoned").observe(&result);
         }
         if self.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
             self.finalize();
@@ -159,13 +152,8 @@ impl CoordJob {
             queue_wait_micros: self.queue_wait.load(Ordering::Relaxed),
         };
         if !self.failed.load(Ordering::Relaxed) {
-            let observations = {
-                let observed = self.observed.lock().expect("job calibration poisoned");
-                observations_to_value(&observed.observations())
-            };
             let sentinel = Value::Map(vec![
                 ("done".into(), Value::U64(self.cells as u64)),
-                ("observations".into(), observations),
                 (
                     "stats".into(),
                     Value::Map(vec![
@@ -232,10 +220,6 @@ impl Job for Arc<CoordJob> {
             self.redispatched.fetch_add(1, Ordering::Relaxed);
         }
         self.send_result(index, result, landing == Landing::Rescued, true);
-    }
-
-    fn calibration(&self) -> &Mutex<CostModel> {
-        &self.observed
     }
 
     /// A job whose client went away drops its remaining cells, so that it still
@@ -437,7 +421,6 @@ fn serve_job(
         assigned: AtomicU64::new(0),
         redispatched: AtomicU64::new(0),
         queue_wait: AtomicU64::new(0),
-        observed: Mutex::new(CostModel::new()),
         persist: state.store.as_ref().map(|store| JobPersist {
             store: Arc::clone(store),
             base_seed: shard.base_seed,

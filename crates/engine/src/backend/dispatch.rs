@@ -25,7 +25,6 @@ use crate::cost::CostModel;
 use crate::report::CellResult;
 use crate::scheduler::{FairScheduler, TaskEntry};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 /// Runs one stripe on one peer: `run(peer, stripe, emit)` emits each verified cell by its
 /// stripe index, and on failure returns the stripe indices still missing with the reason.
@@ -50,9 +49,6 @@ pub(crate) trait Job: Clone + Send + Sync {
 
     /// Hands one result to the job at its index in the job.
     fn deliver(&self, index: usize, result: CellResult, landing: Landing);
-
-    /// Where the calibration of rescued cells goes.
-    fn calibration(&self) -> &Mutex<CostModel>;
 
     /// Called before a stripe of `cells` cells runs or is rescued. True when nobody awaits
     /// the job's results any more: the job has then booked the cells as dropped, and the
@@ -211,7 +207,7 @@ impl<J: Job> Dispatcher<J> {
 
     /// Recomputes stripes no live peer can serve with an [`InProcessBackend`] — the
     /// lossless path of last resort, and the only one — counting their cells on
-    /// [`local_obs::metrics::RESCUED_CELLS`] and their calibration into each job's model.
+    /// [`local_obs::metrics::RESCUED_CELLS`].
     fn rescue_missing(&self, orphans: Vec<Stripe<J>>) {
         let cells: usize = orphans.iter().map(|orphan| orphan.cells.cells.len()).sum();
         if cells > 0 {
@@ -227,13 +223,10 @@ impl<J: Job> Dispatcher<J> {
                 continue;
             }
             local_obs::counter_add(local_obs::metrics::RESCUED_CELLS, count as u64);
-            let fallback = InProcessBackend::new(self.rescue_threads);
-            fallback.run_shard(&stripe.cells, &|i, result| {
+            InProcessBackend::new(self.rescue_threads).run_shard(&stripe.cells, &|i, result| {
                 stripe.job.deliver(stripe.indices[i], result, Landing::Rescued);
                 self.landed(1);
             });
-            let observed = stripe.job.calibration();
-            observed.lock().expect("cost observations poisoned").merge(&fallback.calibration());
         }
     }
 
@@ -293,14 +286,11 @@ mod tests {
     use local_graphs::Family;
     use proptest::prelude::*;
     use std::collections::HashSet;
-    use std::sync::OnceLock;
+    use std::sync::{Mutex, OnceLock};
 
     /// A job that records how each of its cells landed.
     #[derive(Clone, Copy)]
-    struct Tally<'a> {
-        landed: &'a Mutex<Vec<(usize, Landing)>>,
-        observed: &'a Mutex<CostModel>,
-    }
+    struct Tally<'a>(&'a Mutex<Vec<(usize, Landing)>>);
 
     impl Job for Tally<'_> {
         fn client(&self) -> &str {
@@ -308,11 +298,7 @@ mod tests {
         }
 
         fn deliver(&self, index: usize, _result: CellResult, landing: Landing) {
-            self.landed.lock().unwrap().push((index, landing));
-        }
-
-        fn calibration(&self) -> &Mutex<CostModel> {
-            self.observed
+            self.0.lock().unwrap().push((index, landing));
         }
     }
 
@@ -399,9 +385,8 @@ mod tests {
                 redispatched: AtomicUsize::new(0),
             };
             let landed = Mutex::new(Vec::new());
-            let observed = Mutex::new(CostModel::new());
             let names: Vec<String> = (0..peers).map(|p| format!("fake-{p}")).collect();
-            run_job(&names, 1, "test", Tally { landed: &landed, observed: &observed }, &shard,
+            run_job(&names, 1, "test", Tally(&landed), &shard,
                 &|peer, stripe, emit| fleet.run(peer, stripe, emit));
 
             let landed = landed.into_inner().unwrap();
@@ -427,21 +412,14 @@ mod tests {
     fn an_empty_fleet_rescues_the_whole_job_in_the_calling_thread() {
         let (full, results) = fixture();
         let landed = Mutex::new(Vec::new());
-        let observed = Mutex::new(CostModel::new());
-        run_job(
-            &[],
-            1,
-            "test",
-            Tally { landed: &landed, observed: &observed },
-            full,
-            &|_, _, _| panic!("no peer to run a stripe on"),
-        );
+        run_job(&[], 1, "test", Tally(&landed), full, &|_, _, _| {
+            panic!("no peer to run a stripe on")
+        });
         let landed = landed.into_inner().unwrap();
         assert_eq!(landed.len(), results.len());
         assert!(landed.iter().all(|&(_, landing)| landing == Landing::Rescued));
         let mut indices: Vec<usize> = landed.iter().map(|&(i, _)| i).collect();
         indices.sort_unstable();
         assert_eq!(indices, (0..results.len()).collect::<Vec<_>>());
-        assert!(!observed.into_inner().unwrap().observations().is_empty(), "rescue calibrates");
     }
 }

@@ -1,13 +1,12 @@
 //! The in-process backend: the engine's work-stealing thread pool, behind [`ExecBackend`].
 
 use super::{CellShard, EmitFn, ExecBackend};
-use crate::cost::CostModel;
 use crate::pool;
 use crate::scheduler::Instance;
 use local_graphs::InstanceKey;
 use local_runtime::Session;
 use std::collections::{BTreeSet, HashMap};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// Runs shards over [`crate::pool`] inside the current process — the backend `run_grid` has
 /// always effectively been.
@@ -18,17 +17,13 @@ use std::sync::{Arc, Mutex};
 #[derive(Debug)]
 pub struct InProcessBackend {
     threads: usize,
-    observed: Mutex<CostModel>,
 }
 
 impl InProcessBackend {
     /// A backend with the given worker-thread count (`0` = available parallelism, per
     /// [`pool::resolve_worker_count`]).
     pub fn new(threads: usize) -> Self {
-        InProcessBackend {
-            threads: pool::resolve_worker_count(threads),
-            observed: Mutex::new(CostModel::new()),
-        }
+        InProcessBackend { threads: pool::resolve_worker_count(threads) }
     }
 }
 
@@ -61,16 +56,8 @@ impl ExecBackend for InProcessBackend {
         pool::run_indexed_with(shard.cells.len(), self.threads, Session::new, |session, k| {
             let cell = &shard.cells[k];
             let instance = &instance_cache[&cell.instance_key(shard.base_seed)];
-            let result = crate::scheduler::run_cell_in(cell, instance, shard.base_seed, session);
-            self.observed.lock().expect("cost observations poisoned").observe(&result);
-            emit(k, result);
+            emit(k, crate::scheduler::run_cell_in(cell, instance, shard.base_seed, session));
         });
-    }
-
-    fn calibration(&self) -> CostModel {
-        let mut out = CostModel::new();
-        out.merge(&self.observed.lock().expect("cost observations poisoned"));
-        out
     }
 }
 
@@ -81,6 +68,7 @@ mod tests {
     use crate::report::CellResult;
     use crate::scenario::Scenario;
     use local_graphs::Family;
+    use std::sync::Mutex;
 
     fn shard() -> CellShard {
         let cells = vec![
@@ -124,19 +112,5 @@ mod tests {
         for (a, b) in seq.iter().zip(&par) {
             assert_eq!(a.deterministic_view(), b.deterministic_view());
         }
-    }
-
-    #[test]
-    fn calibration_covers_the_groups_it_ran() {
-        let backend = InProcessBackend::new(2);
-        let _ = run_collect(&backend, &shard());
-        let groups: Vec<(String, String)> = backend
-            .calibration()
-            .observations()
-            .into_iter()
-            .map(|(problem, family, _, _)| (problem, family))
-            .collect();
-        assert!(groups.contains(&("mis".into(), Family::SparseGnp.name().into())));
-        assert!(groups.contains(&("luby-mis".into(), Family::Grid.name().into())));
     }
 }

@@ -2,7 +2,9 @@
 //!
 //! The scheduler ([`crate::scheduler`]) owns everything around execution — cache probing,
 //! cost-model ordering, streaming aggregation, canonical report order — and hands the
-//! actual running of cells to an [`ExecBackend`] as one [`CellShard`]. Three backends ship:
+//! actual running of cells to an [`ExecBackend`] as one [`CellShard`]. A backend only
+//! executes and emits: the cost model learns from the store probe, never from a backend.
+//! Three backends ship:
 //!
 //! * [`InProcessBackend`] — the work-stealing thread pool ([`crate::pool`]) that has always
 //!   powered `run_grid`, now behind the trait;
@@ -152,10 +154,9 @@ pub trait ExecBackend: Sync {
     /// index. May emit from multiple threads concurrently.
     fn run_shard(&self, shard: &CellShard, emit: &EmitFn);
 
-    /// The calibration observed while running shards: per-`(problem, family)` observation
-    /// sums suitable for [`CostModel::merge`]. Distributed backends merge what their workers
-    /// shipped home; the default observes nothing (the scheduler can always calibrate from
-    /// the emitted results themselves).
+    /// A cost model calibrated while running shards. No engine backend overrides this
+    /// empty default: the scheduler calibrates from its own store probe, and this hook is
+    /// kept only for external implementors that still forward it.
     fn calibration(&self) -> CostModel {
         CostModel::new()
     }
@@ -194,11 +195,11 @@ pub const BACKEND_ENTRIES: &[BackendEntry] = &[
     },
 ];
 
-/// Renders the backend catalog for `sweep --list`.
-pub fn render_backend_listing() -> String {
+/// Renders the backend catalog for `sweep --list`, names padded to `width` columns.
+pub fn render_backend_listing(width: usize) -> String {
     let mut out = String::from("backends (--backend):\n");
     for entry in BACKEND_ENTRIES {
-        out.push_str(&format!("  {:<28} {}\n", entry.name, entry.summary));
+        out.push_str(&format!("  {:<width$} {}\n", entry.name, entry.summary));
     }
     out
 }

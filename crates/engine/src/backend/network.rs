@@ -8,9 +8,8 @@
 //! with a newline-delimited stream verified by `backend/stream.rs`: one `{"index": i, "cell":
 //! {…}}` line per finished cell (in completion order — the index maps back to the stripe),
 //! optional `{"telemetry": …}` heartbeats and one `{"spans": …}` dump when telemetry was
-//! requested, and a `{"done": n, "observations": […]}` sentinel carrying the daemon's
-//! cost-model observation sums. Connections are persistent: a daemon serves any number of
-//! requests per connection and any number of connections over its lifetime,
+//! requested, and a `{"done": n}` sentinel. Connections are persistent: a daemon serves
+//! any number of requests per connection and any number of connections over its lifetime,
 //! version-checking every shard against its own build. A daemon that cannot serve a
 //! request — including a request line over [`MAX_REQUEST_BYTES`] — answers a single
 //! `{"error": …}` line and drops the connection. A `sweep --coordinate` service speaks the
@@ -46,7 +45,6 @@ use super::telemetry::{SpanDump, WorkerTelemetry};
 use super::{
     backoff_ms, liveness_window, CellShard, EmitFn, ExecBackend, FaultPlan, InProcessBackend,
 };
-use crate::cost::CostModel;
 use crate::gate::ConcurrencyGate;
 use crate::progress::ProgressMeter;
 use crate::report::CellResult;
@@ -69,7 +67,6 @@ pub struct NetworkBackend {
     pub(super) peers: Vec<String>,
     /// Threads of the in-process rescue path (`0` = available parallelism).
     pub(super) rescue_threads: usize,
-    observed: Mutex<CostModel>,
     progress: Option<ProgressMeter>,
     heartbeat_ms: u64,
     io_deadline_ms: u64,
@@ -102,7 +99,6 @@ impl NetworkBackend {
             peer_up,
             peers,
             rescue_threads: 0,
-            observed: Mutex::new(CostModel::new()),
             progress: None,
             heartbeat_ms: 500,
             io_deadline_ms: super::DEFAULT_IO_DEADLINE_MS,
@@ -328,26 +324,9 @@ impl NetworkBackend {
             failure = verifier.verify_completion().err();
         }
         self.record_state(peer, false);
-
         match failure {
-            None => {
-                if let Some(observations) =
-                    verifier.sentinel_observations().map(observations_from_value)
-                {
-                    let mut observed = self.observed.lock().expect("cost observations poisoned");
-                    for (problem, family, obs, pred) in observations.unwrap_or_default() {
-                        observed.observe_group(&problem, &family, obs, pred);
-                    }
-                }
-                Ok(())
-            }
-            Some(reason) => {
-                self.observed
-                    .lock()
-                    .expect("cost observations poisoned")
-                    .merge(&verifier.line_observed);
-                Err((verifier.missing(), reason))
-            }
+            None => Ok(()),
+            Some(reason) => Err((verifier.missing(), reason)),
         }
     }
 }
@@ -362,31 +341,21 @@ impl ExecBackend for NetworkBackend {
     }
 
     fn run_shard(&self, shard: &CellShard, emit: &EmitFn) {
-        let job = ShardJob { emit, observed: &self.observed };
         dispatch::run_job(
             &self.peers,
             self.rescue_threads,
             "sweep network backend",
-            job,
+            ShardJob(emit),
             shard,
             &|peer, stripe, emit| self.run_stripe(peer, stripe, emit),
         );
     }
-
-    fn calibration(&self) -> CostModel {
-        let mut out = CostModel::new();
-        out.merge(&self.observed.lock().expect("cost observations poisoned"));
-        out
-    }
 }
 
 /// The one job of a [`NetworkBackend::run_shard`] call: results go straight to the
-/// scheduler's sink, rescue calibration to the backend's own model.
+/// scheduler's sink.
 #[derive(Clone, Copy)]
-struct ShardJob<'a> {
-    emit: &'a EmitFn<'a>,
-    observed: &'a Mutex<CostModel>,
-}
+struct ShardJob<'a>(&'a EmitFn<'a>);
 
 impl Job for ShardJob<'_> {
     fn client(&self) -> &str {
@@ -394,11 +363,7 @@ impl Job for ShardJob<'_> {
     }
 
     fn deliver(&self, index: usize, result: CellResult, _landing: Landing) {
-        (self.emit)(index, result);
-    }
-
-    fn calibration(&self) -> &Mutex<CostModel> {
-        self.observed
+        (self.0)(index, result);
     }
 }
 
@@ -568,9 +533,9 @@ fn serve_request(
 }
 
 /// The daemon's serving core: version-checks `shard`, executes it with an
-/// [`InProcessBackend`], streams result lines plus the observation-carrying sentinel to
-/// `out`, and applies the process's fault injector to every result line (`kill` and
-/// `truncate` clauses terminate the *calling process* when they fire).
+/// [`InProcessBackend`], streams result lines plus the `{"done": n}` sentinel to `out`,
+/// and applies the process's fault injector to every result line (`kill` and `truncate`
+/// clauses terminate the *calling process* when they fire).
 ///
 /// `telemetry_ms` is the client's heartbeat request: `Some(interval)` turns the obs layer on
 /// for the shard and adds heartbeat records every `interval` milliseconds plus a final span
@@ -684,50 +649,9 @@ pub(super) fn serve_shard(
         let mut sink = sink.lock().expect("result sink poisoned");
         writeln!(sink, "{text}").map_err(|e| format!("cannot write span dump: {e}"))?;
     }
-    let sentinel = Value::Map(vec![
-        ("done".into(), Value::U64(shard.cells.len() as u64)),
-        ("observations".into(), observations_to_value(&backend.calibration().observations())),
-    ]);
+    let sentinel = Value::Map(vec![("done".into(), Value::U64(shard.cells.len() as u64))]);
     let text = serde_json::to_string(&sentinel).expect("sentinel serializes");
     let mut sink = sink.lock().expect("result sink poisoned");
     writeln!(sink, "{text}").map_err(|e| format!("cannot write sentinel: {e}"))?;
     sink.flush().map_err(|e| format!("cannot flush results: {e}"))
-}
-
-/// Renders calibration observation sums for the sentinel line.
-pub(super) fn observations_to_value(observations: &[(String, String, f64, f64)]) -> Value {
-    Value::Seq(
-        observations
-            .iter()
-            .map(|(problem, family, observed, predicted)| {
-                Value::Seq(vec![
-                    Value::Str(problem.clone()),
-                    Value::Str(family.clone()),
-                    Value::F64(*observed),
-                    Value::F64(*predicted),
-                ])
-            })
-            .collect(),
-    )
-}
-
-/// Parses the sentinel's observation sums; shape errors discard the calibration only (the
-/// results themselves were verified line by line).
-pub(super) fn observations_from_value(
-    value: &Value,
-) -> Result<Vec<(String, String, f64, f64)>, String> {
-    value
-        .as_seq()
-        .ok_or_else(|| "observations are not a sequence".to_string())?
-        .iter()
-        .map(|entry| match entry.as_seq() {
-            Some([problem, family, observed, predicted]) => Ok((
-                String::from_value(problem)?,
-                String::from_value(family)?,
-                f64::from_value(observed)?,
-                f64::from_value(predicted)?,
-            )),
-            _ => Err("observation entry is not a 4-tuple".to_string()),
-        })
-        .collect()
 }

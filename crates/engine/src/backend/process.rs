@@ -26,12 +26,11 @@
 use super::faults::FaultPlan;
 use super::network::DEFAULT_CONNECT_TIMEOUT_MS;
 use super::{CellShard, EmitFn, ExecBackend, NetworkBackend};
-use crate::cost::CostModel;
 use crate::pool;
 use crate::progress::ProgressMeter;
 use std::io::{BufRead, BufReader};
 use std::process::{Child, Command, Stdio};
-use std::sync::{mpsc, Mutex};
+use std::sync::mpsc;
 use std::time::Duration;
 
 /// A child process that is *always* killed and reaped, together with every process it
@@ -161,7 +160,6 @@ pub struct ProcessBackend {
     workers: usize,
     worker_threads: usize,
     command: Vec<String>,
-    observed: Mutex<CostModel>,
     progress: Option<ProgressMeter>,
     heartbeat_ms: u64,
     io_deadline_ms: u64,
@@ -186,7 +184,6 @@ impl ProcessBackend {
             workers: pool::resolve_worker_count(workers),
             worker_threads: 1,
             command: command.into(),
-            observed: Mutex::new(CostModel::new()),
             progress: None,
             heartbeat_ms: 500,
             io_deadline_ms: super::DEFAULT_IO_DEADLINE_MS,
@@ -282,13 +279,6 @@ impl ExecBackend for ProcessBackend {
             network = network.progress(meter.clone());
         }
         network.run_shard(shard, emit);
-        self.observed.lock().expect("cost observations poisoned").merge(&network.calibration());
-    }
-
-    fn calibration(&self) -> CostModel {
-        let mut out = CostModel::new();
-        out.merge(&self.observed.lock().expect("cost observations poisoned"));
-        out
     }
 }
 
@@ -297,7 +287,7 @@ impl ExecBackend for ProcessBackend {
 #[cfg(test)]
 mod tests {
     use super::super::faults::FaultInjector;
-    use super::super::network::{observations_from_value, observations_to_value, serve_shard};
+    use super::super::network::serve_shard;
     use super::super::stream::accept_result;
     use super::*;
     use crate::registry::workload;
@@ -346,11 +336,7 @@ mod tests {
             assert_eq!(result.seed, shard.cells[index].cell_seed(shard.base_seed));
         }
         let sentinel = serde_json::from_str(lines.last().unwrap()).unwrap();
-        assert_eq!(sentinel.get("done").and_then(Value::as_u64), Some(2));
-        let observations = observations_from_value(sentinel.get("observations").unwrap()).unwrap();
-        assert!(observations
-            .iter()
-            .any(|(p, f, _, _)| p == "luby-mis" && f == Family::SparseGnp.name()));
+        assert_eq!(sentinel, Value::Map(vec![("done".into(), Value::U64(2))]), "only `done`");
     }
 
     #[test]
@@ -408,15 +394,5 @@ mod tests {
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), shard.cells.len() + 2, "cells + one duplicate + sentinel");
         assert_eq!(lines[0], lines[1], "the scripted line is emitted twice");
-    }
-
-    #[test]
-    fn observation_wire_format_round_trips() {
-        let observations = vec![
-            ("mis".to_string(), "grid".to_string(), 1234.5, 678.0),
-            ("coloring".to_string(), "path".to_string(), 9.0, 4.5),
-        ];
-        let value = observations_to_value(&observations);
-        assert_eq!(observations_from_value(&value).unwrap(), observations);
     }
 }

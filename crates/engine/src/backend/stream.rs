@@ -3,13 +3,12 @@
 //! Every stripe a [`super::NetworkBackend`] ships — to remote daemons, to the local ones
 //! [`super::ProcessBackend`] launches, or through a coordinator — comes back as the same
 //! newline-delimited protocol: `{"index", "cell"}` result lines, optional `{"telemetry"}`
-//! heartbeats and one `{"spans"}` dump, terminated by a `{"done", "observations"}`
-//! sentinel. This module owns the verification state machine for one stripe of that
-//! stream: per-line identity checks, duplicate-index rejection, sentinel completeness.
+//! heartbeats and one `{"spans"}` dump, terminated by a `{"done"}` sentinel. This module
+//! owns the verification state machine for one stripe of that stream: per-line identity
+//! checks, duplicate-index rejection, sentinel completeness.
 
 use super::telemetry::{SpanDump, WorkerTelemetry};
 use super::CellShard;
-use crate::cost::CostModel;
 use crate::progress::ProgressMeter;
 use crate::report::CellResult;
 use serde::{Deserialize, Value};
@@ -23,16 +22,13 @@ pub(crate) enum LineOutcome {
     Finished,
 }
 
-/// Verification state for one stripe's stream: which cells were verified and emitted, the
-/// per-line calibration shadow, and the sentinel once it arrives.
+/// Verification state for one stripe's stream: which cells were verified and emitted, and
+/// the sentinel once it arrives.
 pub(crate) struct StripeStream<'a> {
     stripe: &'a CellShard,
     worker_label: String,
     spawn_offset_micros: u64,
     emitted: Vec<bool>,
-    /// Calibration observed alongside acceptance, so verified cells still calibrate the
-    /// model when the worker later fails and its sentinel never arrives.
-    pub line_observed: CostModel,
     sentinel: Option<Value>,
 }
 
@@ -45,7 +41,6 @@ impl<'a> StripeStream<'a> {
             stripe,
             worker_label,
             spawn_offset_micros,
-            line_observed: CostModel::new(),
             sentinel: None,
         }
     }
@@ -89,7 +84,6 @@ impl<'a> StripeStream<'a> {
         }
         let (index, result) = accept_result(self.stripe, &value, &self.emitted)?;
         self.emitted[index] = true;
-        self.line_observed.observe(&result);
         accept(index, result);
         if let Some(meter) = progress {
             meter.worker_progress(&self.worker_label, self.done_count());
@@ -105,11 +99,6 @@ impl<'a> StripeStream<'a> {
     /// The stripe indices still without a verified result.
     pub fn missing(&self) -> Vec<usize> {
         (0..self.stripe.cells.len()).filter(|&i| !self.emitted[i]).collect()
-    }
-
-    /// The sentinel observation sums, when a trusted sentinel carried them.
-    pub fn sentinel_observations(&self) -> Option<&Value> {
-        self.sentinel.as_ref().and_then(|v| v.get("observations"))
     }
 
     /// Judges completion after the stream ended. What the sentinel *claims* is irrelevant;

@@ -560,8 +560,8 @@ fn dry_run(grid: &ScenarioGrid, store: Option<&BinaryStore>) {
     let mut model = CostModel::new();
     let mut missed = Vec::new();
     for (i, cell) in cells.iter().enumerate() {
-        match store.and_then(|store| store.load(cell, grid.base_seed)) {
-            Some(hit) => model.observe(&hit),
+        match store.and_then(|store| store.load_columns(cell, grid.base_seed)) {
+            Some(hit) => model.observe(cell, hit.wall_micros),
             None => missed.push(i),
         }
     }

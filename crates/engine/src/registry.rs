@@ -213,21 +213,33 @@ pub fn workload(name: &str) -> WorkloadSpec {
 }
 
 /// Renders the full registry — every workload and family with its pattern and one-line
-/// description — as the `sweep --list` output.
+/// description — as the `sweep --list` output, every section aligned to one column that
+/// fits the widest pattern.
 pub fn render_listing() -> String {
+    let workloads: Vec<(&str, &str)> =
+        WORKLOAD_ENTRIES.iter().map(|entry| (entry.pattern, entry.summary)).collect();
+    let families: Vec<(&str, &str)> = local_graphs::Family::ALL
+        .iter()
+        .map(|family| (family.name(), family.summary()))
+        .chain(
+            local_graphs::FAMILY_ENTRIES
+                .iter()
+                .filter(|entry| entry.pattern != "<builtin>")
+                .map(|entry| (entry.pattern, entry.summary)),
+        )
+        .collect();
+    let width =
+        workloads.iter().chain(&families).map(|(name, _)| name.chars().count()).max().unwrap_or(0);
     let mut out = String::from("workloads (--problems):\n");
-    for entry in WORKLOAD_ENTRIES {
-        out.push_str(&format!("  {:<28} {}\n", entry.pattern, entry.summary));
+    for (pattern, summary) in &workloads {
+        out.push_str(&format!("  {pattern:<width$} {summary}\n"));
     }
     out.push_str("\nfamilies (--families):\n");
-    for family in local_graphs::Family::ALL {
-        out.push_str(&format!("  {:<28} {}\n", family.name(), family.summary()));
-    }
-    for entry in local_graphs::FAMILY_ENTRIES.iter().filter(|e| e.pattern != "<builtin>") {
-        out.push_str(&format!("  {:<28} {}\n", entry.pattern, entry.summary));
+    for (pattern, summary) in &families {
+        out.push_str(&format!("  {pattern:<width$} {summary}\n"));
     }
     out.push('\n');
-    out.push_str(&crate::backend::render_backend_listing());
+    out.push_str(&crate::backend::render_backend_listing(width));
     out.push_str(
         "\n`--problems all` / `--families all` expand to the fixed catalogs above \
          (parameterized\nnames are opt-in axes). Any listed pattern is accepted wherever a \

@@ -1,9 +1,10 @@
 //! The scheduler: turns a [`ScenarioGrid`] into a [`Report`] by driving an abstract
 //! execution backend.
 //!
-//! The [`Sweep`] builder owns everything *around* execution — the store probe, cost-model
-//! calibration and LPT ordering, streaming aggregation, canonical report order — and hands
-//! the actual running of cells to an [`ExecBackend`] as one cost-ordered [`CellShard`]:
+//! The [`Sweep`] builder owns everything *around* execution — the store probe (whose hits
+//! are the cost model's only calibration), LPT ordering, summary aggregation, canonical
+//! report order — and hands the actual running of cells to an [`ExecBackend`] as one
+//! cost-ordered [`CellShard`]:
 //! [`InProcessBackend`] shards it over this process's work-stealing pool
 //! ([`crate::pool`]), [`crate::backend::NetworkBackend`] stripes it over `sweep --serve`
 //! daemons. Because those concerns compose *outside* the backend, the result store,
@@ -170,12 +171,7 @@ impl<'a> Sweep<'a> {
         self
     }
 
-    /// Runs the sweep. See [`Sweep::run_calibrated`] for the full pipeline description.
-    pub fn run(self) -> Report {
-        self.run_calibrated().0
-    }
-
-    /// Runs the sweep and also returns the merged, fully calibrated [`CostModel`].
+    /// Runs the sweep.
     ///
     /// The pipeline is store- and cost-aware, and backend-agnostic:
     ///
@@ -187,15 +183,11 @@ impl<'a> Sweep<'a> {
     /// 2. **Cost-ordered sharding.** Missed cells are ordered slowest-first under the
     ///    [`CostModel`] (LPT scheduling minimizes makespan for any pulling executor) and
     ///    packaged into one [`CellShard`] for the backend.
-    /// 3. **Backend execution.** The backend emits each result with its shard index; the
-    ///    sweep scatters them to canonical positions (collecting mode) or folds them into
-    ///    pre-registered summaries (streaming mode), so neither completion order nor the
-    ///    choice of backend can perturb the report. Freshly executed cells are written back
-    ///    to the store as they arrive.
-    /// 4. **Calibration merge.** Observations flow home from every worker — thread or
-    ///    subprocess — and are merged into the model, which a caller can carry into its
-    ///    next sweep (and which the store persists implicitly via stored wall times).
-    pub fn run_calibrated(self) -> (Report, CostModel) {
+    /// 3. **Backend execution.** The backend emits each result with its shard index, and
+    ///    one sink lands it: written back to the store, folded into the summaries at the
+    ///    cell's canonical grid index, and kept as a report row unless streaming — so
+    ///    neither completion order nor the choice of backend can perturb the report.
+    pub fn run(self) -> Report {
         // Streaming stores cells nowhere but the store; without one they would be silently
         // lost, so refuse loudly up front (the CLI rejects the combination at parse time).
         assert!(
@@ -206,55 +198,47 @@ impl<'a> Sweep<'a> {
         let grid = self.grid;
         let cells = grid.cells();
 
-        // Streaming pre-registers every group in canonical order before anything folds, so
-        // completion order cannot reorder the report.
-        let mut streaming = if self.stream {
-            let mut accumulator = SummaryAccumulator::new();
-            for cell in &cells {
-                accumulator.register(cell.problem.name(), cell.family.name());
-            }
-            Some(accumulator)
-        } else {
-            None
-        };
+        // Every group is registered in canonical order before anything folds, and every
+        // cell folds at its canonical index, so completion order cannot reorder the report.
+        let mut summaries = SummaryAccumulator::new();
+        for cell in &cells {
+            summaries.register(cell.problem.name(), cell.family.name());
+        }
+        let mut rows: Vec<Option<CellResult>> =
+            if self.stream { Vec::new() } else { vec![None; cells.len()] };
 
         // Phase 1: probe the incremental store and calibrate the cost model with the hits.
         // Streaming probes columns only — hits fold and are dropped, never materialized as
         // rows; collecting mode keeps the full rows for the report.
-        let mut cached: Vec<Option<CellResult>> = vec![None; cells.len()];
-        let mut hit = vec![false; cells.len()];
         let mut model = CostModel::new();
-        if let Some(store) = &self.store {
-            for (i, cell) in cells.iter().enumerate() {
-                match &mut streaming {
-                    Some(accumulator) => {
-                        if let Some(columns) = store.load_columns(cell, grid.base_seed) {
-                            model.observe_scenario(cell, columns.wall_micros);
-                            accumulator.fold_columns_at(
-                                i,
-                                cell.problem.name(),
-                                cell.family.name(),
-                                &columns,
-                            );
-                            hit[i] = true;
-                        }
-                    }
-                    None => {
-                        if let Some(result) = store.load(cell, grid.base_seed) {
-                            model.observe(&result);
-                            cached[i] = Some(result);
-                            hit[i] = true;
-                        }
-                    }
+        let mut missed = Vec::new();
+        for (i, cell) in cells.iter().enumerate() {
+            let hit_micros = match &self.store {
+                None => None,
+                Some(store) if self.stream => {
+                    store.load_columns(cell, grid.base_seed).map(|columns| {
+                        let (problem, family) = (cell.problem.name(), cell.family.name());
+                        summaries.fold_columns_at(i, problem, family, &columns);
+                        columns.wall_micros
+                    })
                 }
+                Some(store) => store.load(cell, grid.base_seed).map(|result| {
+                    summaries.fold_at(i, &result);
+                    let micros = result.wall_micros;
+                    rows[i] = Some(result);
+                    micros
+                }),
+            };
+            match hit_micros {
+                Some(micros) => model.observe(cell, micros),
+                None => missed.push(i),
             }
         }
-        let cache_hits = hit.iter().filter(|&&h| h).count();
+        let cache_hits = cells.len() - missed.len();
 
         // Phase 2: order the missed cells slowest-first and package them as one shard.
         // `distinct_instances` counts the keys the backend will have to realize; keys are
         // pure functions of cell identity, so no instance is generated here.
-        let missed: Vec<usize> = (0..cells.len()).filter(|&i| !hit[i]).collect();
         let distinct_instances = missed
             .iter()
             .map(|&i| cells[i].instance_key(grid.base_seed))
@@ -270,96 +254,53 @@ impl<'a> Sweep<'a> {
             let predicted: Vec<f64> = order.iter().map(|&i| model.predict(&cells[i])).collect();
             meter.begin(cells.len(), cache_hits, predicted);
         }
-        let progress = self.progress.clone();
-        let tick = |k: usize| {
-            if let Some(meter) = &progress {
-                meter.cell_done(k);
-            }
-        };
 
-        // Phase 3: hand the shard to the backend; write fresh results to the store and
-        // land them at their canonical position as they are emitted.
-        let persist = |k: usize, result: &CellResult| {
+        // Phase 3: hand the shard to the backend and land each result as it is emitted.
+        let landed = Mutex::new((summaries, rows, 0usize));
+        self.backend.run_shard(&shard, &|k, result| {
+            let i = order[k];
             if let Some(store) = &self.store {
-                let cell = &cells[order[k]];
-                if let Err(e) = store.store(cell, grid.base_seed, result) {
-                    eprintln!("result store: cannot store {}: {e}", cell.label());
+                if let Err(e) = store.store(&cells[i], grid.base_seed, &result) {
+                    eprintln!("result store: cannot store {}: {e}", cells[i].label());
                 }
             }
-        };
-
-        if let Some(accumulator) = streaming {
-            // Streaming: hits already folded columnar during the probe; fold fresh cells as
-            // they finish, and drop them.
-            let folded = std::sync::atomic::AtomicUsize::new(0);
-            let accumulator = Mutex::new(accumulator);
-            self.backend.run_shard(&shard, &|k, result| {
-                persist(k, &result);
-                // Folded under the cell's canonical grid index, so completion order cannot
-                // perturb the summary bytes.
-                accumulator
-                    .lock()
-                    .expect("summary accumulator poisoned")
-                    .fold_at(order[k], &result);
-                folded.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                tick(k);
-            });
-            if let Some(meter) = &self.progress {
-                meter.finish();
+            {
+                let mut landed = landed.lock().expect("sweep results poisoned");
+                let (summaries, rows, emitted) = &mut *landed;
+                summaries.fold_at(i, &result);
+                *emitted += 1;
+                if !self.stream {
+                    rows[i] = Some(result);
+                }
             }
-            let folded = folded.into_inner();
-            assert_eq!(folded, order.len(), "backend did not emit every cell of the shard");
-            model.merge(&self.backend.calibration());
-            let report = Report {
-                threads: self.backend.parallelism(),
-                base_seed: grid.base_seed,
-                cell_count: cells.len(),
-                distinct_instances,
-                cache_hits,
-                total_wall_micros: started.elapsed().as_micros() as u64,
-                summaries: accumulator.into_inner().expect("summary accumulator poisoned").finish(),
-                cells: Vec::new(),
-            };
-            return (report, model);
-        }
-
-        // Collecting mode: scatter emitted cells back to their canonical positions.
-        let slots: Vec<Mutex<Option<CellResult>>> =
-            order.iter().map(|_| Mutex::new(None)).collect();
-        self.backend.run_shard(&shard, &|k, result| {
-            persist(k, &result);
-            *slots[k].lock().expect("result slot poisoned") = Some(result);
-            tick(k);
+            if let Some(meter) = &self.progress {
+                meter.cell_done(k);
+            }
         });
         if let Some(meter) = &self.progress {
             meter.finish();
         }
-        model.merge(&self.backend.calibration());
-        for (&i, slot) in order.iter().zip(slots) {
-            cached[i] = slot.into_inner().expect("result slot poisoned");
-        }
-        let results: Vec<CellResult> = cached
-            .into_iter()
-            .map(|c| c.expect("backend did not emit every cell of the shard"))
-            .collect();
-
-        let report = Report {
+        let (summaries, rows, emitted) = landed.into_inner().expect("sweep results poisoned");
+        assert_eq!(emitted, order.len(), "backend did not emit every cell of the shard");
+        Report {
             threads: self.backend.parallelism(),
             base_seed: grid.base_seed,
-            cell_count: results.len(),
+            cell_count: cells.len(),
             distinct_instances,
             cache_hits,
             total_wall_micros: started.elapsed().as_micros() as u64,
-            summaries: crate::report::summarize(&results),
-            cells: results,
-        };
-        (report, model)
+            summaries: summaries.finish(),
+            cells: rows
+                .into_iter()
+                .map(|row| row.expect("backend did not emit every cell of the shard"))
+                .collect(),
+        }
     }
 }
 
 /// Runs every cell of `grid` in-process and folds the outcomes into a [`Report`] — a thin
-/// wrapper over [`Sweep`] kept as the stable entry point; see [`Sweep::run_calibrated`]
-/// for the pipeline.
+/// wrapper over [`Sweep`] kept as the stable entry point; see [`Sweep::run`] for the
+/// pipeline.
 pub fn run_grid(grid: &ScenarioGrid, cfg: &SweepConfig) -> Report {
     Sweep::over(grid).config(cfg).run()
 }

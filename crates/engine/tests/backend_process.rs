@@ -102,27 +102,6 @@ fn garbage_on_stdout_falls_back_in_process() {
     assert_reports_identical(&reference, &candidate, "garbage worker");
 }
 
-#[test]
-fn calibration_merges_per_worker_observations() {
-    let grid = demo_grid();
-    let (_, local_model) =
-        Sweep::over(&grid).config(&SweepConfig::with_threads(1)).run_calibrated();
-    let (_, merged_model) = Sweep::over(&grid)
-        .backend(ProcessBackend::with_command(2, vec![worker_bin()]))
-        .run_calibrated();
-    let groups = |model: &local_engine::CostModel| {
-        model
-            .observations()
-            .into_iter()
-            .map(|(problem, family, _, _)| (problem, family))
-            .collect::<Vec<_>>()
-    };
-    // Wall times differ across processes, but the merged calibration must cover exactly the
-    // groups a local sweep observes — proof the workers' observation sums made it home.
-    assert_eq!(groups(&merged_model), groups(&local_model));
-    assert!(!merged_model.observations().is_empty());
-}
-
 fn temp_dir(tag: &str) -> PathBuf {
     let dir =
         std::env::temp_dir().join(format!("backend-process-test-{}-{tag}", std::process::id()));

@@ -170,6 +170,9 @@ fn submit_raw(coordinator: &str, grid: &ScenarioGrid, name: &str) -> Vec<Instant
         if value.get("index").is_some() {
             arrivals.push(Instant::now());
         } else if value.get("done").is_some() {
+            let Value::Map(entries) = &value else { panic!("sentinel is not a map: {value:?}") };
+            let keys: Vec<&str> = entries.iter().map(|(key, _)| key.as_str()).collect();
+            assert_eq!(keys, ["done", "stats"], "the coordinator's sentinel keys");
             return arrivals;
         } else if let Some(error) = value.get("error") {
             panic!("coordinator refused client {name}: {error:?}");

@@ -370,17 +370,23 @@ pub fn disable() {
     ENABLED.store(false, Ordering::Relaxed);
 }
 
-/// Clears all recorded events, counters, labels, and imported tracks (buffers and their
-/// registrations survive). Primarily for tests.
+/// Clears all recorded events, counters, labels, and imported tracks. A live thread keeps
+/// its registered buffer and its capacity; the track of a thread that has exited is
+/// dropped (a [`snapshot`] taken before the reset still saw its events). A process that
+/// spawns a thread per request and resets per request thus holds a bounded set of tracks.
 pub fn reset() {
     let c = collector();
     for counter in &c.counters {
         counter.store(0, Ordering::Relaxed);
     }
-    for track in c.tracks.lock().expect("tracks poisoned").iter() {
+    let mut tracks = c.tracks.lock().expect("tracks poisoned");
+    // An exited thread's `TRACK` is gone, which leaves the collector's handle the only one.
+    tracks.retain(|track| Arc::strong_count(track) > 1);
+    for track in tracks.iter() {
         track.events.lock().expect("track buffer poisoned").clear();
         track.dropped.store(0, Ordering::Relaxed);
     }
+    drop(tracks);
     let mut labels = c.labels.lock().expect("labels poisoned");
     labels.names.clear();
     labels.index.clear();
@@ -732,6 +738,34 @@ mod tests {
         assert!(snap.dropped > 0, "overflow must be counted as dropped");
         assert!(snap.event_count() <= DEFAULT_EVENT_CAPACITY + 64 - snap.dropped as usize);
         reset();
+    }
+
+    #[test]
+    fn reset_drops_the_tracks_of_exited_threads() {
+        let _g = locked();
+        reset();
+        enable_with_capacity(64);
+        for i in 0..100 {
+            std::thread::spawn(move || record(metrics::ACTIVE_NODES, LabelId::NONE, i))
+                .join()
+                .unwrap();
+        }
+        let before = snapshot();
+        let mut values: Vec<u64> = before
+            .tracks
+            .iter()
+            .flat_map(|t| &t.events)
+            .filter(|e| e.metric == "active-nodes")
+            .map(|e| e.value)
+            .collect();
+        values.sort_unstable();
+        assert_eq!(values, (0..100).collect::<Vec<_>>(), "exited threads' events stay visible");
+        reset();
+        disable();
+        // This thread never recorded; one more track may belong to an earlier test's thread
+        // that is still exiting.
+        let registered = collector().tracks.lock().unwrap().len();
+        assert!(registered <= 1, "{registered} tracks survive 100 exited threads");
     }
 
     #[test]
