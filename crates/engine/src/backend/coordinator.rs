@@ -11,7 +11,16 @@
 //! policy, fair *by predicted cost* between clients and longest-processing-time-first within
 //! a job. Verified results stream back to each client in exactly the daemon wire protocol —
 //! result lines, optional heartbeats, a `{"done": n, "stats": {…}}` sentinel whose extra
-//! accounting key clients ignore — so a client cannot tell a coordinator from a daemon.
+//! accounting key clients ignore — so a client cannot tell a coordinator from a daemon. Each
+//! connection's lines go through one batching `LineSink`, flushed as a daemon's is: at
+//! 64 KiB, when a line is queued after the oldest one waited 20 ms, at the first 5 ms tick
+//! of the job's ticker thread after that, and before every heartbeat, sentinel and error
+//! line. `--progress` on the client therefore moves once per batch.
+//!
+//! Nothing reads the coordinator's own trace. So it skips the span dumps its daemons send
+//! (megabytes per stripe) unparsed, and when its last active job finalizes it drops the
+//! tracks of exited threads (`local_obs::release_finished`; counters stay). A long-lived
+//! coordinator thus holds bounded memory.
 //!
 //! # The determinism and loss contracts
 //!
@@ -28,6 +37,7 @@
 
 use super::dispatch::{Dispatcher, Job, Landing};
 use super::network::{read_request_line, write_error_line, NetworkBackend};
+use super::stream::{LineSink, FLUSH_TICK};
 use super::telemetry::WorkerTelemetry;
 use super::CellShard;
 use crate::accounting::{ClientLedger, JobStats};
@@ -39,7 +49,7 @@ use std::io::{BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Stripes each job is split into per fleet peer: finer than one per peer, so that the
 /// stripes of concurrent clients interleave on the fleet.
@@ -75,7 +85,7 @@ struct CoordJob {
     client: String,
     seq: u64,
     cells: usize,
-    writer: Arc<Mutex<TcpStream>>,
+    writer: Arc<Mutex<LineSink<TcpStream>>>,
     telemetry_ms: Option<u64>,
     accepted_micros: u64,
     remaining: AtomicUsize,
@@ -117,9 +127,8 @@ impl CoordJob {
                 ("index".into(), Value::U64(wire as u64)),
                 ("cell".into(), result.to_value()),
             ]);
-            let text = serde_json::to_string(&line).expect("result line serializes");
             let mut writer = self.writer.lock().expect("client writer poisoned");
-            if let Err(e) = writeln!(writer, "{text}") {
+            if let Err(e) = writer.line(&line) {
                 drop(writer);
                 self.failed.store(true, Ordering::Relaxed);
                 eprintln!(
@@ -165,9 +174,8 @@ impl CoordJob {
                     ]),
                 ),
             ]);
-            let text = serde_json::to_string(&sentinel).expect("sentinel serializes");
             let mut writer = self.writer.lock().expect("client writer poisoned");
-            if let Err(e) = writeln!(writer, "{text}").and_then(|_| writer.flush()) {
+            if let Err(e) = writer.line_now(&sentinel) {
                 eprintln!(
                     "coord: client {} job {}: cannot write the sentinel: {e}",
                     self.client, self.seq
@@ -203,7 +211,14 @@ impl CoordJob {
             );
         }
         let _ = std::io::stdout().flush();
-        state.active_jobs.fetch_sub(1, Ordering::Relaxed);
+        {
+            // Admission takes the same lock, so no job is admitted while the trace shrinks.
+            let mut active = state.active_jobs.lock().expect("active jobs poisoned");
+            *active -= 1;
+            if *active == 0 {
+                local_obs::release_finished();
+            }
+        }
         let mut done = self.done.0.lock().expect("done flag poisoned");
         *done = true;
         self.done.1.notify_all();
@@ -249,7 +264,8 @@ struct ServerState {
     dispatcher: Dispatcher<Arc<CoordJob>>,
     ledger: Mutex<ClientLedger>,
     busy_peers: AtomicU64,
-    active_jobs: AtomicU64,
+    /// Jobs admitted and not yet finalized.
+    active_jobs: Mutex<u64>,
     job_seq: AtomicU64,
 }
 
@@ -274,7 +290,7 @@ impl CoordinatorServer {
                 dispatcher,
                 ledger: Mutex::new(ClientLedger::new()),
                 busy_peers: AtomicU64::new(0),
-                active_jobs: AtomicU64::new(0),
+                active_jobs: Mutex::new(0),
                 job_seq: AtomicU64::new(0),
             }),
         })
@@ -294,7 +310,7 @@ impl CoordinatorServer {
                 state.dispatcher.worker(peer, &|peer, stripe, emit| {
                     let busy = state.busy_peers.fetch_add(1, Ordering::Relaxed) + 1;
                     local_obs::gauge_max(local_obs::metrics::COORD_FLEET_BUSY, busy);
-                    let outcome = state.fleet.run_stripe(peer, stripe, emit);
+                    let outcome = state.fleet.run_stripe(peer, stripe, emit, false);
                     state.busy_peers.fetch_sub(1, Ordering::Relaxed);
                     outcome
                 })
@@ -336,7 +352,7 @@ fn client_session(stream: TcpStream, state: &Arc<ServerState>) {
             return;
         }
     };
-    let writer = Arc::new(Mutex::new(stream));
+    let writer = Arc::new(Mutex::new(LineSink::new(stream)));
     let mut reader = reader;
     let mut line = String::new();
     let mut last_client = None;
@@ -363,12 +379,13 @@ fn client_session(stream: TcpStream, state: &Arc<ServerState>) {
 
 /// Parses one job line, decomposes it into LPT-ordered stripes, submits them to the fair
 /// scheduler (or rescues the whole job in-process when the fleet is gone), and blocks
-/// until the job's sentinel went out — keeping the client's liveness window fed with
-/// heartbeats the whole time when it asked for telemetry.
+/// until the job's sentinel went out — with a ticker beside it that writes stale result
+/// lines and keeps the client's liveness window fed with heartbeats when it asked for
+/// telemetry.
 fn serve_job(
     request: &str,
     peer_name: &str,
-    writer: &Arc<Mutex<TcpStream>>,
+    writer: &Arc<Mutex<LineSink<TcpStream>>>,
     state: &Arc<ServerState>,
     last_client: &mut Option<String>,
 ) -> Result<(), String> {
@@ -398,8 +415,12 @@ fn serve_job(
 
     let seq = state.job_seq.fetch_add(1, Ordering::Relaxed);
     state.ledger.lock().expect("ledger poisoned").job_submitted(&client);
+    let active = {
+        let mut active = state.active_jobs.lock().expect("active jobs poisoned");
+        *active += 1;
+        *active
+    };
     local_obs::counter_add(local_obs::metrics::COORD_JOBS, 1);
-    let active = state.active_jobs.fetch_add(1, Ordering::Relaxed) + 1;
     local_obs::gauge_max(local_obs::metrics::COORD_JOBS_ACTIVE, active);
     println!(
         "coord: client {client} job {seq} accepted: {} cells from {peer_name}",
@@ -436,10 +457,10 @@ fn serve_job(
         return Ok(());
     }
 
-    let heartbeat = job.telemetry_ms.map(|ms| {
+    let ticker = {
         let job = Arc::clone(&job);
-        std::thread::spawn(move || heartbeat_loop(&job, ms))
-    });
+        std::thread::spawn(move || tick_until_done(&job))
+    };
 
     // Probe the shared store first: stored cells stream back immediately (booked as
     // verified — they went through full verification when first computed) and never
@@ -488,44 +509,43 @@ fn serve_job(
         done = cvar.wait(done).expect("done flag poisoned");
     }
     drop(done);
-    if let Some(beater) = heartbeat {
-        let _ = beater.join();
-    }
+    let _ = ticker.join();
     if job.failed.load(Ordering::Relaxed) {
         return Err(format!("client {client} went away mid-job"));
     }
     Ok(())
 }
 
-/// Feeds a client's shrunken liveness window while its job is queued or in flight:
-/// absolute progress every `interval_ms`, ending when the job finalizes.
-fn heartbeat_loop(job: &CoordJob, interval_ms: u64) {
-    let interval = Duration::from_millis(interval_ms.max(1));
+/// The ticker of one job, until it finalizes: every [`FLUSH_TICK`] it writes result lines
+/// that waited past the sink's bound, and when the client asked for telemetry it sends
+/// absolute progress every interval, which feeds the client's shrunken liveness window
+/// while the job is queued, in flight or rescued.
+fn tick_until_done(job: &CoordJob) {
+    let interval = job.telemetry_ms.map(|ms| Duration::from_millis(ms.max(1)));
+    let tick = interval.map_or(FLUSH_TICK, |interval| interval.min(FLUSH_TICK));
+    let mut last_beat = Instant::now();
     let (lock, cvar) = &job.done;
     loop {
         let done = lock.lock().expect("done flag poisoned");
-        if *done {
+        let (done, _) =
+            cvar.wait_timeout_while(done, tick, |done| !*done).expect("done flag poisoned");
+        if *done || job.failed.load(Ordering::Relaxed) {
             return;
         }
-        let (done, timeout) = cvar.wait_timeout(done, interval).expect("done flag poisoned");
-        let finished = *done;
         drop(done);
-        if finished || job.failed.load(Ordering::Relaxed) {
-            return;
-        }
-        if !timeout.timed_out() {
-            continue;
-        }
-        let beat = WorkerTelemetry {
-            cells_done: (job.cells - job.remaining.load(Ordering::Relaxed)) as u64,
-            wall_micros: local_obs::now_micros().saturating_sub(job.accepted_micros),
-            counters: Vec::new(),
-        };
-        let line = Value::Map(vec![("telemetry".into(), beat.to_value())]);
-        let text = serde_json::to_string(&line).expect("heartbeat serializes");
         let mut writer = job.writer.lock().expect("client writer poisoned");
-        // Best-effort: a heartbeat the client never reads must not fail the job.
-        let _ = writeln!(writer, "{text}");
-        let _ = writer.flush();
+        // Best-effort: a failed write breaks the sink, and the next result line's write
+        // then marks the client as gone.
+        if interval.is_some_and(|interval| last_beat.elapsed() >= interval) {
+            last_beat = Instant::now();
+            let beat = WorkerTelemetry {
+                cells_done: (job.cells - job.remaining.load(Ordering::Relaxed)) as u64,
+                wall_micros: local_obs::now_micros().saturating_sub(job.accepted_micros),
+                counters: Vec::new(),
+            };
+            let _ = writer.line_now(&Value::Map(vec![("telemetry".into(), beat.to_value())]));
+        } else {
+            let _ = writer.flush_stale();
+        }
     }
 }

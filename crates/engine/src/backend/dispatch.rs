@@ -71,10 +71,14 @@ struct Stripe<J> {
 }
 
 impl<J: Job> Stripe<J> {
-    /// The stripe as a scheduler task, costed by the default model's predictions.
+    /// The stripe as a scheduler task, costed by the cost model's static prior.
     fn entry(self) -> TaskEntry<Stripe<J>> {
-        let model = CostModel::new();
-        let cost: f64 = self.cells.cells.iter().map(|cell| model.predict(cell).max(1.0)).sum();
+        let cost: f64 = self
+            .cells
+            .cells
+            .iter()
+            .map(|cell| CostModel::base_cost(&cell.problem, &cell.family, cell.n).max(1.0))
+            .sum();
         let client = self.job.client().to_string();
         TaskEntry::new(self, client, cost)
     }

@@ -8,7 +8,11 @@
 //! with a newline-delimited stream verified by `backend/stream.rs`: one `{"index": i, "cell":
 //! {…}}` line per finished cell (in completion order — the index maps back to the stripe),
 //! optional `{"telemetry": …}` heartbeats and one `{"spans": …}` dump when telemetry was
-//! requested, and a `{"done": n}` sentinel. Connections are persistent: a daemon serves
+//! requested, and a `{"done": n}` sentinel. Result lines go out in batches through one
+//! `LineSink` (`backend/stream.rs`): a batch is written in one call when it passes
+//! 64 KiB, when a line is queued after the oldest buffered one waited 20 ms, at the first
+//! 5 ms tick after that, and before every heartbeat, the span dump, the sentinel, an error
+//! line and every scripted fault action. Connections are persistent: a daemon serves
 //! any number of requests per connection and any number of connections over its lifetime,
 //! version-checking every shard against its own build. A daemon that cannot serve a
 //! request — including a request line over [`MAX_REQUEST_BYTES`] — answers a single
@@ -40,7 +44,7 @@
 
 use super::dispatch::{self, Job, Landing};
 use super::faults::{FaultInjector, LineFault};
-use super::stream::{LineOutcome, StripeStream};
+use super::stream::{write_line, LineOutcome, LineSink, StripeStream, FLUSH_TICK};
 use super::telemetry::{SpanDump, WorkerTelemetry};
 use super::{
     backoff_ms, liveness_window, CellShard, EmitFn, ExecBackend, FaultPlan, InProcessBackend,
@@ -52,8 +56,9 @@ use serde::{Deserialize, Serialize, Value};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// How long one connect attempt may take by default; [`super::ProcessBackend`] waits as
 /// long for a launched daemon to announce its address.
@@ -242,12 +247,14 @@ impl NetworkBackend {
     /// Dispatches one stripe to one peer over a fresh connection, emitting each verified
     /// cell by its stripe index. Returns the stripe indices still missing plus the failure
     /// reason when the stream cannot be trusted to completion. This is the dispatcher's
-    /// [`dispatch::RunStripe`] for both remote fronts.
+    /// [`dispatch::RunStripe`] for both remote fronts; `import_spans` is false for the
+    /// coordinator, which never takes a trace (see [`StripeStream::discard_spans`]).
     pub(super) fn run_stripe(
         &self,
         peer: usize,
         stripe: &CellShard,
         emit: &EmitFn,
+        import_spans: bool,
     ) -> Result<(), (Vec<usize>, String)> {
         let all = || (0..stripe.cells.len()).collect::<Vec<usize>>();
         let stream = match self.connect(peer) {
@@ -275,15 +282,16 @@ impl NetworkBackend {
         if let Some(name) = &self.client_label {
             request.push(("client".to_string(), Value::Str(name.clone())));
         }
-        let request = serde_json::to_string(&Value::Map(request)).expect("request serializes");
-        let mut writer = &stream;
-        if let Err(e) = writeln!(writer, "{request}").and_then(|_| writer.flush()) {
+        if let Err(e) = write_line(&stream, &Value::Map(request)) {
             self.record_state(peer, false);
             return Err((all(), format!("cannot ship the stripe to {}: {e}", self.peers[peer])));
         }
 
         let mut reader = BufReader::new(&stream);
         let mut verifier = StripeStream::new(stripe, format!("worker {peer}"), connect_offset);
+        if !import_spans {
+            verifier = verifier.discard_spans();
+        }
         let mut failure = None;
         let mut line = String::new();
         loop {
@@ -347,7 +355,7 @@ impl ExecBackend for NetworkBackend {
             "sweep network backend",
             ShardJob(emit),
             shard,
-            &|peer, stripe, emit| self.run_stripe(peer, stripe, emit),
+            &|peer, stripe, emit| self.run_stripe(peer, stripe, emit, true),
         );
     }
 }
@@ -450,7 +458,7 @@ fn serve_connection(
         };
         if let Err(e) = served {
             eprintln!("sweep serve [{client}]: {e}");
-            write_error_line(&mut writer, e);
+            write_error_line(&mut LineSink::new(&mut writer), e);
             return;
         }
     }
@@ -481,13 +489,10 @@ pub(super) fn read_request_line<'a>(
     }
 }
 
-/// Answers a request that cannot be served with one `{"error": …}` line (best-effort: the
-/// caller hangs up next either way).
-pub(super) fn write_error_line(out: &mut impl Write, message: String) {
-    let reply = Value::Map(vec![("error".into(), Value::Str(message))]);
-    let text = serde_json::to_string(&reply).expect("error line serializes");
-    let _ = writeln!(out, "{text}");
-    let _ = out.flush();
+/// Answers a request that cannot be served with one `{"error": …}` line, written at once
+/// after whatever `out` still holds (best-effort: the caller hangs up next either way).
+pub(super) fn write_error_line(out: &mut LineSink<impl Write>, message: String) {
+    let _ = out.line_now(&Value::Map(vec![("error".into(), Value::Str(message))]));
 }
 
 /// Parses and executes one shard request against this daemon's build, inside the daemon's
@@ -513,10 +518,7 @@ fn serve_request(
             return;
         }
         let beat = WorkerTelemetry { cells_done: 0, wall_micros: 0, counters: Vec::new() };
-        let line = Value::Map(vec![("telemetry".into(), beat.to_value())]);
-        let text = serde_json::to_string(&line).expect("heartbeat serializes");
-        let _ = writeln!(out, "{text}");
-        let _ = out.flush();
+        let _ = write_line(out, &Value::Map(vec![("telemetry".into(), beat.to_value())]));
     };
     let _slot = if faults.is_armed() || telemetry.is_some() {
         gate.acquire_exclusive(|| keepalive(out))
@@ -533,9 +535,10 @@ fn serve_request(
 }
 
 /// The daemon's serving core: version-checks `shard`, executes it with an
-/// [`InProcessBackend`], streams result lines plus the `{"done": n}` sentinel to `out`,
-/// and applies the process's fault injector to every result line (`kill` and `truncate`
-/// clauses terminate the *calling process* when they fire).
+/// [`InProcessBackend`], streams result lines plus the `{"done": n}` sentinel to `out`
+/// through one batching [`LineSink`], and applies the process's fault injector to every
+/// result line (`kill` and `truncate` clauses terminate the *calling process* when they
+/// fire).
 ///
 /// `telemetry_ms` is the client's heartbeat request: `Some(interval)` turns the obs layer on
 /// for the shard and adds heartbeat records every `interval` milliseconds plus a final span
@@ -557,9 +560,9 @@ pub(super) fn serve_shard(
     if telemetry_ms.is_some() {
         local_obs::enable();
     }
-    let started = std::time::Instant::now();
+    let started = Instant::now();
     let backend = InProcessBackend::new(threads);
-    let sink = Mutex::new(&mut *out);
+    let sink = Mutex::new(LineSink::new(out));
     let cells_done = AtomicU64::new(0);
     let heartbeat = || {
         let record = WorkerTelemetry {
@@ -568,72 +571,50 @@ pub(super) fn serve_shard(
             counters: local_obs::counter_totals(),
         };
         let line = Value::Map(vec![("telemetry".into(), record.to_value())]);
-        let text = serde_json::to_string(&line).expect("telemetry line serializes");
-        // Best-effort: a heartbeat the client never reads must not fail the stripe.
-        let mut sink = sink.lock().expect("result sink poisoned");
-        let _ = writeln!(sink, "{text}");
-        let _ = sink.flush();
+        // Best-effort: a heartbeat the client never reads must not fail the stripe (a
+        // failed write breaks the sink, so the sentinel cannot go out after it).
+        let _ = sink.lock().expect("result sink poisoned").line_now(&line);
     };
     let mut write_error = None;
     {
         let write_error = Mutex::new(&mut write_error);
-        let stop = AtomicBool::new(false);
         std::thread::scope(|scope| {
-            if let Some(interval_ms) = telemetry_ms {
-                let stop = &stop;
-                let heartbeat = &heartbeat;
-                scope.spawn(move || {
-                    // Sleep in short slices so the beater notices `stop` promptly even
-                    // under long heartbeat intervals.
-                    let slice = Duration::from_millis(interval_ms.clamp(1, 50));
-                    let mut elapsed_ms = 0u64;
-                    while !stop.load(Ordering::Relaxed) {
-                        std::thread::sleep(slice);
-                        elapsed_ms += slice.as_millis() as u64;
-                        if elapsed_ms >= interval_ms {
-                            elapsed_ms = 0;
-                            heartbeat();
-                        }
+            // The ticker: writes lines that waited past the bound, heartbeats every
+            // interval when asked to, and ends as soon as `stop` is dropped.
+            let (stop, stopped) = mpsc::channel::<()>();
+            let (sink, heartbeat) = (&sink, &heartbeat);
+            scope.spawn(move || {
+                let interval = telemetry_ms.map(|ms| Duration::from_millis(ms.max(1)));
+                let tick = interval.map_or(FLUSH_TICK, |interval| interval.min(FLUSH_TICK));
+                let mut last_beat = Instant::now();
+                while let Err(RecvTimeoutError::Timeout) = stopped.recv_timeout(tick) {
+                    if interval.is_some_and(|interval| last_beat.elapsed() >= interval) {
+                        last_beat = Instant::now();
+                        heartbeat();
+                    } else {
+                        let _ = sink.lock().expect("result sink poisoned").flush_stale();
                     }
-                });
-            }
+                }
+            });
             backend.run_shard(shard, &|index, result| {
                 let line = Value::Map(vec![
                     ("index".into(), Value::U64(index as u64)),
                     ("cell".into(), result.to_value()),
                 ]);
-                let text = serde_json::to_string(&line).expect("result line serializes");
                 cells_done.fetch_add(1, Ordering::Relaxed);
                 let mut sink = sink.lock().expect("result sink poisoned");
                 // The scripted faults fire under the sink lock, so "result line k" follows
                 // emission order deterministically.
-                match faults.on_result_line() {
-                    LineFault::Kill => {
-                        let _ = sink.flush();
-                        std::process::exit(1);
-                    }
-                    LineFault::Truncate => {
-                        // A clean stream that simply ends: flush what was verified so far
-                        // and exit zero without a sentinel.
-                        let _ = sink.flush();
-                        std::process::exit(0);
-                    }
-                    LineFault::Garble => {
-                        let _ = writeln!(sink, "{}", FaultInjector::garbage_line(index as u64));
-                    }
-                    LineFault::Duplicate => {
-                        let _ = writeln!(sink, "{text}");
-                    }
-                    LineFault::Delay(ms) => {
-                        std::thread::sleep(Duration::from_millis(ms));
-                    }
-                    LineFault::None => {}
+                if let Some(code) =
+                    apply_line_fault(faults.on_result_line(), &mut sink, index, &line)
+                {
+                    std::process::exit(code);
                 }
-                if let Err(e) = writeln!(sink, "{text}") {
+                if let Err(e) = sink.line(&line) {
                     write_error.lock().expect("error slot poisoned").get_or_insert(e.to_string());
                 }
             });
-            stop.store(true, Ordering::Relaxed);
+            drop(stop);
         });
     }
     if let Some(e) = write_error {
@@ -645,13 +626,48 @@ pub(super) fn serve_shard(
         heartbeat();
         let dump = SpanDump::from_snapshot(&local_obs::snapshot());
         let line = Value::Map(vec![("spans".into(), dump.to_value())]);
-        let text = serde_json::to_string(&line).expect("span dump serializes");
         let mut sink = sink.lock().expect("result sink poisoned");
-        writeln!(sink, "{text}").map_err(|e| format!("cannot write span dump: {e}"))?;
+        sink.line_now(&line).map_err(|e| format!("cannot write span dump: {e}"))?;
     }
     let sentinel = Value::Map(vec![("done".into(), Value::U64(shard.cells.len() as u64))]);
-    let text = serde_json::to_string(&sentinel).expect("sentinel serializes");
     let mut sink = sink.lock().expect("result sink poisoned");
-    writeln!(sink, "{text}").map_err(|e| format!("cannot write sentinel: {e}"))?;
-    sink.flush().map_err(|e| format!("cannot flush results: {e}"))
+    sink.line_now(&sentinel).map_err(|e| format!("cannot write sentinel: {e}"))
+}
+
+/// Applies the scripted fault of result line `index` (its value is `line`) to `sink` before
+/// the line itself is queued. `kill` and `truncate` hand every earlier line to the writer
+/// and return the exit code the caller then ends the process with (1 and 0); `delay` hands
+/// them over before it sleeps, so the client sees a stalled stream rather than held-back
+/// lines.
+pub(super) fn apply_line_fault<W: Write>(
+    fault: LineFault,
+    sink: &mut LineSink<W>,
+    index: usize,
+    line: &Value,
+) -> Option<i32> {
+    match fault {
+        LineFault::Kill => {
+            let _ = sink.flush();
+            Some(1)
+        }
+        LineFault::Truncate => {
+            // A clean stream that simply ends, without a sentinel.
+            let _ = sink.flush();
+            Some(0)
+        }
+        LineFault::Garble => {
+            let _ = sink.raw(&FaultInjector::garbage_line(index as u64));
+            None
+        }
+        LineFault::Duplicate => {
+            let _ = sink.line(line);
+            None
+        }
+        LineFault::Delay(ms) => {
+            let _ = sink.flush();
+            std::thread::sleep(Duration::from_millis(ms));
+            None
+        }
+        LineFault::None => None,
+    }
 }

@@ -287,13 +287,38 @@ impl ExecBackend for ProcessBackend {
 #[cfg(test)]
 mod tests {
     use super::super::faults::FaultInjector;
-    use super::super::network::serve_shard;
-    use super::super::stream::accept_result;
+    use super::super::network::{apply_line_fault, serve_shard};
+    use super::super::stream::{accept_result, LineSink};
     use super::*;
     use crate::registry::workload;
     use crate::scenario::Scenario;
     use local_graphs::Family;
     use serde::Value;
+    use std::io::Write;
+    use std::time::{Duration, Instant};
+
+    /// A writer that keeps every `write` call apart, with the time it was made.
+    #[derive(Default)]
+    struct Recorder {
+        writes: Vec<(Instant, Vec<u8>)>,
+    }
+
+    impl Write for Recorder {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes.push((Instant::now(), buf.to_vec()));
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    impl Recorder {
+        fn text(&self) -> String {
+            self.writes.iter().map(|(_, bytes)| String::from_utf8_lossy(bytes)).collect()
+        }
+    }
 
     fn no_faults() -> FaultInjector {
         FaultInjector::default()
@@ -394,5 +419,50 @@ mod tests {
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), shard.cells.len() + 2, "cells + one duplicate + sentinel");
         assert_eq!(lines[0], lines[1], "the scripted line is emitted twice");
+    }
+
+    #[test]
+    fn serve_shard_writes_its_result_lines_in_batches() {
+        let cells = (0..32)
+            .map(|replicate| Scenario {
+                problem: workload("luby-mis"),
+                family: Family::SparseGnp.into(),
+                n: 32,
+                replicate,
+            })
+            .collect();
+        let shard = CellShard::new(3, cells);
+        let mut out = Recorder::default();
+        serve_shard(&shard, 1, None, &no_faults(), &mut out).unwrap();
+        assert_eq!(out.text().lines().count(), 33, "cells + sentinel");
+        // One write per line would be 33; a batch goes out per 20 ms of serving at most.
+        assert!(out.writes.len() <= 8, "{} writes for 33 lines", out.writes.len());
+    }
+
+    #[test]
+    fn kill_truncate_and_delay_hand_over_exactly_the_preceding_lines() {
+        let lines: Vec<Value> =
+            (0..6).map(|i| Value::Map(vec![("index".into(), Value::U64(i))])).collect();
+        let expected: String =
+            lines[..5].iter().map(|line| serde_json::to_string(line).unwrap() + "\n").collect();
+        for (script, exit) in [("kill@5", Some(1)), ("truncate@5", Some(0)), ("delay@5=30", None)] {
+            let injector = FaultInjector::new(&FaultPlan::parse(script).unwrap());
+            let mut sink = LineSink::new(Recorder::default());
+            for (index, line) in lines.iter().enumerate() {
+                let fault = injector.on_result_line();
+                if let Some(code) = apply_line_fault(fault, &mut sink, index, line) {
+                    assert_eq!((index, Some(code)), (5, exit), "{script}");
+                    break;
+                }
+                if index == 5 {
+                    // The delay returned: every earlier line went out before the sleep.
+                    let (written, _) = sink.get_ref().writes.last().cloned().unwrap();
+                    assert!(written.elapsed() >= Duration::from_millis(30), "{script}");
+                    break;
+                }
+                sink.line(line).unwrap();
+            }
+            assert_eq!(sink.get_ref().text(), expected, "{script}");
+        }
     }
 }

@@ -1,17 +1,129 @@
-//! Verified consumption of a daemon's result stream.
+//! Both ends of the result stream: the verified reader and the batching writer.
 //!
 //! Every stripe a [`super::NetworkBackend`] ships — to remote daemons, to the local ones
 //! [`super::ProcessBackend`] launches, or through a coordinator — comes back as the same
 //! newline-delimited protocol: `{"index", "cell"}` result lines, optional `{"telemetry"}`
-//! heartbeats and one `{"spans"}` dump, terminated by a `{"done"}` sentinel. This module
-//! owns the verification state machine for one stripe of that stream: per-line identity
-//! checks, duplicate-index rejection, sentinel completeness.
+//! heartbeats and one `{"spans"}` dump, terminated by a `{"done"}` sentinel.
+//!
+//! [`StripeStream`] is the verification state machine for one stripe of that stream:
+//! per-line identity checks, duplicate-index rejection, sentinel completeness.
+//!
+//! [`LineSink`] is the one writer of the format, used by daemons, by the coordinator's
+//! client streams and for request lines. It batches: result lines collect in one reused
+//! buffer that is written in a single call once it passes [`BATCH_BYTES`], or once a line
+//! is queued after the oldest buffered one has waited [`MAX_LINE_WAIT`]. Serving streams
+//! also tick [`LineSink::flush_stale`] every [`FLUSH_TICK`], so no finished line waits much
+//! longer than the bound for a next one. Heartbeats, the span dump, the sentinel and error
+//! lines go out at once, together with everything queued before them. The bytes on the
+//! wire are the same as with one write per line; only the number of writes changes.
 
 use super::telemetry::{SpanDump, WorkerTelemetry};
 use super::CellShard;
 use crate::progress::ProgressMeter;
 use crate::report::CellResult;
 use serde::{Deserialize, Value};
+use std::io::{self, Write};
+use std::time::{Duration, Instant};
+
+/// A [`LineSink`] writes its batch once it holds this many bytes.
+const BATCH_BYTES: usize = 64 << 10;
+
+/// A [`LineSink`] writes its batch when a line is queued after the oldest buffered line
+/// has waited this long, or at the first [`FLUSH_TICK`] after that.
+const MAX_LINE_WAIT: Duration = Duration::from_millis(20);
+
+/// How often a serving stream checks its sink for lines older than [`MAX_LINE_WAIT`].
+pub(crate) const FLUSH_TICK: Duration = Duration::from_millis(5);
+
+/// The batching writer of the result-stream format (see the [module docs](self)).
+///
+/// After a failed write the sink is broken: it drops what it holds and fails every later
+/// call, so a stream with a hole in it never reaches its sentinel.
+pub(crate) struct LineSink<W: Write> {
+    out: W,
+    batch: Vec<u8>,
+    /// When the oldest line of `batch` was queued.
+    oldest: Option<Instant>,
+    broken: bool,
+}
+
+impl<W: Write> LineSink<W> {
+    /// An empty sink over `out`.
+    pub fn new(out: W) -> Self {
+        LineSink { out, batch: Vec::new(), oldest: None, broken: false }
+    }
+
+    /// Queues `value` as one line. Writes the batch when it passes [`BATCH_BYTES`] or its
+    /// oldest line has waited past [`MAX_LINE_WAIT`].
+    pub fn line(&mut self, value: &Value) -> io::Result<()> {
+        self.raw(&serde_json::to_string(value).expect("stream lines serialize"))
+    }
+
+    /// Queues one line of raw text; [`LineSink::line`] for text that is not a JSON value.
+    pub fn raw(&mut self, text: &str) -> io::Result<()> {
+        let now = Instant::now();
+        let oldest = *self.oldest.get_or_insert(now);
+        self.queue(text)?;
+        if self.batch.len() >= BATCH_BYTES || now.duration_since(oldest) > MAX_LINE_WAIT {
+            self.flush()?;
+        }
+        Ok(())
+    }
+
+    /// Queues `value` as one line and writes the batch now: for lines the reader must see
+    /// without delay — heartbeats, the span dump, the sentinel, error lines, requests.
+    pub fn line_now(&mut self, value: &Value) -> io::Result<()> {
+        self.queue(&serde_json::to_string(value).expect("stream lines serialize"))?;
+        self.flush()
+    }
+
+    /// Writes the batch if its oldest line has waited past [`MAX_LINE_WAIT`]: what a
+    /// serving stream does every [`FLUSH_TICK`].
+    pub fn flush_stale(&mut self) -> io::Result<()> {
+        match self.oldest {
+            Some(oldest) if oldest.elapsed() > MAX_LINE_WAIT => self.flush(),
+            _ => Ok(()),
+        }
+    }
+
+    /// Writes whatever is queued, in one call.
+    pub fn flush(&mut self) -> io::Result<()> {
+        self.check()?;
+        if self.batch.is_empty() {
+            return Ok(());
+        }
+        self.oldest = None;
+        let written = self.out.write_all(&self.batch).and_then(|_| self.out.flush());
+        self.batch.clear();
+        self.broken = written.is_err();
+        written
+    }
+
+    /// The writer underneath.
+    #[cfg(test)]
+    pub fn get_ref(&self) -> &W {
+        &self.out
+    }
+
+    fn queue(&mut self, text: &str) -> io::Result<()> {
+        self.check()?;
+        self.batch.extend_from_slice(text.as_bytes());
+        self.batch.push(b'\n');
+        Ok(())
+    }
+
+    fn check(&self) -> io::Result<()> {
+        if self.broken {
+            return Err(io::Error::new(io::ErrorKind::BrokenPipe, "an earlier write failed"));
+        }
+        Ok(())
+    }
+}
+
+/// Writes `value` as one line in one call: a request, an error line, a keep-alive.
+pub(crate) fn write_line(out: impl Write, value: &Value) -> io::Result<()> {
+    LineSink::new(out).line_now(value)
+}
 
 /// What one consumed line meant for the stream.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -30,6 +142,7 @@ pub(crate) struct StripeStream<'a> {
     spawn_offset_micros: u64,
     emitted: Vec<bool>,
     sentinel: Option<Value>,
+    import_spans: bool,
 }
 
 impl<'a> StripeStream<'a> {
@@ -42,7 +155,16 @@ impl<'a> StripeStream<'a> {
             worker_label,
             spawn_offset_micros,
             sentinel: None,
+            import_spans: true,
         }
+    }
+
+    /// Skips span dumps unparsed instead of importing them: for a reader that never takes
+    /// a trace (the coordinator's fleet), to which a dump is megabytes of events it would
+    /// parse and hold for nothing. A dump carries no results, so no check is lost.
+    pub fn discard_spans(mut self) -> Self {
+        self.import_spans = false;
+        self
     }
 
     /// Consumes one line of the stream. Verified results are handed to `accept` with their
@@ -55,6 +177,9 @@ impl<'a> StripeStream<'a> {
         progress: Option<&ProgressMeter>,
         accept: &mut dyn FnMut(usize, CellResult),
     ) -> Result<LineOutcome, String> {
+        if !self.import_spans && line.starts_with("{\"spans\":") {
+            return Ok(LineOutcome::Progress);
+        }
         let value = serde_json::from_str(line).map_err(|e| format!("garbage on stream: {e}"))?;
         if value.get("done").is_some() {
             self.sentinel = Some(value);
@@ -176,6 +301,7 @@ mod tests {
     use local_graphs::Family;
     use proptest::prelude::*;
     use serde::Serialize;
+    use std::time::Duration;
 
     /// A four-cell stripe and the stream a daemon serves for it: four result lines, then the
     /// sentinel.
@@ -339,6 +465,65 @@ mod tests {
         let _ = stream.consume(text, None, &mut |_, _| {});
         let _ = stream.verify_completion();
         let _ = stream.missing();
+    }
+
+    /// Counts `write` calls; fails every one once `fail` is set.
+    #[derive(Default)]
+    struct Calls {
+        bytes: Vec<u8>,
+        writes: usize,
+        fail: bool,
+    }
+
+    impl std::io::Write for Calls {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            if self.fail {
+                return Err(std::io::ErrorKind::ConnectionReset.into());
+            }
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_sink_writes_a_batch_at_its_size_bound_its_age_bound_and_on_demand() {
+        let line = Value::Str("x".repeat(1000));
+        let mut sink = LineSink::new(Calls::default());
+        while sink.get_ref().writes == 0 {
+            sink.line(&line).unwrap();
+        }
+        assert_eq!(sink.get_ref().bytes.len(), BATCH_BYTES.next_multiple_of(1003));
+
+        let mut sink = LineSink::new(Calls::default());
+        sink.line(&line).unwrap();
+        sink.flush_stale().unwrap();
+        assert_eq!(sink.get_ref().writes, 0, "a fresh line waits for company");
+        std::thread::sleep(MAX_LINE_WAIT + Duration::from_millis(5));
+        sink.flush_stale().unwrap();
+        assert_eq!(sink.get_ref().writes, 1, "a stale line goes out at the next tick");
+        sink.line(&line).unwrap();
+        std::thread::sleep(MAX_LINE_WAIT + Duration::from_millis(5));
+        sink.line(&line).unwrap();
+        assert_eq!(sink.get_ref().writes, 2, "and with the next line after it");
+        sink.line(&line).unwrap();
+        sink.line_now(&Value::U64(7)).unwrap();
+        assert_eq!(sink.get_ref().writes, 3, "lines sent at once take the batch along");
+        assert!(sink.get_ref().bytes.ends_with(b"\"\n7\n"));
+    }
+
+    #[test]
+    fn a_sink_that_failed_once_writes_nothing_more() {
+        let mut sink = LineSink::new(Calls { fail: true, ..Calls::default() });
+        assert!(sink.line_now(&Value::U64(1)).is_err());
+        sink.out.fail = false;
+        assert!(sink.line(&Value::U64(2)).is_err());
+        assert!(sink.line_now(&Value::U64(3)).is_err());
+        assert_eq!(sink.get_ref().writes, 0);
     }
 
     proptest! {

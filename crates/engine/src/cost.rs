@@ -23,11 +23,15 @@ use crate::workloads::WorkloadSpec;
 use local_graphs::FamilySpec;
 use std::collections::HashMap;
 
+/// Per family name: summed observed and predicted micros of calibration cells.
+type FamilyCalibration = HashMap<Box<str>, (f64, f64)>;
+
 /// Predicts per-cell work and orders work queues slowest-first.
 #[derive(Debug, Clone, Default)]
 pub struct CostModel {
-    /// Per `(problem, family)`: summed observed and predicted micros of calibration cells.
-    observed: HashMap<(String, String), (f64, f64)>,
+    /// Calibration per problem, then per family: nested by name, so that a lookup borrows
+    /// the names instead of building a key.
+    observed: HashMap<Box<str>, FamilyCalibration>,
 }
 
 impl CostModel {
@@ -50,8 +54,7 @@ impl CostModel {
     /// same group [`CostModel::predict`] reads.
     pub fn observe(&mut self, cell: &Scenario, wall_micros: u64) {
         let predicted = CostModel::base_cost(&cell.problem, &cell.family, cell.n);
-        let key = (cell.problem.name().to_string(), cell.family.name().to_string());
-        let slot = self.observed.entry(key).or_insert((0.0, 0.0));
+        let slot = slot(slot(&mut self.observed, cell.problem.name()), cell.family.name());
         slot.0 += wall_micros.max(1) as f64;
         slot.1 += predicted;
     }
@@ -61,8 +64,8 @@ impl CostModel {
     /// exists (clamped so one outlier cannot invert the ordering wholesale).
     pub fn predict(&self, cell: &Scenario) -> f64 {
         let base = CostModel::base_cost(&cell.problem, &cell.family, cell.n);
-        let key = (cell.problem.name().to_string(), cell.family.name().to_string());
-        match self.observed.get(&key) {
+        let group = self.observed.get(cell.problem.name()).and_then(|f| f.get(cell.family.name()));
+        match group {
             Some(&(observed, predicted)) if predicted > 0.0 => {
                 base * (observed / predicted).clamp(0.05, 50.0)
             }
@@ -71,17 +74,26 @@ impl CostModel {
     }
 
     /// Orders `indices` (into `cells`) slowest-first under the model, with index order as
-    /// the deterministic tie-break. The returned permutation is what the scheduler feeds the
-    /// pool; results are still scattered back to canonical positions.
-    pub fn order_slowest_first(&self, cells: &[Scenario], mut indices: Vec<usize>) -> Vec<usize> {
-        indices.sort_by(|&a, &b| {
-            self.predict(&cells[b])
-                .partial_cmp(&self.predict(&cells[a]))
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.cmp(&b))
+    /// the deterministic tie-break. Each cell is predicted once. The returned permutation is
+    /// what the scheduler feeds the pool; results are still scattered back to canonical
+    /// positions.
+    pub fn order_slowest_first(&self, cells: &[Scenario], indices: Vec<usize>) -> Vec<usize> {
+        let mut keyed: Vec<(f64, usize)> =
+            indices.into_iter().map(|i| (self.predict(&cells[i]), i)).collect();
+        keyed.sort_by(|&(cost_a, a), &(cost_b, b)| {
+            cost_b.partial_cmp(&cost_a).unwrap_or(std::cmp::Ordering::Equal).then(a.cmp(&b))
         });
-        indices
+        keyed.into_iter().map(|(_, i)| i).collect()
     }
+}
+
+/// The value under `name`, inserted as the default on first sight; only then is the key
+/// allocated.
+fn slot<'a, V: Default>(map: &'a mut HashMap<Box<str>, V>, name: &str) -> &'a mut V {
+    if !map.contains_key(name) {
+        map.insert(name.into(), V::default());
+    }
+    map.get_mut(name).expect("inserted above")
 }
 
 #[cfg(test)]
@@ -126,6 +138,40 @@ mod tests {
         let order = CostModel::new().order_slowest_first(&cells, vec![0, 1, 2]);
         assert_eq!(order[0], 1, "the line-graph colouring at n=512 is the straggler");
         assert_eq!(order[2], 0, "the small uniform baseline goes last");
+    }
+
+    /// The order of a random grid, half its groups calibrated, matches the comparator that
+    /// predicted both cells on every comparison.
+    #[test]
+    fn ordering_matches_the_per_comparison_predictions_on_a_random_grid() {
+        let problems = ["mis", "luby-mis", "matching", "coloring", "ruling-set-b2"];
+        let families = ["gnp-avg8", "grid", "gnp-d16", "tree"];
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = |bound: u64| {
+            state = local_runtime::mix_seed(state, 1);
+            state % bound
+        };
+        let cells: Vec<Scenario> = (0..400)
+            .map(|_| {
+                let problem = problems[next(5) as usize];
+                let family = families[next(4) as usize];
+                cell(problem, family, [32, 64, 64, 128][next(4) as usize])
+            })
+            .collect();
+        let mut model = CostModel::new();
+        for scenario in cells.iter().filter(|c| c.family.name() != "grid").step_by(7) {
+            model.observe(scenario, next(10_000));
+        }
+        let indices: Vec<usize> = (0..cells.len()).rev().collect();
+        let mut reference = indices.clone();
+        reference.sort_by(|&a, &b| {
+            model
+                .predict(&cells[b])
+                .partial_cmp(&model.predict(&cells[a]))
+                .unwrap_or(std::cmp::Ordering::Equal)
+                .then(a.cmp(&b))
+        });
+        assert_eq!(model.order_slowest_first(&cells, indices), reference);
     }
 
     #[test]

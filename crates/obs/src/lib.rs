@@ -379,17 +379,24 @@ pub fn reset() {
     for counter in &c.counters {
         counter.store(0, Ordering::Relaxed);
     }
-    let mut tracks = c.tracks.lock().expect("tracks poisoned");
-    // An exited thread's `TRACK` is gone, which leaves the collector's handle the only one.
-    tracks.retain(|track| Arc::strong_count(track) > 1);
-    for track in tracks.iter() {
+    release_finished();
+    for track in c.tracks.lock().expect("tracks poisoned").iter() {
         track.events.lock().expect("track buffer poisoned").clear();
         track.dropped.store(0, Ordering::Relaxed);
     }
-    drop(tracks);
     let mut labels = c.labels.lock().expect("labels poisoned");
     labels.names.clear();
     labels.index.clear();
+}
+
+/// Drops the tracks of exited threads and every imported track; counters, labels and the
+/// events of live threads stay. A long-lived process that never takes a [`snapshot`] (the
+/// coordinator) calls it when it goes idle, so the threads and span dumps it has seen do
+/// not accumulate.
+pub fn release_finished() {
+    let c = collector();
+    // An exited thread's `TRACK` is gone, which leaves the collector's handle the only one.
+    c.tracks.lock().expect("tracks poisoned").retain(|track| Arc::strong_count(track) > 1);
     c.imported.lock().expect("imported poisoned").clear();
 }
 
@@ -766,6 +773,28 @@ mod tests {
         // that is still exiting.
         let registered = collector().tracks.lock().unwrap().len();
         assert!(registered <= 1, "{registered} tracks survive 100 exited threads");
+    }
+
+    #[test]
+    fn release_finished_keeps_counters_and_live_tracks() {
+        let _g = locked();
+        reset();
+        enable_with_capacity(64);
+        counter_add(metrics::MESSAGES_SENT, 3);
+        record(metrics::ACTIVE_NODES, LabelId::NONE, 1);
+        for i in 0..10 {
+            std::thread::spawn(move || record(metrics::ACTIVE_NODES, LabelId::NONE, i))
+                .join()
+                .unwrap();
+        }
+        import_track("worker 0 thread-0".to_string(), Vec::new(), 0);
+        release_finished();
+        let after = snapshot();
+        disable();
+        assert_eq!(counter_value(metrics::MESSAGES_SENT), 3, "counters stay");
+        assert_eq!(after.event_count(), 1, "only this live thread's event stays");
+        assert!(after.tracks.iter().all(|t| t.name != "worker 0 thread-0"), "imports go");
+        reset();
     }
 
     #[test]

@@ -2,10 +2,11 @@
 
 use std::collections::HashMap;
 use std::fs::{self, File, OpenOptions};
-use std::io::{self, Read, Seek, SeekFrom, Write};
+use std::io::{self, Seek, SeekFrom, Write};
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use crate::format::{
     decode_record, decode_segment_header, encode_record, encode_segment_header, RecordError,
@@ -106,19 +107,33 @@ pub struct SegmentStore {
     _lock: File,
 }
 
-/// Takes the directory's exclusive lock without waiting. The index and the append
-/// offset live in the handle, so a second writer would append at a stale offset
-/// and overwrite the first one's records; it is refused instead.
+/// How long [`lock_dir`] keeps trying a held lock. The lock belongs to the open file
+/// description, so a child process that another thread forks keeps a just-dropped handle's
+/// lock until it execs; this outlasts that window and still refuses a store that is
+/// really in use quickly.
+const LOCK_PATIENCE: Duration = Duration::from_millis(250);
+
+/// Takes the directory's exclusive lock, retrying for at most [`LOCK_PATIENCE`]. The
+/// index and the append offset live in the handle, so a second writer would append at a
+/// stale offset and overwrite the first one's records; it is refused instead.
 fn lock_dir(dir: &Path) -> io::Result<File> {
     let lock =
         OpenOptions::new().create(true).truncate(false).write(true).open(dir.join("LOCK"))?;
-    match lock.try_lock() {
-        Ok(()) => Ok(lock),
-        Err(fs::TryLockError::WouldBlock) => Err(io::Error::new(
-            io::ErrorKind::WouldBlock,
-            format!("store {} is locked by another open handle", dir.display()),
-        )),
-        Err(fs::TryLockError::Error(err)) => Err(err),
+    let started = Instant::now();
+    loop {
+        match lock.try_lock() {
+            Ok(()) => return Ok(lock),
+            Err(fs::TryLockError::WouldBlock) if started.elapsed() < LOCK_PATIENCE => {
+                std::thread::sleep(Duration::from_millis(5));
+            }
+            Err(fs::TryLockError::WouldBlock) => {
+                return Err(io::Error::new(
+                    io::ErrorKind::WouldBlock,
+                    format!("store {} is locked by another open handle", dir.display()),
+                ))
+            }
+            Err(fs::TryLockError::Error(err)) => return Err(err),
+        }
     }
 }
 
@@ -166,8 +181,8 @@ impl SegmentStore {
     /// the newest segment (the one a crashed writer could have been creating);
     /// anywhere else it is a hard error.
     ///
-    /// A directory another handle holds open fails at once with
-    /// [`io::ErrorKind::WouldBlock`] and the store is left untouched.
+    /// A directory another handle holds open fails with [`io::ErrorKind::WouldBlock`]
+    /// (after retrying for at most 250 ms) and the store is left untouched.
     pub fn open_with(dir: impl AsRef<Path>, config: StoreConfig) -> io::Result<SegmentStore> {
         let dir = dir.as_ref().to_path_buf();
         fs::create_dir_all(&dir)?;
@@ -323,7 +338,12 @@ impl SegmentStore {
     }
 }
 
-/// Seek-read the record at `(segment, offset)`, verifying its CRC.
+/// Bytes [`read_record_at`] asks for first: the prelude plus a typical cell result (about
+/// 250 bytes), so that most records take one read.
+const FIRST_READ: usize = 512;
+
+/// Reads the record at `(segment, offset)`, verifying its CRC: one positioned read for
+/// the prelude and a typical payload, a second one only for a longer record.
 fn read_record_at(
     dir: &Path,
     readers: &mut HashMap<u32, File>,
@@ -336,16 +356,24 @@ fn read_record_at(
             entry.insert(File::open(segment_path(dir, segment))?)
         }
     };
-    file.seek(SeekFrom::Start(offset as u64))?;
-    let mut prelude = [0u8; RECORD_PRELUDE_LEN];
-    file.read_exact(&mut prelude)?;
-    let payload_len = u32::from_le_bytes([prelude[0], prelude[1], prelude[2], prelude[3]]) as usize;
+    let offset = offset as u64;
+    let mut buf = vec![0u8; FIRST_READ];
+    // The read comes back short at the end of the segment.
+    let mut got = file.read_at(&mut buf, offset)?;
+    if got < RECORD_PRELUDE_LEN {
+        file.read_exact_at(&mut buf[got..RECORD_PRELUDE_LEN], offset + got as u64)?;
+        got = RECORD_PRELUDE_LEN;
+    }
+    let payload_len = u32::from_le_bytes([buf[0], buf[1], buf[2], buf[3]]) as usize;
     if !(2..=MAX_PAYLOAD).contains(&payload_len) {
         return Err(io::Error::new(io::ErrorKind::InvalidData, "bad record length"));
     }
-    let mut buf = vec![0u8; RECORD_PRELUDE_LEN + payload_len];
-    buf[..RECORD_PRELUDE_LEN].copy_from_slice(&prelude);
-    file.read_exact(&mut buf[RECORD_PRELUDE_LEN..])?;
+    let len = RECORD_PRELUDE_LEN + payload_len;
+    if got < len {
+        buf.resize(len, 0);
+        file.read_exact_at(&mut buf[got..], offset + got as u64)?;
+    }
+    buf.truncate(len);
     let record = decode_record(&buf).map_err(|err: RecordError| {
         io::Error::new(io::ErrorKind::InvalidData, format!("record at {segment}:{offset}: {err:?}"))
     })?;
@@ -508,6 +536,41 @@ mod tests {
         drop(store);
         let reopened = SegmentStore::open(&dir).unwrap();
         assert_eq!(reopened.get(b"key").as_deref(), Some(b"value".as_slice()));
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_lock_released_while_opening_is_taken() {
+        let dir = temp_dir("lock-release");
+        let held = SegmentStore::open(&dir).unwrap();
+        let releaser = std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(50));
+            drop(held);
+        });
+        let reopened = SegmentStore::open(&dir);
+        releaser.join().unwrap();
+        assert!(reopened.is_ok(), "{:?}", reopened.err());
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn records_longer_and_shorter_than_the_first_read_round_trip() {
+        let dir = temp_dir("read-sizes");
+        let values: Vec<Vec<u8>> = [0usize, 1, 400, 503, 504, 505, 3000, 1]
+            .iter()
+            .map(|&len| (0..len).map(|i| (i * 7 + len) as u8).collect())
+            .collect();
+        {
+            let store = SegmentStore::open(&dir).unwrap();
+            for (i, value) in values.iter().enumerate() {
+                store.append(format!("k{i}").as_bytes(), value).unwrap();
+            }
+        }
+        // A fresh handle reads from disk; the last record ends the segment.
+        let store = SegmentStore::open(&dir).unwrap();
+        for (i, value) in values.iter().enumerate() {
+            assert_eq!(store.get(format!("k{i}").as_bytes()).as_ref(), Some(value), "k{i}");
+        }
         let _ = fs::remove_dir_all(&dir);
     }
 
