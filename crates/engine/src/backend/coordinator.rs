@@ -37,14 +37,14 @@
 
 use super::dispatch::{Dispatcher, Job, Landing};
 use super::network::{read_request_line, write_error_line, NetworkBackend};
-use super::stream::{LineSink, FLUSH_TICK};
+use super::stream::{Keyed, LineSink, ResultLine, FLUSH_TICK};
 use super::telemetry::WorkerTelemetry;
 use super::CellShard;
 use crate::accounting::{ClientLedger, JobStats};
 use crate::report::CellResult;
 use crate::scenario::{Scenario, ScenarioGrid};
 use crate::store::ResultStore;
-use serde::{Deserialize, Serialize, Value};
+use serde::{Deserialize, Value};
 use std::io::{BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -123,10 +123,7 @@ impl CoordJob {
             }
         }
         if !self.failed.load(Ordering::Relaxed) {
-            let line = Value::Map(vec![
-                ("index".into(), Value::U64(wire as u64)),
-                ("cell".into(), result.to_value()),
-            ]);
+            let line = ResultLine { index: wire, cell: &result };
             let mut writer = self.writer.lock().expect("client writer poisoned");
             if let Err(e) = writer.line(&line) {
                 drop(writer);
@@ -543,7 +540,7 @@ fn tick_until_done(job: &CoordJob) {
                 wall_micros: local_obs::now_micros().saturating_sub(job.accepted_micros),
                 counters: Vec::new(),
             };
-            let _ = writer.line_now(&Value::Map(vec![("telemetry".into(), beat.to_value())]));
+            let _ = writer.line_now(&Keyed("telemetry", &beat));
         } else {
             let _ = writer.flush_stale();
         }

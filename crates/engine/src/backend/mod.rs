@@ -46,7 +46,7 @@ pub use telemetry::{liveness_window, SpanDump, WireEvent, WireTrack, WorkerTelem
 use crate::cost::CostModel;
 use crate::report::CellResult;
 use crate::scenario::Scenario;
-use serde::{Deserialize, Serialize, Value};
+use serde::{Deserialize, Serialize, Value, Writer};
 
 /// Default read/write liveness deadline of every remote backend and the coordinator:
 /// generous enough for the largest single cells when no heartbeats flow (telemetry shrinks
@@ -110,12 +110,12 @@ impl CellShard {
 }
 
 impl Serialize for CellShard {
-    fn to_value(&self) -> Value {
-        Value::Map(vec![
-            ("base_seed".into(), Value::U64(self.base_seed)),
-            ("code_version".into(), Value::Str(self.code_version.clone())),
-            ("cells".into(), self.cells.to_value()),
-        ])
+    fn serialize(&self, out: &mut Writer<'_>) {
+        out.begin_map();
+        out.field("base_seed", &self.base_seed);
+        out.field("code_version", &self.code_version);
+        out.field("cells", &self.cells);
+        out.end_map();
     }
 }
 

@@ -44,7 +44,9 @@
 
 use super::dispatch::{self, Job, Landing};
 use super::faults::{FaultInjector, LineFault};
-use super::stream::{write_line, LineOutcome, LineSink, StripeStream, FLUSH_TICK};
+use super::stream::{
+    write_line, Keyed, LineOutcome, LineSink, ResultLine, StripeStream, FLUSH_TICK,
+};
 use super::telemetry::{SpanDump, WorkerTelemetry};
 use super::{
     backoff_ms, liveness_window, CellShard, EmitFn, ExecBackend, FaultPlan, InProcessBackend,
@@ -52,7 +54,7 @@ use super::{
 use crate::gate::ConcurrencyGate;
 use crate::progress::ProgressMeter;
 use crate::report::CellResult;
-use serde::{Deserialize, Serialize, Value};
+use serde::{Deserialize, Serialize, Value, Writer};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -275,14 +277,8 @@ impl NetworkBackend {
         // Span timestamps in the daemon's dump are relative to the daemon's own request
         // epoch; rebase them onto our timeline at the moment we sent the request.
         let connect_offset = local_obs::now_micros();
-        let mut request = vec![("shard".to_string(), stripe.to_value())];
-        if let Some(ms) = telemetry {
-            request.push(("telemetry".to_string(), Value::U64(ms)));
-        }
-        if let Some(name) = &self.client_label {
-            request.push(("client".to_string(), Value::Str(name.clone())));
-        }
-        if let Err(e) = write_line(&stream, &Value::Map(request)) {
+        let request = Request { shard: stripe, telemetry, client: self.client_label.as_deref() };
+        if let Err(e) = write_line(&stream, &request) {
             self.record_state(peer, false);
             return Err((all(), format!("cannot ship the stripe to {}: {e}", self.peers[peer])));
         }
@@ -489,10 +485,32 @@ pub(super) fn read_request_line<'a>(
     }
 }
 
+/// One request line: `{"shard": …}`, plus `"telemetry"` (the heartbeat interval in
+/// milliseconds) and `"client"` (the submitting client's name) when set.
+struct Request<'a> {
+    shard: &'a CellShard,
+    telemetry: Option<u64>,
+    client: Option<&'a str>,
+}
+
+impl Serialize for Request<'_> {
+    fn serialize(&self, out: &mut Writer<'_>) {
+        out.begin_map();
+        out.field("shard", self.shard);
+        if let Some(ms) = self.telemetry {
+            out.field("telemetry", &ms);
+        }
+        if let Some(name) = self.client {
+            out.field("client", name);
+        }
+        out.end_map();
+    }
+}
+
 /// Answers a request that cannot be served with one `{"error": …}` line, written at once
 /// after whatever `out` still holds (best-effort: the caller hangs up next either way).
 pub(super) fn write_error_line(out: &mut LineSink<impl Write>, message: String) {
-    let _ = out.line_now(&Value::Map(vec![("error".into(), Value::Str(message))]));
+    let _ = out.line_now(&Keyed("error", &message));
 }
 
 /// Parses and executes one shard request against this daemon's build, inside the daemon's
@@ -518,7 +536,7 @@ fn serve_request(
             return;
         }
         let beat = WorkerTelemetry { cells_done: 0, wall_micros: 0, counters: Vec::new() };
-        let _ = write_line(out, &Value::Map(vec![("telemetry".into(), beat.to_value())]));
+        let _ = write_line(out, &Keyed("telemetry", &beat));
     };
     let _slot = if faults.is_armed() || telemetry.is_some() {
         gate.acquire_exclusive(|| keepalive(out))
@@ -570,10 +588,9 @@ pub(super) fn serve_shard(
             wall_micros: started.elapsed().as_micros() as u64,
             counters: local_obs::counter_totals(),
         };
-        let line = Value::Map(vec![("telemetry".into(), record.to_value())]);
         // Best-effort: a heartbeat the client never reads must not fail the stripe (a
         // failed write breaks the sink, so the sentinel cannot go out after it).
-        let _ = sink.lock().expect("result sink poisoned").line_now(&line);
+        let _ = sink.lock().expect("result sink poisoned").line_now(&Keyed("telemetry", &record));
     };
     let mut write_error = None;
     {
@@ -597,10 +614,7 @@ pub(super) fn serve_shard(
                 }
             });
             backend.run_shard(shard, &|index, result| {
-                let line = Value::Map(vec![
-                    ("index".into(), Value::U64(index as u64)),
-                    ("cell".into(), result.to_value()),
-                ]);
+                let line = ResultLine { index, cell: &result };
                 cells_done.fetch_add(1, Ordering::Relaxed);
                 let mut sink = sink.lock().expect("result sink poisoned");
                 // The scripted faults fire under the sink lock, so "result line k" follows
@@ -625,13 +639,13 @@ pub(super) fn serve_shard(
         // span dump — both before the sentinel, which stays the stream terminator.
         heartbeat();
         let dump = SpanDump::from_snapshot(&local_obs::snapshot());
-        let line = Value::Map(vec![("spans".into(), dump.to_value())]);
         let mut sink = sink.lock().expect("result sink poisoned");
-        sink.line_now(&line).map_err(|e| format!("cannot write span dump: {e}"))?;
+        sink.line_now(&Keyed("spans", &dump))
+            .map_err(|e| format!("cannot write span dump: {e}"))?;
     }
-    let sentinel = Value::Map(vec![("done".into(), Value::U64(shard.cells.len() as u64))]);
     let mut sink = sink.lock().expect("result sink poisoned");
-    sink.line_now(&sentinel).map_err(|e| format!("cannot write sentinel: {e}"))
+    sink.line_now(&Keyed("done", &shard.cells.len()))
+        .map_err(|e| format!("cannot write sentinel: {e}"))
 }
 
 /// Applies the scripted fault of result line `index` (its value is `line`) to `sink` before
@@ -643,7 +657,7 @@ pub(super) fn apply_line_fault<W: Write>(
     fault: LineFault,
     sink: &mut LineSink<W>,
     index: usize,
-    line: &Value,
+    line: &dyn Serialize,
 ) -> Option<i32> {
     match fault {
         LineFault::Kill => {

@@ -21,9 +21,37 @@ use super::telemetry::{SpanDump, WorkerTelemetry};
 use super::CellShard;
 use crate::progress::ProgressMeter;
 use crate::report::CellResult;
-use serde::{Deserialize, Value};
+use serde::{Deserialize, Serialize, Value, Writer};
 use std::io::{self, Write};
 use std::time::{Duration, Instant};
+
+/// One result line, `{"index": …, "cell": {…}}`, written straight to text.
+pub(crate) struct ResultLine<'a> {
+    /// The cell's position in its stripe.
+    pub index: usize,
+    /// The cell's result.
+    pub cell: &'a CellResult,
+}
+
+impl Serialize for ResultLine<'_> {
+    fn serialize(&self, out: &mut Writer<'_>) {
+        out.begin_map();
+        out.field("index", &self.index);
+        out.field("cell", self.cell);
+        out.end_map();
+    }
+}
+
+/// A line of one entry, `{key: value}`: a heartbeat, span dump, sentinel or error line.
+pub(crate) struct Keyed<'a>(pub &'static str, pub &'a dyn Serialize);
+
+impl Serialize for Keyed<'_> {
+    fn serialize(&self, out: &mut Writer<'_>) {
+        out.begin_map();
+        out.field(self.0, self.1);
+        out.end_map();
+    }
+}
 
 /// A [`LineSink`] writes its batch once it holds this many bytes.
 const BATCH_BYTES: usize = 64 << 10;
@@ -41,7 +69,7 @@ pub(crate) const FLUSH_TICK: Duration = Duration::from_millis(5);
 /// call, so a stream with a hole in it never reaches its sentinel.
 pub(crate) struct LineSink<W: Write> {
     out: W,
-    batch: Vec<u8>,
+    batch: String,
     /// When the oldest line of `batch` was queued.
     oldest: Option<Instant>,
     broken: bool,
@@ -50,31 +78,35 @@ pub(crate) struct LineSink<W: Write> {
 impl<W: Write> LineSink<W> {
     /// An empty sink over `out`.
     pub fn new(out: W) -> Self {
-        LineSink { out, batch: Vec::new(), oldest: None, broken: false }
+        LineSink { out, batch: String::new(), oldest: None, broken: false }
     }
 
-    /// Queues `value` as one line. Writes the batch when it passes [`BATCH_BYTES`] or its
-    /// oldest line has waited past [`MAX_LINE_WAIT`].
-    pub fn line(&mut self, value: &Value) -> io::Result<()> {
-        self.raw(&serde_json::to_string(value).expect("stream lines serialize"))
+    /// Queues `value` as one line, written straight into the batch. Writes the batch when
+    /// it passes [`BATCH_BYTES`] or its oldest line has waited past [`MAX_LINE_WAIT`].
+    pub fn line(&mut self, value: &dyn Serialize) -> io::Result<()> {
+        self.queue_batched(|batch| value.serialize(&mut Writer::json(batch)))
     }
 
     /// Queues one line of raw text; [`LineSink::line`] for text that is not a JSON value.
     pub fn raw(&mut self, text: &str) -> io::Result<()> {
-        let now = Instant::now();
-        let oldest = *self.oldest.get_or_insert(now);
-        self.queue(text)?;
-        if self.batch.len() >= BATCH_BYTES || now.duration_since(oldest) > MAX_LINE_WAIT {
-            self.flush()?;
-        }
-        Ok(())
+        self.queue_batched(|batch| batch.push_str(text))
     }
 
     /// Queues `value` as one line and writes the batch now: for lines the reader must see
     /// without delay — heartbeats, the span dump, the sentinel, error lines, requests.
-    pub fn line_now(&mut self, value: &Value) -> io::Result<()> {
-        self.queue(&serde_json::to_string(value).expect("stream lines serialize"))?;
+    pub fn line_now(&mut self, value: &dyn Serialize) -> io::Result<()> {
+        self.queue(|batch| value.serialize(&mut Writer::json(batch)))?;
         self.flush()
+    }
+
+    fn queue_batched(&mut self, write: impl FnOnce(&mut String)) -> io::Result<()> {
+        let now = Instant::now();
+        let oldest = *self.oldest.get_or_insert(now);
+        self.queue(write)?;
+        if self.batch.len() >= BATCH_BYTES || now.duration_since(oldest) > MAX_LINE_WAIT {
+            self.flush()?;
+        }
+        Ok(())
     }
 
     /// Writes the batch if its oldest line has waited past [`MAX_LINE_WAIT`]: what a
@@ -93,7 +125,7 @@ impl<W: Write> LineSink<W> {
             return Ok(());
         }
         self.oldest = None;
-        let written = self.out.write_all(&self.batch).and_then(|_| self.out.flush());
+        let written = self.out.write_all(self.batch.as_bytes()).and_then(|_| self.out.flush());
         self.batch.clear();
         self.broken = written.is_err();
         written
@@ -105,10 +137,10 @@ impl<W: Write> LineSink<W> {
         &self.out
     }
 
-    fn queue(&mut self, text: &str) -> io::Result<()> {
+    fn queue(&mut self, write: impl FnOnce(&mut String)) -> io::Result<()> {
         self.check()?;
-        self.batch.extend_from_slice(text.as_bytes());
-        self.batch.push(b'\n');
+        write(&mut self.batch);
+        self.batch.push('\n');
         Ok(())
     }
 
@@ -121,7 +153,7 @@ impl<W: Write> LineSink<W> {
 }
 
 /// Writes `value` as one line in one call: a request, an error line, a keep-alive.
-pub(crate) fn write_line(out: impl Write, value: &Value) -> io::Result<()> {
+pub(crate) fn write_line(out: impl Write, value: &dyn Serialize) -> io::Result<()> {
     LineSink::new(out).line_now(value)
 }
 
@@ -141,6 +173,8 @@ pub(crate) struct StripeStream<'a> {
     worker_label: String,
     spawn_offset_micros: u64,
     emitted: Vec<bool>,
+    /// How many entries of `emitted` are set.
+    done: u64,
     sentinel: Option<Value>,
     import_spans: bool,
 }
@@ -151,6 +185,7 @@ impl<'a> StripeStream<'a> {
     pub fn new(stripe: &'a CellShard, worker_label: String, spawn_offset_micros: u64) -> Self {
         StripeStream {
             emitted: vec![false; stripe.cells.len()],
+            done: 0,
             stripe,
             worker_label,
             spawn_offset_micros,
@@ -209,6 +244,7 @@ impl<'a> StripeStream<'a> {
         }
         let (index, result) = accept_result(self.stripe, &value, &self.emitted)?;
         self.emitted[index] = true;
+        self.done += 1;
         accept(index, result);
         if let Some(meter) = progress {
             meter.worker_progress(&self.worker_label, self.done_count());
@@ -218,7 +254,7 @@ impl<'a> StripeStream<'a> {
 
     /// How many cells of the stripe were verified and emitted so far.
     pub fn done_count(&self) -> u64 {
-        self.emitted.iter().filter(|&&e| e).count() as u64
+        self.done
     }
 
     /// The stripe indices still without a verified result.
@@ -232,7 +268,7 @@ impl<'a> StripeStream<'a> {
     /// missing cells.
     pub fn verify_completion(&self) -> Result<(), String> {
         match &self.sentinel {
-            Some(_) if !self.emitted.iter().all(|&e| e) => {
+            Some(_) if self.done < self.emitted.len() as u64 => {
                 Err("sentinel arrived before every cell was emitted".into())
             }
             Some(value)
@@ -300,7 +336,6 @@ mod tests {
     use crate::scenario::Scenario;
     use local_graphs::Family;
     use proptest::prelude::*;
-    use serde::Serialize;
     use std::time::Duration;
 
     /// A four-cell stripe and the stream a daemon serves for it: four result lines, then the
@@ -363,6 +398,31 @@ mod tests {
         let err = stream.verify_completion().unwrap_err();
         assert!(err.contains("before every cell was emitted"), "{err}");
         assert_eq!(stream.missing(), [index_of(&dropped)]);
+    }
+
+    #[test]
+    fn done_count_counts_only_the_accepted_lines() {
+        let (stripe, lines) = served();
+        let mut out_of_range = serde_json::from_str(&lines[0]).unwrap();
+        if let Value::Map(entries) = &mut out_of_range {
+            entries[0].1 = Value::U64(4);
+        }
+        let out_of_range = serde_json::to_string(&out_of_range).unwrap();
+        let garbage = FaultInjector::garbage_line(0);
+        let mut stream = StripeStream::new(&stripe, "worker 0".into(), 0);
+        let mut accepted = 0;
+        for line in [&lines[0], &lines[0], &garbage, &out_of_range, &lines[1], &lines[1]] {
+            if stream.consume(line, None, &mut |_, _| accepted += 1).is_err() {
+                continue;
+            }
+            assert_eq!(stream.done_count(), accepted);
+        }
+        assert_eq!((accepted, stream.done_count()), (2, 2));
+        for line in &lines[2..] {
+            stream.consume(line, None, &mut |_, _| accepted += 1).unwrap();
+        }
+        assert_eq!(stream.done_count(), 4);
+        stream.verify_completion().unwrap();
     }
 
     /// A replacement value for a mutated node: edge-case numbers, strings and shapes.
@@ -433,14 +493,9 @@ mod tests {
         let (stripe, mut lines) = served();
         let beat =
             WorkerTelemetry { cells_done: 2, wall_micros: 7, counters: vec![("x".into(), 1)] };
-        lines.push(
-            serde_json::to_string(&Value::Map(vec![("telemetry".into(), beat.to_value())]))
-                .unwrap(),
-        );
+        lines.push(serde_json::to_string(&Keyed("telemetry", &beat)).unwrap());
         let dump = SpanDump::from_snapshot(&local_obs::snapshot());
-        lines.push(
-            serde_json::to_string(&Value::Map(vec![("spans".into(), dump.to_value())])).unwrap(),
-        );
+        lines.push(serde_json::to_string(&Keyed("spans", &dump)).unwrap());
         lines.push(serde_json::to_string(&stripe).unwrap());
         let grid = crate::scenario::ScenarioGrid::new().sizes([16usize, 24]).replicates(3);
         lines.push(serde_json::to_string(&grid).unwrap());

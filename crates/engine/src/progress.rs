@@ -94,8 +94,12 @@ impl ProgressMeter {
     /// heartbeat record).
     pub fn worker_progress(&self, worker: &str, cells_done: u64) {
         let mut workers = self.inner.workers.lock().expect("workers poisoned");
-        let entry = workers.entry(worker.to_string()).or_insert(0);
-        *entry = (*entry).max(cells_done);
+        match workers.get_mut(worker) {
+            Some(entry) => *entry = (*entry).max(cells_done),
+            None => {
+                workers.insert(worker.to_string(), cells_done);
+            }
+        }
     }
 
     /// Attaches a result-store status callback; its output is appended verbatim to the

@@ -12,7 +12,7 @@ use crate::registry::parse_workload;
 use crate::workloads::WorkloadSpec;
 use local_graphs::{parse_family, FamilySpec, InstanceKey};
 use local_runtime::mix_seed;
-use serde::{Deserialize, Serialize, Value};
+use serde::{Deserialize, Serialize, Value, Writer};
 
 /// Salt separating graph-generation seeds from execution seeds.
 const GRAPH_SEED_SALT: u64 = 0x9E37_79B9_7F4A_7C15;
@@ -59,13 +59,13 @@ impl Scenario {
 // workload and family by their stable names, so the wire is readable, survives registry
 // reordering, and stays byte-identical to the representation the closed enums produced.
 impl Serialize for Scenario {
-    fn to_value(&self) -> Value {
-        Value::Map(vec![
-            ("problem".into(), Value::Str(self.problem.name().to_string())),
-            ("family".into(), Value::Str(self.family.name().to_string())),
-            ("n".into(), Value::U64(self.n as u64)),
-            ("replicate".into(), Value::U64(self.replicate)),
-        ])
+    fn serialize(&self, out: &mut Writer<'_>) {
+        out.begin_map();
+        out.field("problem", self.problem.name());
+        out.field("family", self.family.name());
+        out.field("n", &self.n);
+        out.field("replicate", &self.replicate);
+        out.end_map();
     }
 }
 
@@ -201,27 +201,16 @@ impl ScenarioGrid {
 // families by stable name, exactly like [`Scenario`]'s: a submitted grid means the same
 // cells — in the same canonical order — on whichever build re-expands it.
 impl Serialize for ScenarioGrid {
-    fn to_value(&self) -> Value {
-        Value::Map(vec![
-            (
-                "problems".into(),
-                Value::Seq(
-                    self.problems.iter().map(|p| Value::Str(p.name().to_string())).collect(),
-                ),
-            ),
-            (
-                "families".into(),
-                Value::Seq(
-                    self.families.iter().map(|f| Value::Str(f.name().to_string())).collect(),
-                ),
-            ),
-            (
-                "sizes".into(),
-                Value::Seq(self.sizes.iter().map(|&n| Value::U64(n as u64)).collect()),
-            ),
-            ("replicates".into(), Value::U64(self.replicates)),
-            ("base_seed".into(), Value::U64(self.base_seed)),
-        ])
+    fn serialize(&self, out: &mut Writer<'_>) {
+        out.begin_map();
+        out.key("problems");
+        out.seq(self.problems.iter().map(WorkloadSpec::name));
+        out.key("families");
+        out.seq(self.families.iter().map(FamilySpec::name));
+        out.field("sizes", &self.sizes);
+        out.field("replicates", &self.replicates);
+        out.field("base_seed", &self.base_seed);
+        out.end_map();
     }
 }
 

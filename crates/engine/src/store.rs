@@ -33,6 +33,21 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// are not comparable.
 pub const CODE_VERSION: &str = concat!("local-engine-", env!("CARGO_PKG_VERSION"), "+r2");
 
+/// Appends `x` in decimal.
+fn push_decimal(out: &mut Vec<u8>, mut x: u64) {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (x % 10) as u8;
+        x /= 10;
+        if x == 0 {
+            break;
+        }
+    }
+    out.extend_from_slice(&digits[at..]);
+}
+
 /// Where sweeps read and write per-cell results.
 ///
 /// Implementations are shared across scheduler worker threads behind an
@@ -251,18 +266,27 @@ impl BinaryStore {
     /// reads compare every field.
     fn key(&self, cell: &Scenario, base_seed: u64) -> Vec<u8> {
         let instance = cell.instance_key(base_seed);
-        format!(
-            "{}|{}|{}|{}|{}|{}|{}|{}",
-            self.code_version,
-            cell.problem.name(),
-            instance.family.name(),
-            instance.n,
+        let (problem, family) = (cell.problem.name(), instance.family.name());
+        let numbers = [
+            instance.n as u64,
             instance.seed,
-            cell.n,
+            cell.n as u64,
             cell.replicate,
             cell.cell_seed(base_seed),
-        )
-        .into_bytes()
+        ];
+        let mut key = Vec::with_capacity(
+            self.code_version.len() + problem.len() + family.len() + numbers.len() * 21 + 2,
+        );
+        key.extend_from_slice(self.code_version.as_bytes());
+        for text in [problem, family] {
+            key.push(b'|');
+            key.extend_from_slice(text.as_bytes());
+        }
+        for number in numbers {
+            key.push(b'|');
+            push_decimal(&mut key, number);
+        }
+        key
     }
 
     fn count_lookup(&self, hit: bool) {
@@ -444,6 +468,45 @@ mod tests {
         assert_ne!(store.key(&a, 1), bumped.key(&a, 1), "code versions must not collide");
         let _ = std::fs::remove_dir_all(&dir);
         let _ = std::fs::remove_dir_all(&bumped_dir);
+    }
+
+    #[test]
+    fn keys_are_the_pipe_joined_cell_identity() {
+        // The workload and family pools of tests/wire_stability.rs.
+        let mut problems = crate::registry::default_workloads();
+        problems.extend([workload("ruling-set-b5"), workload("lambda4-coloring")]);
+        let mut families = local_graphs::builtin_families();
+        for name in
+            ["gnp-d2", "gnp-d16", "regular-4", "regular-12", "forest-5", "pa-2", "unit-disk-r75"]
+        {
+            families.push(local_graphs::family(name));
+        }
+        let dir = temp_dir("keys-text");
+        let store = BinaryStore::with_code_version(&dir, CODE_VERSION).unwrap();
+        for problem in &problems {
+            for family in &families {
+                for (n, replicate, base_seed) in
+                    [(97, 3, 1), (0, 0, 0), (1 << 40, u64::MAX, u64::MAX)]
+                {
+                    let cell =
+                        Scenario { problem: problem.clone(), family: family.clone(), n, replicate };
+                    let instance = cell.instance_key(base_seed);
+                    let reference = format!(
+                        "{}|{}|{}|{}|{}|{}|{}|{}",
+                        CODE_VERSION,
+                        cell.problem.name(),
+                        instance.family.name(),
+                        instance.n,
+                        instance.seed,
+                        cell.n,
+                        cell.replicate,
+                        cell.cell_seed(base_seed),
+                    );
+                    assert_eq!(store.key(&cell, base_seed), reference.into_bytes());
+                }
+            }
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

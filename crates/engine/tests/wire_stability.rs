@@ -2,13 +2,27 @@
 //! serialize → deserialize → serialize is byte-identical for `Scenario`, `CellResult`, and
 //! `CellShard`, so a result can cross a process boundary (or sit in the cache) and come
 //! back exactly as it left — including scenarios built from *parameterized* workload and
-//! family specs, which spell their parameters inside the stable name.
+//! family specs, which spell their parameters inside the stable name. Every type also writes
+//! the same JSON text straight through the writer as through its `Value` tree.
 
 use local_engine::backend::{SpanDump, WireEvent, WireTrack, WorkerTelemetry};
-use local_engine::{default_workloads, workload, CellResult, CellShard, Scenario, WorkloadSpec};
+use local_engine::{
+    default_workloads, summarize, workload, CellResult, CellShard, Report, Scenario, WorkloadSpec,
+};
 use local_graphs::{builtin_families, family, Family, FamilySpec};
 use proptest::prelude::*;
 use serde::{Deserialize, Serialize};
+
+/// The JSON text written straight through the writer equals the text of the value's
+/// `Value` tree, compact and pretty.
+fn assert_direct_matches_tree<T: Serialize + ?Sized>(value: &T) {
+    let tree = value.to_value();
+    assert_eq!(serde_json::to_string(value).unwrap(), serde_json::to_string(&tree).unwrap());
+    assert_eq!(
+        serde_json::to_string_pretty(value).unwrap(),
+        serde_json::to_string_pretty(&tree).unwrap()
+    );
+}
 
 /// serialize → deserialize → serialize, asserting the two wire strings are byte-identical
 /// and the reconstructed value equals the original.
@@ -16,6 +30,7 @@ fn assert_stable<T>(value: &T)
 where
     T: Serialize + Deserialize + PartialEq + std::fmt::Debug,
 {
+    assert_direct_matches_tree(value);
     let first = serde_json::to_string(value).expect("serializes");
     let reparsed = serde_json::from_str(&first).expect("own output parses");
     let back = T::from_value(&reparsed).expect("own output deserializes");
@@ -267,5 +282,39 @@ proptest! {
     #[test]
     fn span_dump_wire_is_byte_stable(dump in arbitrary_span_dump()) {
         assert_stable(&dump);
+    }
+
+    #[test]
+    fn reports_and_summaries_write_their_tree_text(
+        cells in proptest::collection::vec(arbitrary_result(), 0..12),
+        (threads, base_seed, wall) in (0usize..64, any::<u64>(), any::<u64>()),
+    ) {
+        // The group totals are plain sums: keep a dozen of them below `u64::MAX`.
+        let cells: Vec<CellResult> = cells
+            .into_iter()
+            .map(|c| CellResult {
+                uniform_rounds: c.uniform_rounds >> 8,
+                uniform_messages: c.uniform_messages >> 8,
+                nonuniform_messages: c.nonuniform_messages >> 8,
+                wall_micros: c.wall_micros >> 8,
+                ..c
+            })
+            .collect();
+        let summaries = summarize(&cells);
+        for summary in &summaries {
+            assert_direct_matches_tree(summary);
+        }
+        let report = Report {
+            threads,
+            base_seed,
+            cell_count: cells.len(),
+            distinct_instances: cells.len() / 2,
+            cache_hits: cells.len() / 3,
+            total_wall_micros: wall,
+            summaries,
+            cells,
+        };
+        assert_direct_matches_tree(&report);
+        assert_eq!(report.to_json(), serde_json::to_string_pretty(&report.to_value()).unwrap());
     }
 }

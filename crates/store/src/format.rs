@@ -43,9 +43,11 @@ pub enum RecordError {
     Corrupt,
 }
 
-/// CRC-32 (IEEE) lookup table, built at compile time.
-const CRC_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
+/// CRC-32 (IEEE) lookup tables for slicing-by-8, built at compile time: `CRC_TABLES[0]` is
+/// the bytewise table, and `CRC_TABLES[k][i]` advances the CRC of byte `i` over `k` more zero
+/// bytes.
+const CRC_TABLES: [[u32; 256]; 8] = {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut crc = i as u32;
@@ -54,17 +56,41 @@ const CRC_TABLE: [u32; 256] = {
             crc = if crc & 1 != 0 { (crc >> 1) ^ 0xEDB8_8320 } else { crc >> 1 };
             bit += 1;
         }
-        table[i] = crc;
+        tables[0][i] = crc;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 };
 
-/// CRC-32 (IEEE, reflected) of `bytes`.
+/// CRC-32 (IEEE, reflected) of `bytes`, eight bytes per step.
 pub fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
     let mut crc = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        crc = (crc >> 8) ^ CRC_TABLE[((crc ^ b as u32) & 0xFF) as usize];
+    let mut chunks = bytes.chunks_exact(8);
+    for chunk in &mut chunks {
+        let lo = crc ^ u32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
+        let hi = u32::from_le_bytes([chunk[4], chunk[5], chunk[6], chunk[7]]);
+        crc = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in chunks.remainder() {
+        crc = (crc >> 8) ^ t[0][((crc ^ b as u32) & 0xFF) as usize];
     }
     !crc
 }
@@ -155,11 +181,28 @@ pub fn decode_record(bytes: &[u8]) -> Result<RecordRef<'_>, RecordError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn crc32_matches_the_ieee_check_value() {
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    /// The bytewise CRC-32 the sliced one must agree with.
+    fn crc32_bytewise(bytes: &[u8]) -> u32 {
+        !bytes.iter().fold(0xFFFF_FFFFu32, |crc, &b| {
+            (crc >> 8) ^ CRC_TABLES[0][((crc ^ b as u32) & 0xFF) as usize]
+        })
+    }
+
+    proptest! {
+        #[test]
+        fn sliced_crc32_matches_the_bytewise_reference(
+            bytes in prop::collection::vec(any::<u8>(), 0..600),
+        ) {
+            prop_assert_eq!(crc32(&bytes), crc32_bytewise(&bytes));
+        }
     }
 
     #[test]
